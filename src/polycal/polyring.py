@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import heapq
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 _VAR_NAME_RE = re.compile(r"^([xy])([1-9][0-9]*)$")
-_SCALAR_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
+# Canonical forms only: no -0, no leading zeros, no zero or padded denominator.
+_SCALAR_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 class FormatError(ValueError):
@@ -48,30 +50,42 @@ def as_scalar(value: Scalar) -> Scalar:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def int_to_str(value: int) -> str:
+    """Decimal digits of any integer; Decimal ignores the int-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
+def int_from_str(text: str) -> int:
+    """Inverse of int_to_str on decimal integer text; also a JSON parse_int hook."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
+
+
 def scalar_to_str(value: Scalar) -> str:
     """Canonical decimal form: ``p`` for integers, ``p/q`` in lowest terms."""
     value = as_scalar(value)
     if isinstance(value, int):
-        return str(value)
-    return f"{value.numerator}/{value.denominator}"
+        return int_to_str(value)
+    return f"{int_to_str(value.numerator)}/{int_to_str(value.denominator)}"
 
 
 def scalar_from_str(text: str) -> Scalar:
     """Parse a canonical scalar string, rejecting unreduced or padded forms."""
     if not isinstance(text, str):
         raise FormatError(f"scalar must be a string, got {text!r}")
-    m = _SCALAR_RE.match(text)
+    m = _SCALAR_RE.fullmatch(text)
     if m is None:
-        raise FormatError(f"malformed scalar {text!r}")
+        raise FormatError(f"malformed or non-canonical scalar {text!r}")
     num_text, den_text = m.group(1), m.group(2)
-    if num_text != str(int(num_text)):  # rejects -0 and leading zeros
-        raise FormatError(f"non-canonical integer {text!r}")
-    num = int(num_text)
+    num = int_from_str(num_text)
     if den_text is None:
         return num
-    den = int(den_text)
-    if den_text != str(den) or den == 0:
-        raise FormatError(f"non-canonical denominator in {text!r}")
+    den = int_from_str(den_text)
     if den == 1:
         raise FormatError(f"denominator 1 must be written as an integer: {text!r}")
     frac = Fraction(num, den)

@@ -47,6 +47,7 @@ from .polyring import (
     VarId,
     as_scalar,
     boolean_axiom,
+    int_to_str,
     yvar,
 )
 from .proofcore import (
@@ -561,10 +562,10 @@ def verify_phase_one(
 
 def state_to_obj(state: RationalizeState) -> dict[str, object]:
     return {
-        "M": [str(m) for m in state.denominator_products],
-        "T": [str(t) for t in state.scale_factors],
-        "deltas": [str(d) for d in state.deltas],
-        "L": [str(c) for c in state.line_clearers],
-        "F_final": str(state.final_factor),
-        "final_constant": str(state.final_constant),
+        "M": [int_to_str(m) for m in state.denominator_products],
+        "T": [int_to_str(t) for t in state.scale_factors],
+        "deltas": [int_to_str(d) for d in state.deltas],
+        "L": [int_to_str(c) for c in state.line_clearers],
+        "F_final": int_to_str(state.final_factor),
+        "final_constant": int_to_str(state.final_constant),
     }

@@ -171,6 +171,43 @@ def clause_pair() -> tuple[list[Disjunction], list[RlLine]]:
     return axioms, run(axioms, rules)
 
 
+def bvp_splitting(n: int) -> tuple[list[Disjunction], list[RlLine]]:
+    """Refutation of 1 + x1 + 2 x2 + ... + 2^(n-1) xn = 0 by splitting on x1..xn.
+
+    Each node's last equation is resolved with the next boolean axiom on
+    both sides; at depth n it is a false constant and is simplified away.
+    Sibling clauses then resolve on the split variable into 0 = 1, and
+    contractions plus a simplification leave the parent's prefix.
+    """
+    weights = {xvar(i): 1 << (i - 1) for i in range(1, n + 1)}
+    axioms = [Disjunction.of(eq(weights, -1))]
+    lines: list[RlLine] = []
+    booleans: dict[VarId, int] = {}
+
+    def push(rule: RlRule) -> int:
+        lines.append(RlLine(apply_rule(axioms, lines, rule), rule))
+        return len(lines) - 1
+
+    def refute(node: int, depth: int) -> int:
+        if depth == n:
+            return push(RlSimplification(node, depth))
+        var = xvar(depth + 1)
+        if var not in booleans:
+            booleans[var] = push(RlBooleanAxiom(var))
+        coef = dict(lines[node].disjunction.disjuncts[depth].coeffs)[var]
+        sides = []
+        for d in (0, 1):
+            child = push(RlResolution(node, booleans[var], depth, d, 1, -coef))
+            sides.append(refute(child, depth + 1))
+        line = push(RlResolution(sides[0], sides[1], depth, depth, 1, -1))
+        for position in range(depth):
+            line = push(RlContraction(line, position, depth))
+        return push(RlSimplification(line, depth))
+
+    refute(push(RlAxiom(0)), 0)
+    return axioms, lines
+
+
 def refutation_corpus() -> list[tuple[str, list[Disjunction], list[RlLine]]]:
     items = [
         ("zero_one", *zero_one()),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from polycal.bvp import (
     SieveGuard,
     ZeroConstant,
     audit_divisibility,
+    audit_report_from_obj,
     audit_report_to_obj,
     brute_force_refutation,
     factorial_bits,
@@ -24,6 +26,7 @@ from polycal.bvp import (
     primes_below,
     primorial_bits,
     trace_mod_check,
+    trace_report_from_obj,
     trace_report_to_obj,
 )
 from polycal.polyring import FormatError, Polynomial, poly_parse, xvar, yvar
@@ -73,6 +76,33 @@ def test_oracle_deterministic():
     first = brute_force_refutation(2)
     second = brute_force_refutation(2)
     assert first == second
+
+
+# Exact sizes of the Horner construction, so that a change cannot silently
+# regrow the proof.
+ORACLE_LINES = {1: 6, 2: 37, 3: 199, 4: 1017, 5: 5031}
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_LINES))
+def test_oracle_size_pinned(n):
+    _, proof = brute_force_refutation(n)
+    assert len(proof) == ORACLE_LINES[n]
+    if n == 4:
+        assert sum(len(line.poly) for line in proof) <= 7500
+
+
+def test_oracle_n5_refutes_audits_and_traces_within_budget():
+    start = time.perf_counter()
+    axioms, proof = brute_force_refutation(5)
+    report = check_refutation(axioms, proof, SystemKind.PCSQRT_Z)
+    assert report.valid, report.error
+    assert report.final_constant == math.factorial(32)
+    assert audit_divisibility(report.final_constant, 5).all_divide
+    points = [k for k in range(32) if is_prime(k + 1)]
+    assert len(points) == 11
+    for k in points:
+        assert trace_mod_check(axioms, proof, 5, k).all_zero, k
+    assert time.perf_counter() - start < 10
 
 
 def test_cost_guard(monkeypatch):
@@ -282,6 +312,23 @@ def test_audit_report_obj_frozen():
         "checks": [{"prime": "2", "divides": True}],
         "all_divide": True,
     }
+
+
+def test_reports_round_trip_past_the_int_digit_limit():
+    constant = math.factorial(2000)  # 5736 decimal digits
+    audit = audit_divisibility(constant, 4)
+    obj = json.loads(json.dumps(audit_report_to_obj(audit)))
+    assert len(obj["constant"]) > 5000
+    assert audit_report_from_obj(obj) == audit
+
+    big = 10**5000
+    base = gen_bvp(2).axiom_set().base
+    definition = Polynomial.variable(xvar(1)).scale(big)
+    axioms = AxiomSet(base=base, extensions=(ExtensionAxiom(yvar(1), definition),))
+    trace = trace_mod_check(axioms, [ProofLine(base[0], Axiom(0))], 2, 1)
+    obj = json.loads(json.dumps(trace_report_to_obj(trace)))
+    assert obj["extension_values"] == {"y1": "1" + "0" * 5000}
+    assert trace_report_from_obj(obj) == trace
 
 
 def test_trace_report_obj_strings():

@@ -26,10 +26,17 @@ from polycal.proofcore import (
     proof_to_obj,
     report_from_obj,
 )
-from polycal.reslin import reslin_to_obj
+from polycal.polyring import xvar
+from polycal.reslin import (
+    Disjunction,
+    RlAxiom,
+    RlResolution,
+    RlSimplification,
+    reslin_to_obj,
+)
 
 from q_corpus import negative_root
-from reslin_corpus import zero_one
+from reslin_corpus import bvp_splitting, eq, run as run_rules, zero_one
 
 
 def run(capsys, *argv):
@@ -119,6 +126,27 @@ def test_check_corrupted_line_exits_one_with_code_and_index(
     assert report["valid"] is False
     assert report["error"]["code"] == "RuleMismatch"
     assert report["error"]["line"] == 3
+
+
+def test_check_reads_clausal_numbers_past_the_int_digit_limit(tmp_path, capsys):
+    # C x1 = 0 against C x1 = C, with C written out in 5000 digits.
+    c = 77777
+    axioms = [
+        Disjunction.of(eq({xvar(1): c}, 0)),
+        Disjunction.of(eq({xvar(1): c}, c)),
+    ]
+    rules = [
+        RlAxiom(0),
+        RlAxiom(1),
+        RlResolution(0, 1, 0, 0, 1, -1),
+        RlSimplification(2, 0),
+    ]
+    text = json.dumps(reslin_to_obj(axioms, run_rules(axioms, rules)))
+    path = tmp_path / "big.json"
+    path.write_text(text.replace(str(c), "9" * 5000), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--proof", str(path))
+    assert code == 0, err
+    assert json.loads(out)["valid"] is True
 
 
 def test_check_handles_clausal_documents(reslin_doc, capsys):
@@ -232,6 +260,19 @@ def test_rationalize_faithful_flag_changes_the_factor(tmp_path, capsys):
     assert json.loads(out)["F_final"] == "32"
 
 
+def test_rationalize_state_past_the_int_digit_limit(tmp_path, capsys):
+    # At n = 4 some line clearers L run past 4300 decimal digits.
+    rl = write_json(tmp_path / "rl.json", reslin_to_obj(*bvp_splitting(4)))
+    q, z, state = (str(tmp_path / name) for name in ("q.json", "z.json", "s.json"))
+    assert main(["translate", "--reslin", rl, "--out", q]) == 0
+    capsys.readouterr()
+    code, out, err = run(
+        capsys, "rationalize", "--proof", q, "--out", z, "--state", state
+    )
+    assert code == 0, err
+    assert max(len(clearer) for clearer in json.loads(out)["L"]) > 4300
+
+
 def test_rationalize_invalid_input_proof_exits_one(tmp_path, capsys):
     axioms, proof = negative_root()
     obj = proof_to_obj(SystemKind.EXTPCSQRT_Q, axioms, proof)
@@ -292,7 +333,7 @@ def test_trace_composite_modulus_is_a_precondition_failure(oracle_doc, capsys):
 def test_measure_algebraic_document(oracle_doc, capsys):
     code, out, _ = run(capsys, "measure", "--proof", oracle_doc)
     assert code == 0
-    assert json.loads(out) == {"degree": 2, "line_count": 6, "total_size": 2}
+    assert json.loads(out) == {"degree": 2, "line_count": 6, "total_size": 3}
 
 
 def test_measure_clausal_document(reslin_doc, capsys):

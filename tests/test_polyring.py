@@ -71,11 +71,28 @@ def test_scalar_string_round_trip():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1/0", "2/4", "1/1", "-0", "007", "1/01", "+3", "1.5", "a"]
+    "bad", ["", "1/0", "2/4", "1/1", "-0", "007", "1/01", "+3", "1.5", "a", "12\n"]
 )
 def test_scalar_string_rejects_non_canonical(bad):
     with pytest.raises(FormatError):
         scalar_from_str(bad)
+
+
+def test_scalar_strings_past_the_int_digit_limit():
+    # Python refuses int <-> str conversions past 4300 digits by default.
+    digits = "1" * 5000
+    value = (10**5000 - 1) // 9
+    cases = [
+        (digits, value),
+        ("-" + digits, -value),
+        (digits + "/3", Fraction(value, 3)),
+        ("1/" + digits, Fraction(1, value)),
+    ]
+    for text, scalar in cases:
+        assert scalar_from_str(text) == scalar
+        assert scalar_to_str(scalar) == text
+    with pytest.raises(FormatError):
+        scalar_from_str("0" + digits)
 
 
 # -- variables and monomials ---------------------------------------------------
