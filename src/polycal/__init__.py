@@ -55,7 +55,6 @@ from .reslin import (
     LinEq,
     Registry,
     check_reslin,
-    hat,
     reslin_from_obj,
     reslin_to_obj,
     size_binary,
@@ -96,7 +95,6 @@ __all__ = [
     "check_reslin",
     "factorial_bits",
     "gen_bvp",
-    "hat",
     "measure",
     "multilinear_reduce",
     "poly_from_obj",

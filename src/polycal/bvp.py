@@ -21,10 +21,11 @@ The oracle refutation works over the integers and ends in the constant
     polynomial that vanishes on the cube is zero, so the last level is
     reduce(P(S)) - (2^n)! = -(2^n)!, and one scaling by -1 ends the proof.
 
-Boolean-axiom multiples are memoized across levels, and each level's are
-summed with the builder's balanced combination tree.  Lines grow about
-fivefold per bit (1,017 at n = 4), so the generator refuses n above a cost
-limit unless forced.
+Boolean-axiom multiples come from the builder's memoized
+`monomial_multiple`, so levels share them, and each level's are summed
+with the builder's balanced combination tree.  Lines grow about fivefold
+per bit (1,017 at n = 4), so the generator refuses n above a cost limit
+unless forced.
 
 The audit and trace operations document why that final constant must be
 huge: every prime p <= 2^n divides it.  The audit checks the divisibilities
@@ -57,7 +58,9 @@ from .polyring import (
     parse_var,
     poly_from_obj,
     poly_to_obj,
-    scalar_from_str,
+    require_bool,
+    require_fields,
+    require_int_str,
     xvar,
 )
 from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind
@@ -106,7 +109,7 @@ def gen_bvp(n: int) -> BvpInstance:
     pairs.extend((Monomial.of(xvar(i)), 1 << (i - 1)) for i in range(1, n + 1))
     return BvpInstance(
         n=n,
-        equation=Polynomial.from_terms(pairs),
+        equation=Polynomial(pairs),
         booleans=tuple(boolean_axiom(xvar(i)) for i in range(1, n + 1)),
     )
 
@@ -132,31 +135,6 @@ def _divide_by_t_plus_one(coeffs: list[int]) -> list[int]:
     return quotient
 
 
-class _MonomialLadder:
-    """Memoized monomial-times-line derivations.
-
-    Stripping one variable at a time keeps every intermediate product a
-    real proof line, and monomials sharing a prefix in canonical variable
-    order reuse those lines instead of re-deriving them.
-    """
-
-    def __init__(self, builder: ProofBuilder) -> None:
-        self.builder = builder
-        self.cache: dict[tuple[int, Monomial], int] = {}
-
-    def line_for(self, source: int, mono: Monomial) -> int:
-        if mono.is_one():
-            return source
-        key = (source, mono)
-        line = self.cache.get(key)
-        if line is None:
-            last = mono.pairs[-1][0]
-            prefix = self.line_for(source, mono.without(last))
-            line = self.builder.mul_var(prefix, last)
-            self.cache[key] = line
-        return line
-
-
 def brute_force_refutation(
     n: int, force: bool = False
 ) -> tuple[AxiomSet, list[ProofLine]]:
@@ -171,7 +149,6 @@ def brute_force_refutation(
         )
     axioms = gen_bvp(n).axiom_set()
     builder = ProofBuilder(axioms, SystemKind.PCSQRT_Z)
-    ladder = _MonomialLadder(builder)
     boolean_vars = frozenset(xvar(i) for i in range(1, n + 1))
 
     count = 1 << n
@@ -191,7 +168,7 @@ def brute_force_refutation(
         _, steps = multilinear_reduce(builder.poly_at(acc), boolean_vars)
         parts = []
         for step in steps:
-            multiple = ladder.line_for(
+            multiple = builder.monomial_multiple(
                 builder.axiom_line(step.variable.index), step.monomial
             )
             if step.coefficient != 1:
@@ -367,8 +344,7 @@ def instance_to_obj(instance: BvpInstance) -> dict[str, object]:
 
 
 def instance_from_obj(obj: object) -> BvpInstance:
-    if not isinstance(obj, dict) or set(obj) != {"n", "base"}:
-        raise FormatError("instance must have exactly 'n' and 'base'")
+    require_fields(obj, {"n", "base"}, "instance")
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FormatError("'n' must be a positive integer")
@@ -408,66 +384,52 @@ def trace_report_to_obj(report: TraceReport) -> dict[str, object]:
     }
 
 
-def _int_from_str(value: object, what: str) -> int:
-    scalar = scalar_from_str(value)  # type: ignore[arg-type]
-    if isinstance(scalar, Fraction):
-        raise FormatError(f"'{what}' must be an integer string, got {value!r}")
-    return scalar
-
-
-def _bool_field(value: object, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise FormatError(f"'{what}' must be a boolean")
-    return value
-
-
-def _var_values(obj: object, what: str) -> tuple[tuple[VarId, int], ...]:
-    if not isinstance(obj, dict):
-        raise FormatError(f"'{what}' must be an object")
-    pairs = [(parse_var(name), _int_from_str(v, what)) for name, v in obj.items()]
-    pairs.sort(key=lambda pair: pair[0])
-    return tuple(pairs)
-
-
 def audit_report_from_obj(obj: object) -> AuditReport:
     fields = {"n", "constant", "bit_length", "checks", "all_divide"}
-    if not isinstance(obj, dict) or set(obj) != fields:
-        raise FormatError(f"audit report must have exactly the fields {sorted(fields)}")
+    require_fields(obj, fields, "audit report")
     checks_obj = obj["checks"]
     if not isinstance(checks_obj, list):
         raise FormatError("'checks' must be a list")
     checks = []
     for entry in checks_obj:
-        if not isinstance(entry, dict) or set(entry) != {"prime", "divides"}:
-            raise FormatError("each check must have exactly 'prime' and 'divides'")
+        require_fields(entry, {"prime", "divides"}, "check")
         checks.append(
             AuditCheck(
-                prime=_int_from_str(entry["prime"], "prime"),
-                divides=_bool_field(entry["divides"], "divides"),
+                prime=require_int_str(entry["prime"], "'prime'"),
+                divides=require_bool(entry["divides"], "'divides'"),
             )
         )
     return AuditReport(
-        n=_int_from_str(obj["n"], "n"),
-        constant=_int_from_str(obj["constant"], "constant"),
-        bit_length=_int_from_str(obj["bit_length"], "bit_length"),
+        n=require_int_str(obj["n"], "'n'"),
+        constant=require_int_str(obj["constant"], "'constant'"),
+        bit_length=require_int_str(obj["bit_length"], "'bit_length'"),
         checks=tuple(checks),
-        all_divide=_bool_field(obj["all_divide"], "all_divide"),
+        all_divide=require_bool(obj["all_divide"], "'all_divide'"),
     )
 
 
 def trace_report_from_obj(obj: object) -> TraceReport:
     fields = {"n", "k", "modulus", "assignment", "extension_values", "residues", "all_zero"}
-    if not isinstance(obj, dict) or set(obj) != fields:
-        raise FormatError(f"trace report must have exactly the fields {sorted(fields)}")
+    require_fields(obj, fields, "trace report")
     residues_obj = obj["residues"]
     if not isinstance(residues_obj, list):
         raise FormatError("'residues' must be a list")
+    values = {}
+    for what in ("assignment", "extension_values"):
+        if not isinstance(obj[what], dict):
+            raise FormatError(f"'{what}' must be an object")
+        values[what] = tuple(
+            sorted(
+                (parse_var(name), require_int_str(v, f"'{what}'"))
+                for name, v in obj[what].items()
+            )
+        )
     return TraceReport(
-        n=_int_from_str(obj["n"], "n"),
-        k=_int_from_str(obj["k"], "k"),
-        modulus=_int_from_str(obj["modulus"], "modulus"),
-        assignment=_var_values(obj["assignment"], "assignment"),
-        extension_values=_var_values(obj["extension_values"], "extension_values"),
-        residues=tuple(_int_from_str(r, "residues") for r in residues_obj),
-        all_zero=_bool_field(obj["all_zero"], "all_zero"),
+        n=require_int_str(obj["n"], "'n'"),
+        k=require_int_str(obj["k"], "'k'"),
+        modulus=require_int_str(obj["modulus"], "'modulus'"),
+        assignment=values["assignment"],
+        extension_values=values["extension_values"],
+        residues=tuple(require_int_str(r, "'residues'") for r in residues_obj),
+        all_zero=require_bool(obj["all_zero"], "'all_zero'"),
     )

@@ -21,10 +21,11 @@ fixes serialization and display, and makes reduction deterministic.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -35,6 +36,44 @@ _SCALAR_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 class FormatError(ValueError):
     """Raised when serialized input is malformed or not in canonical form."""
+
+
+# Validators shared by every from_obj decoder; each names the field it checks.
+
+
+def require_fields(obj: object, fields: set[str], what: str) -> dict:
+    """obj itself, if it is a JSON object with exactly the given keys."""
+    if not isinstance(obj, dict) or set(obj) != fields:
+        raise FormatError(f"{what} must have exactly the fields {sorted(fields)}")
+    return obj
+
+
+def require_int(value: object, what: str) -> int:
+    """A plain int; bool is refused although it subclasses int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"{what} must be an integer")
+    return value
+
+
+def require_index(value: object, what: str) -> int:
+    """A plain int that is at least 0."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise FormatError(f"{what} must be a non-negative integer")
+    return value
+
+
+def require_int_str(value: object, what: str) -> int:
+    """A canonical decimal integer string (see scalar_from_str)."""
+    scalar = scalar_from_str(value)  # type: ignore[arg-type]
+    if isinstance(scalar, Fraction):
+        raise FormatError(f"{what} must be an integer string, got {value!r}")
+    return scalar
+
+
+def require_bool(value: object, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise FormatError(f"{what} must be a boolean")
+    return value
 
 
 class UnboundVariable(KeyError):
@@ -215,12 +254,6 @@ class Monomial:
             tuple((v, e - exp if v == var else e) for v, e in self._pairs)
         )
 
-    def factor_sequence(self) -> Iterator[VarId]:
-        """Variables with multiplicity, in canonical order (x1, x1, x2, ...)."""
-        for var, exp in self._pairs:
-            for _ in range(exp):
-                yield var
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self._pairs == other._pairs
 
@@ -301,10 +334,6 @@ class Polynomial:
     @staticmethod
     def variable(var: VarId) -> Polynomial:
         return Polynomial._wrap({Monomial.of(var): 1})
-
-    @staticmethod
-    def from_terms(terms: Iterable[tuple[Monomial, Scalar]]) -> Polynomial:
-        return Polynomial(terms)
 
     # -- structure ---------------------------------------------------------
 
@@ -474,7 +503,7 @@ class Polynomial:
         out = 1
         for coef in self._terms.values():
             if isinstance(coef, Fraction):
-                out = out * coef.denominator // _gcd(out, coef.denominator)
+                out = out * coef.denominator // math.gcd(out, coef.denominator)
         return out
 
     # -- dunder sugar ------------------------------------------------------
@@ -525,12 +554,6 @@ class Polynomial:
 
 
 _POLY_ZERO = Polynomial()
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def boolean_axiom(var: VarId) -> Polynomial:
@@ -635,16 +658,13 @@ def poly_to_obj(poly: Polynomial) -> dict[str, object]:
 
 
 def poly_from_obj(obj: object) -> Polynomial:
-    if not isinstance(obj, dict) or set(obj) != {"terms"}:
-        raise FormatError(f"polynomial must be an object with a 'terms' key")
-    terms = obj["terms"]
+    terms = require_fields(obj, {"terms"}, "polynomial")["terms"]
     if not isinstance(terms, list):
         raise FormatError("'terms' must be an array")
     seen: set[Monomial] = set()
     pairs: list[tuple[Monomial, Scalar]] = []
     for entry in terms:
-        if not isinstance(entry, dict) or set(entry) != {"coef", "mono"}:
-            raise FormatError(f"malformed term {entry!r}")
+        require_fields(entry, {"coef", "mono"}, "term")
         coef = scalar_from_str(entry["coef"])
         if coef == 0:
             raise FormatError("zero coefficient is not canonical")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .polyring import (
     FormatError,
@@ -37,6 +37,10 @@ from .polyring import (
     parse_var,
     poly_from_obj,
     poly_to_obj,
+    require_bool,
+    require_fields,
+    require_index,
+    require_int,
     scalar_from_str,
     scalar_to_str,
 )
@@ -214,10 +218,13 @@ def _verify_line(
     prefix: Sequence[ProofLine],
     index: int,
     line: ProofLine,
-    axioms: AxiomSet,
+    pool: Sequence[Polynomial],
     kind: SystemKind,
 ) -> Optional[CheckError]:
-    """Verify one line against the lines before it.  prefix[:index] is visible."""
+    """Verify one line against the lines before it.  prefix[:index] is visible.
+
+    pool is axioms.all_polynomials(), built once by the caller.
+    """
 
     def fail(code: str, message: str) -> CheckError:
         return CheckError(index, code, message)
@@ -229,7 +236,6 @@ def _verify_line(
         )
     rule = line.rule
     if isinstance(rule, Axiom):
-        pool = axioms.all_polynomials()
         if not 0 <= rule.index < len(pool):
             return fail("BadIndex", f"axiom index {rule.index} out of range")
         if line.poly != pool[rule.index]:
@@ -293,7 +299,7 @@ def check_step(
     kind: SystemKind,
 ) -> Optional[CheckError]:
     """Verify a single candidate line given the already-accepted prefix."""
-    return _verify_line(prefix, len(prefix), line, axioms, kind)
+    return _verify_line(prefix, len(prefix), line, axioms.all_polynomials(), kind)
 
 
 def measure(proof: Sequence[ProofLine]) -> tuple[int, int, int]:
@@ -328,8 +334,9 @@ def check_refutation(
     error = validate_axiom_set(axioms, kind)
     if error is not None:
         return report(error, None)
+    pool = axioms.all_polynomials()
     for index, line in enumerate(proof):
-        error = _verify_line(proof, index, line, axioms, kind)
+        error = _verify_line(proof, index, line, pool, kind)
         if error is not None:
             return report(error, None)
     last = proof[-1].poly
@@ -374,6 +381,7 @@ class ProofBuilder:
         self.kind = kind
         self.lines: list[ProofLine] = []
         self._axiom_lines: dict[int, int] = {}
+        self._multiples: dict[tuple[int, Monomial], int] = {}
         self._pool = axioms.all_polynomials()
         self._ext_position = {
             ext.var: len(axioms.base) + i
@@ -428,6 +436,25 @@ class ProofBuilder:
     def mul_var(self, k: int, var: VarId) -> int:
         return self._push(self.poly_at(k).mul_var(var), MulVar(k, var))
 
+    def monomial_multiple(self, source: int, mono: Monomial) -> int:
+        """Line holding mono * line[source]; mono == 1 gives source itself.
+
+        The last variable in canonical order is stripped first, so every
+        partial product is a proof line and is memoized: multiples of one
+        source that share a prefix reuse its lines, and a repeated request
+        appends nothing.
+        """
+        if mono.is_one():
+            return source
+        key = (source, mono)
+        line = self._multiples.get(key)
+        if line is None:
+            last = mono.pairs[-1][0]
+            prefix = self.monomial_multiple(source, mono.without(last))
+            line = self.mul_var(prefix, last)
+            self._multiples[key] = line
+        return line
+
     def sqrt_of(self, k: int, root: Polynomial) -> int:
         if not self.kind.allows_sqrt:
             raise ProofBuildError(f"SqrtForbidden: {self.kind.value}")
@@ -452,21 +479,6 @@ class ProofBuilder:
         return layer[0]
 
 
-def emit_monomial_multiple(
-    builder: ProofBuilder, source: int, mono: Monomial, factor: Scalar
-) -> int:
-    """Derive factor * mono * line[source] with deg(mono) + 1 primitive lines.
-
-    One MulVar per variable occurrence of mono (in canonical order), then a
-    single scaling LinComb, emitted even for factor 1 so the line count is
-    always deg(mono) + 1.
-    """
-    current = source
-    for var in mono.factor_sequence():
-        current = builder.mul_var(current, var)
-    return builder.scale_line(current, factor)
-
-
 # -- serialization ------------------------------------------------------------
 
 
@@ -488,38 +500,27 @@ def rule_to_obj(rule: StepRule) -> dict[str, object]:
     raise TypeError(f"unknown rule {rule!r}")
 
 
-def _require_fields(obj: dict, fields: set[str], what: str) -> None:
-    if set(obj) != fields:
-        raise FormatError(f"{what} must have exactly the fields {sorted(fields)}")
-
-
-def _require_index(value: object, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise FormatError(f"{what} must be a non-negative integer")
-    return value
-
-
 def rule_from_obj(obj: object) -> StepRule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise FormatError(f"rule must be an object with a 'type', got {obj!r}")
     kind = obj["type"]
     if kind == "axiom":
-        _require_fields(obj, {"type", "index"}, "axiom rule")
-        return Axiom(_require_index(obj["index"], "axiom index"))
+        require_fields(obj, {"type", "index"}, "axiom rule")
+        return Axiom(require_index(obj["index"], "axiom index"))
     if kind == "lincomb":
-        _require_fields(obj, {"type", "j", "k", "alpha", "beta"}, "lincomb rule")
+        require_fields(obj, {"type", "j", "k", "alpha", "beta"}, "lincomb rule")
         return LinComb(
-            _require_index(obj["j"], "lincomb j"),
-            _require_index(obj["k"], "lincomb k"),
+            require_index(obj["j"], "lincomb j"),
+            require_index(obj["k"], "lincomb k"),
             scalar_from_str(obj["alpha"]),
             scalar_from_str(obj["beta"]),
         )
     if kind == "mulvar":
-        _require_fields(obj, {"type", "k", "var"}, "mulvar rule")
-        return MulVar(_require_index(obj["k"], "mulvar k"), parse_var(obj["var"]))
+        require_fields(obj, {"type", "k", "var"}, "mulvar rule")
+        return MulVar(require_index(obj["k"], "mulvar k"), parse_var(obj["var"]))
     if kind == "sqrt":
-        _require_fields(obj, {"type", "k"}, "sqrt rule")
-        return Sqrt(_require_index(obj["k"], "sqrt k"))
+        require_fields(obj, {"type", "k"}, "sqrt rule")
+        return Sqrt(require_index(obj["k"], "sqrt k"))
     raise FormatError(f"unknown rule type {kind!r}")
 
 
@@ -534,16 +535,14 @@ def axioms_to_obj(axioms: AxiomSet) -> dict[str, object]:
 
 
 def axioms_from_obj(obj: object) -> AxiomSet:
-    if not isinstance(obj, dict) or set(obj) != {"base", "extensions"}:
-        raise FormatError("axioms must have exactly 'base' and 'extensions'")
+    require_fields(obj, {"base", "extensions"}, "axioms")
     base = obj["base"]
     extensions = obj["extensions"]
     if not isinstance(base, list) or not isinstance(extensions, list):
         raise FormatError("'base' and 'extensions' must be arrays")
     exts = []
     for entry in extensions:
-        if not isinstance(entry, dict) or set(entry) != {"var", "def"}:
-            raise FormatError(f"malformed extension {entry!r}")
+        require_fields(entry, {"var", "def"}, "extension")
         var = parse_var(entry["var"])
         if var.kind != "y":
             raise FormatError(f"extension variable must be y<k>, got {var.name}")
@@ -568,10 +567,7 @@ def proof_to_obj(
 
 
 def proof_from_obj(obj: object) -> tuple[SystemKind, AxiomSet, list[ProofLine]]:
-    if not isinstance(obj, dict) or set(obj) != {"system", "axioms", "lines"}:
-        raise FormatError(
-            "proof must have exactly 'system', 'axioms' and 'lines'"
-        )
+    require_fields(obj, {"system", "axioms", "lines"}, "proof")
     try:
         kind = SystemKind(obj["system"])
     except ValueError:
@@ -582,8 +578,7 @@ def proof_from_obj(obj: object) -> tuple[SystemKind, AxiomSet, list[ProofLine]]:
         raise FormatError("'lines' must be an array")
     lines = []
     for entry in raw_lines:
-        if not isinstance(entry, dict) or set(entry) != {"poly", "rule"}:
-            raise FormatError(f"malformed proof line {entry!r}")
+        require_fields(entry, {"poly", "rule"}, "proof line")
         lines.append(
             ProofLine(poly_from_obj(entry["poly"]), rule_from_obj(entry["rule"]))
         )
@@ -599,12 +594,10 @@ def error_to_obj(error: Optional[CheckError]) -> Optional[dict[str, object]]:
 def error_from_obj(obj: object) -> Optional[CheckError]:
     if obj is None:
         return None
-    if not isinstance(obj, dict) or set(obj) != {"line", "code", "message"}:
-        raise FormatError("error must have 'line', 'code' and 'message'")
-    line = obj["line"]
-    if not isinstance(line, int) or isinstance(line, bool):
-        raise FormatError("error line must be an integer")
-    return CheckError(line, str(obj["code"]), str(obj["message"]))
+    require_fields(obj, {"line", "code", "message"}, "error")
+    return CheckError(
+        require_int(obj["line"], "error line"), str(obj["code"]), str(obj["message"])
+    )
 
 
 def report_to_obj(report: CheckReport) -> dict[str, object]:
@@ -622,22 +615,13 @@ def report_to_obj(report: CheckReport) -> dict[str, object]:
 
 def report_from_obj(obj: object) -> CheckReport:
     fields = {"valid", "error", "final_constant", "total_size", "degree", "line_count"}
-    if not isinstance(obj, dict) or set(obj) != fields:
-        raise FormatError(f"report must have exactly the fields {sorted(fields)}")
-    if not isinstance(obj["valid"], bool):
-        raise FormatError("'valid' must be a boolean")
+    require_fields(obj, fields, "report")
     final = obj["final_constant"]
     return CheckReport(
-        valid=obj["valid"],
+        valid=require_bool(obj["valid"], "'valid'"),
         error=error_from_obj(obj["error"]),
         final_constant=None if final is None else scalar_from_str(final),
-        total_size=_require_index(obj["total_size"], "total_size"),
-        degree=obj["degree"]
-        if isinstance(obj["degree"], int) and not isinstance(obj["degree"], bool)
-        else _raise_degree(obj["degree"]),
-        line_count=_require_index(obj["line_count"], "line_count"),
+        total_size=require_index(obj["total_size"], "total_size"),
+        degree=require_int(obj["degree"], "degree"),
+        line_count=require_index(obj["line_count"], "line_count"),
     )
-
-
-def _raise_degree(value: object) -> int:
-    raise FormatError(f"degree must be an integer, got {value!r}")

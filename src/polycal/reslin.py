@@ -24,10 +24,10 @@ binary size sums ceil(log2 |a_i|).
 
 The registry maps each distinct affine form ``a . x - a0`` seen anywhere in
 the axioms or the proof to a fresh y-variable, in first-occurrence order;
-`hat` rewrites a disjunction as the product of its disjuncts' y-variables
-(the empty disjunction becomes the constant 1).  Keys are the exact
-coefficient tuples: no gcd or sign normalization, so (x=0) and (2x=0) get
-distinct variables.
+`product_monomial` rewrites a disjunction as the product of its disjuncts'
+y-variables, its "hat" (the empty disjunction becomes the monomial 1).
+Keys are the exact coefficient tuples: no gcd or sign normalization, so
+(x=0) and (2x=0) get distinct variables.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from .polyring import (
     as_scalar,
     ceil_log2,
     parse_var,
-    xvar,
+    require_fields,
+    require_int,
     yvar,
 )
 from .proofcore import CheckError, CheckReport, ExtensionAxiom
@@ -295,7 +296,7 @@ def check_rl_step(
     axioms: Sequence[Disjunction], prefix: Sequence[RlLine], line: RlLine
 ) -> Optional[CheckError]:
     """Verify one line against an already-checked prefix."""
-    return _verify_rl_line(axioms, list(prefix) + [line], len(prefix), line)
+    return _verify_rl_line(axioms, prefix, len(prefix), line)
 
 
 def check_reslin(axioms: Sequence[Disjunction], proof: Sequence[RlLine]) -> CheckReport:
@@ -368,9 +369,6 @@ class Registry:
             raise UnregisteredForm(f"form {key!r} is not registered")
         return got
 
-    def items(self) -> list[tuple[AffineKey, VarId]]:
-        return list(self._by_key.items())
-
     def definitions(self) -> tuple[ExtensionAxiom, ...]:
         """Extension axioms y_i - (a.x - a0), in registry order."""
         return tuple(self._defs)
@@ -393,31 +391,10 @@ def build_registry(
     return registry
 
 
-@dataclass(frozen=True)
-class HatSystem:
-    """Product-equation encoding of one disjunction."""
-
-    product_equation: Polynomial
-    definitions: tuple[ExtensionAxiom, ...]
-
-
 def product_monomial(disjunction: Disjunction, registry: Registry) -> Monomial:
+    """The product of the disjuncts' y-variables; empty gives the monomial 1."""
     return Monomial(
         [(registry.lookup(eq), 1) for eq in disjunction.disjuncts]
-    )
-
-
-def hat(disjunction: Disjunction, registry: Registry) -> HatSystem:
-    """The product of the disjuncts' y-variables; empty becomes the constant 1."""
-    mono = product_monomial(disjunction, registry)
-    seen: list[ExtensionAxiom] = []
-    used = {registry.lookup(eq) for eq in disjunction.disjuncts}
-    for definition in registry.definitions():
-        if definition.var in used:
-            seen.append(definition)
-    return HatSystem(
-        Polynomial(((mono, 1),)),
-        tuple(seen),
     )
 
 
@@ -431,15 +408,8 @@ def lineq_to_obj(eq: LinEq) -> dict[str, object]:
     }
 
 
-def _require_int(value: object, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"{what} must be an integer")
-    return value
-
-
 def lineq_from_obj(obj: object) -> LinEq:
-    if not isinstance(obj, dict) or set(obj) != {"coeffs", "const"}:
-        raise FormatError(f"equation must have 'coeffs' and 'const', got {obj!r}")
+    require_fields(obj, {"coeffs", "const"}, "equation")
     raw = obj["coeffs"]
     if not isinstance(raw, dict):
         raise FormatError("'coeffs' must be an object")
@@ -448,11 +418,11 @@ def lineq_from_obj(obj: object) -> LinEq:
         var = parse_var(name)
         if var.kind != "x":
             raise FormatError(f"equation coefficients range over x-variables, got {name}")
-        value = _require_int(value, f"coefficient of {name}")
+        value = require_int(value, f"coefficient of {name}")
         if value == 0:
             raise FormatError(f"zero coefficient for {name} is not canonical")
         coeffs[var] = value
-    return LinEq.of(coeffs, _require_int(obj["const"], "'const'"))
+    return LinEq.of(coeffs, require_int(obj["const"], "'const'"))
 
 
 def disjunction_to_obj(disjunction: Disjunction) -> list:
@@ -493,34 +463,40 @@ def rl_rule_from_obj(obj: object) -> RlRule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise FormatError(f"rule must be an object with a 'type', got {obj!r}")
     kind = obj["type"]
-    fields = set(obj)
-    if kind == "axiom" and fields == {"type", "index"}:
-        return RlAxiom(_require_int(obj["index"], "axiom index"))
-    if kind == "boolean" and fields == {"type", "var"}:
+    if kind == "axiom":
+        require_fields(obj, {"type", "index"}, "axiom rule")
+        return RlAxiom(require_int(obj["index"], "axiom index"))
+    if kind == "boolean":
+        require_fields(obj, {"type", "var"}, "boolean rule")
         var = parse_var(obj["var"])
         if var.kind != "x":
             raise FormatError("boolean axioms range over x-variables")
         return RlBooleanAxiom(var)
-    if kind == "resolution" and fields == {"type", "j", "k", "dj", "dk", "alpha", "beta"}:
+    if kind == "resolution":
+        fields = {"type", "j", "k", "dj", "dk", "alpha", "beta"}
+        require_fields(obj, fields, "resolution rule")
         return RlResolution(
-            _require_int(obj["j"], "j"),
-            _require_int(obj["k"], "k"),
-            _require_int(obj["dj"], "dj"),
-            _require_int(obj["dk"], "dk"),
-            _require_int(obj["alpha"], "alpha"),
-            _require_int(obj["beta"], "beta"),
+            require_int(obj["j"], "j"),
+            require_int(obj["k"], "k"),
+            require_int(obj["dj"], "dj"),
+            require_int(obj["dk"], "dk"),
+            require_int(obj["alpha"], "alpha"),
+            require_int(obj["beta"], "beta"),
         )
-    if kind == "weakening" and fields == {"type", "j", "eq"}:
-        return RlWeakening(_require_int(obj["j"], "j"), lineq_from_obj(obj["eq"]))
-    if kind == "simplification" and fields == {"type", "j", "d"}:
-        return RlSimplification(_require_int(obj["j"], "j"), _require_int(obj["d"], "d"))
-    if kind == "contraction" and fields == {"type", "j", "d1", "d2"}:
+    if kind == "weakening":
+        require_fields(obj, {"type", "j", "eq"}, "weakening rule")
+        return RlWeakening(require_int(obj["j"], "j"), lineq_from_obj(obj["eq"]))
+    if kind == "simplification":
+        require_fields(obj, {"type", "j", "d"}, "simplification rule")
+        return RlSimplification(require_int(obj["j"], "j"), require_int(obj["d"], "d"))
+    if kind == "contraction":
+        require_fields(obj, {"type", "j", "d1", "d2"}, "contraction rule")
         return RlContraction(
-            _require_int(obj["j"], "j"),
-            _require_int(obj["d1"], "d1"),
-            _require_int(obj["d2"], "d2"),
+            require_int(obj["j"], "j"),
+            require_int(obj["d1"], "d1"),
+            require_int(obj["d2"], "d2"),
         )
-    raise FormatError(f"malformed rule {obj!r}")
+    raise FormatError(f"unknown rule type {kind!r}")
 
 
 def reslin_to_obj(
@@ -539,16 +515,14 @@ def reslin_to_obj(
 
 
 def reslin_from_obj(obj: object) -> tuple[list[Disjunction], list[RlLine]]:
-    if not isinstance(obj, dict) or set(obj) != {"axioms", "lines"}:
-        raise FormatError("document must have exactly 'axioms' and 'lines'")
+    require_fields(obj, {"axioms", "lines"}, "document")
     raw_axioms, raw_lines = obj["axioms"], obj["lines"]
     if not isinstance(raw_axioms, list) or not isinstance(raw_lines, list):
         raise FormatError("'axioms' and 'lines' must be arrays")
     axioms = [disjunction_from_obj(d) for d in raw_axioms]
     lines = []
     for entry in raw_lines:
-        if not isinstance(entry, dict) or set(entry) != {"disjunction", "rule"}:
-            raise FormatError(f"malformed proof line {entry!r}")
+        require_fields(entry, {"disjunction", "rule"}, "proof line")
         lines.append(
             RlLine(
                 disjunction_from_obj(entry["disjunction"]),

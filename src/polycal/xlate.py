@@ -41,7 +41,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .polyring import (
-    Monomial,
     Polynomial,
     Scalar,
     VarId,
@@ -62,7 +61,6 @@ from .proofcore import (
     StepRule,
     SystemKind,
     check_refutation,
-    emit_monomial_multiple,
 )
 from .reslin import (
     Disjunction,
@@ -195,8 +193,8 @@ def _simulate_resolution(builder, registry, proof, hat_lines, rule) -> int:
     rest_b = product_monomial(prem_b.without(rule.dk), registry)
     combined = eq_a.combine(eq_b, rule.alpha, rule.beta)
 
-    lifted_a = emit_monomial_multiple(builder, hat_lines[rule.j], rest_b, 1)
-    lifted_b = emit_monomial_multiple(builder, hat_lines[rule.k], rest_a, 1)
+    lifted_a = builder.monomial_multiple(hat_lines[rule.j], rest_b)
+    lifted_b = builder.monomial_multiple(hat_lines[rule.k], rest_a)
     def_new = builder.extension_line(registry.lookup(combined))
     partial = builder.lincomb(
         def_new, builder.extension_line(registry.lookup(eq_a)), 1, -rule.alpha
@@ -204,7 +202,7 @@ def _simulate_resolution(builder, registry, proof, hat_lines, rule) -> int:
     swap = builder.lincomb(
         partial, builder.extension_line(registry.lookup(eq_b)), 1, -rule.beta
     )
-    swap_lifted = emit_monomial_multiple(builder, swap, rest_a.times(rest_b), 1)
+    swap_lifted = builder.monomial_multiple(swap, rest_a.times(rest_b))
     mixed = builder.lincomb(lifted_a, lifted_b, rule.alpha, rule.beta)
     return builder.lincomb(mixed, swap_lifted, 1, 1)
 
@@ -217,7 +215,7 @@ def _simulate_simplification(builder, registry, proof, hat_lines, rule) -> int:
     def_line = builder.extension_line(
         registry.lookup(premise.disjuncts[rule.d])
     )
-    lifted = emit_monomial_multiple(builder, def_line, rest, 1)
+    lifted = builder.monomial_multiple(def_line, rest)
     difference = builder.lincomb(lifted, hat_lines[rule.j], 1, -1)
     return builder.scale_line(difference, Fraction(1, constant))
 
@@ -227,7 +225,7 @@ def _simulate_contraction(builder, registry, proof, hat_lines, rule) -> int:
     premise = proof[rule.j].disjunction
     repeated = registry.lookup(premise.disjuncts[rule.d1])
     tail = product_monomial(premise.without(rule.d1, rule.d2), registry)
-    squared = emit_monomial_multiple(builder, hat_lines[rule.j], tail, 1)
+    squared = builder.monomial_multiple(hat_lines[rule.j], tail)
     root = Polynomial(((tail.times_var(repeated), 1),))
     return builder.sqrt_of(squared, root)
 

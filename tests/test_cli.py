@@ -171,8 +171,8 @@ def test_translate_emits_line_map_and_valid_proof(reslin_doc, tmp_path, capsys):
     code, out, _ = run(capsys, "translate", "--reslin", reslin_doc, "--out", str(out_file))
     assert code == 0
     summary = json.loads(out)
-    assert summary["line_map"] == [0, 1, 11, 14]
-    assert summary["line_count"] == 15
+    assert summary["line_map"] == [0, 1, 8, 10]
+    assert summary["line_count"] == 11
     kind, axioms, lines = proof_from_obj(json.loads(out_file.read_text()))
     assert kind is SystemKind.EXTPCSQRT_Q
     assert check_refutation(axioms, lines, kind).valid

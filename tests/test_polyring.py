@@ -18,6 +18,11 @@ from polycal.polyring import (
     multilinear_reduce,
     parse_var,
     poly_from_obj,
+    require_bool,
+    require_fields,
+    require_index,
+    require_int,
+    require_int_str,
     poly_parse,
     poly_to_obj,
     scalar_bits,
@@ -119,7 +124,6 @@ def test_monomial_basics():
     assert m.without(x1, 2).exponent(x1) == 0
     with pytest.raises(ValueError):
         m.without(x3)
-    assert list(m.factor_sequence()) == [x1, x1, x2]
 
 
 def test_grlex_order():
@@ -338,6 +342,32 @@ def test_poly_json_rejects_non_canonical(bad):
 def test_mono_json_rejects_bool_exponent():
     with pytest.raises(FormatError):
         mono_from_obj({"x1": True})
+
+
+def test_validators_accept_plain_values():
+    assert require_fields({"a": 1}, {"a"}, "thing") == {"a": 1}
+    assert require_int(-3, "thing") == -3
+    assert require_index(0, "thing") == 0
+    assert require_int_str("-12", "thing") == -12
+    assert require_bool(False, "thing") is False
+
+
+@pytest.mark.parametrize(
+    "validate, value",
+    [
+        (lambda v: require_fields(v, {"a"}, "thing"), {"a": 1, "b": 2}),
+        (lambda v: require_fields(v, {"a"}, "thing"), ["a"]),
+        (lambda v: require_int(v, "thing"), True),
+        (lambda v: require_int(v, "thing"), "1"),
+        (lambda v: require_index(v, "thing"), -1),
+        (lambda v: require_index(v, "thing"), False),
+        (lambda v: require_int_str(v, "thing"), "1/2"),
+        (lambda v: require_bool(v, "thing"), 1),
+    ],
+)
+def test_validators_reject_and_name_the_field(validate, value):
+    with pytest.raises(FormatError, match="thing"):
+        validate(value)
 
 
 @given(polynomials())

@@ -1,10 +1,11 @@
 """Unit tests for the refutation checker."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from polycal.polyring import Monomial, Polynomial, poly_parse, xvar, yvar
+from polycal.polyring import FormatError, Monomial, Polynomial, poly_parse, xvar, yvar
 from polycal.proofcore import (
     Axiom,
     AxiomSet,
@@ -19,7 +20,6 @@ from polycal.proofcore import (
     SystemKind,
     check_refutation,
     check_step,
-    emit_monomial_multiple,
     measure,
     proof_from_obj,
     proof_to_obj,
@@ -257,7 +257,22 @@ def test_empty_proof_rejected():
         check_refutation(AxiomSet((P("x1"),)), [], Z)
 
 
-# -- builder and emit -----------------------------------------------------------
+def test_check_builds_the_axiom_pool_once():
+    """One Axiom line per extension axiom checks in linear time."""
+    count = 2000
+    extensions = tuple(ExtensionAxiom(yvar(i), P("x1")) for i in range(1, count + 1))
+    axioms = AxiomSet((), extensions)
+    lines = [ProofLine(ext.polynomial, Axiom(i)) for i, ext in enumerate(extensions)]
+    start = time.perf_counter()
+    report = check_refutation(axioms, lines, EXT_Q)
+    elapsed = time.perf_counter() - start
+    assert report.error == CheckError(
+        count - 1, "FinalNotConstant", "final line is not a constant"
+    )
+    assert elapsed < 2.0, f"{elapsed:.2f}s over the 2s budget"
+
+
+# -- builder and monomial multiples ---------------------------------------------
 
 
 def test_emit_monomial_multiple_line_count_and_value():
@@ -266,12 +281,13 @@ def test_emit_monomial_multiple_line_count_and_value():
     src = builder.axiom_line(0)
     before = len(builder)
     mono = Monomial.of(x1, 2)
-    out = emit_monomial_multiple(builder, src, mono, 1)
-    assert len(builder) - before == mono.degree + 1 == 3
+    out = builder.monomial_multiple(src, mono)
+    assert len(builder) - before == mono.degree == 2
     assert builder.poly_at(out) == P("x1^3 + x1^2")
-    # identity monomial: exactly one line, an identity combination
-    out2 = emit_monomial_multiple(builder, src, Monomial.one(), 1)
-    assert builder.poly_at(out2) == P("x1 + 1")
+    scaled = builder.scale_line(out, 3)
+    assert builder.poly_at(scaled) == P("3*x1^3 + 3*x1^2")
+    # identity monomial: the source line itself, no new line
+    assert builder.monomial_multiple(src, Monomial.one()) == src
     # every emitted line passes check_step replay
     for i, line in enumerate(builder.lines):
         assert check_step(builder.lines[:i], line, axioms, Z) is None
@@ -281,7 +297,33 @@ def test_emit_propagates_scalar_restrictions():
     builder = ProofBuilder(AxiomSet((P("x1"),)), Z)
     src = builder.axiom_line(0)
     with pytest.raises(ProofBuildError):
-        emit_monomial_multiple(builder, src, Monomial.one(), Fraction(1, 2))
+        builder.scale_line(src, Fraction(1, 2))
+
+
+def test_monomial_multiple_memoizes_prefixes():
+    x3 = xvar(3)
+    axioms = AxiomSet((P("x1 + 1"),))
+    builder = ProofBuilder(axioms, Z)
+    src = builder.axiom_line(0)
+    assert builder.monomial_multiple(src, Monomial.one()) == src
+    assert len(builder) == 1
+
+    pair = Monomial(((x1, 1), (x2, 1)))
+    out = builder.monomial_multiple(src, pair)
+    assert len(builder) == 3
+    assert builder.poly_at(out) == P("x1^2*x2 + x1*x2")
+    # a repeated request appends nothing
+    assert builder.monomial_multiple(src, pair) == out
+    assert len(builder) == 3
+    # x1*x2*x3 extends the x1*x2 line by one MulVar
+    triple = pair.times_var(x3)
+    longer = builder.monomial_multiple(src, triple)
+    assert len(builder) == 4
+    assert builder.lines[longer].rule == MulVar(out, x3)
+    assert builder.poly_at(longer) == P("x1^2*x2*x3 + x1*x2*x3")
+
+    for i, line in enumerate(builder.lines):
+        assert check_step(builder.lines[:i], line, axioms, Z) is None
 
 
 def test_builder_sum_lines():
@@ -322,7 +364,7 @@ def test_mod_p_soundness_sample():
         a = builder.axiom_line(0)
         b = builder.mul_var(a, x2)
         c = builder.lincomb(a, b, 3, -2)
-        d = emit_monomial_multiple(builder, c, Monomial.of(x1), 5)
+        d = builder.scale_line(builder.monomial_multiple(c, Monomial.of(x1)), 5)
         for p in (2, 3, 5, 7):
             for line in builder.lines:
                 assert line.poly.evaluate(point) % p == 0
@@ -372,3 +414,15 @@ def test_report_round_trip():
     assert report_from_obj(report_to_obj(report)) == report
     bad = check_refutation(axioms, [ProofLine(P("x1"), Axiom(0))], Z)
     assert report_from_obj(report_to_obj(bad)) == bad
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("valid", 1), ("total_size", -1), ("degree", True), ("line_count", "3")],
+)
+def test_report_from_obj_names_the_bad_field(field, value):
+    axioms, lines = five_line_refutation()
+    obj = report_to_obj(check_refutation(axioms, lines, Z))
+    obj[field] = value
+    with pytest.raises(FormatError, match=field):
+        report_from_obj(obj)

@@ -22,7 +22,6 @@ from polycal.reslin import (
     check_reslin,
     check_rl_step,
     disjunction_from_obj,
-    hat,
     is_refutation,
     lineq_from_obj,
     lineq_to_obj,
@@ -330,14 +329,8 @@ def test_hat_products():
     axioms, lines = zero_one()
     registry = build_registry(axioms, lines)
     d = Disjunction.of(LinEq.of({X1: 1}, 0), LinEq.of({X1: 1}, 1))
-    system = hat(d, registry)
-    assert system.product_equation == Polynomial.from_terms(
-        [(Monomial([(yvar(1), 1), (yvar(2), 1)]), 1)]
-    )
-    assert [x.var for x in system.definitions] == [yvar(1), yvar(2)]
-
-    assert hat(Disjunction.empty(), registry).product_equation == Polynomial.constant(1)
-    assert hat(Disjunction.empty(), registry).definitions == ()
+    assert product_monomial(d, registry) == Monomial([(yvar(1), 1), (yvar(2), 1)])
+    assert product_monomial(Disjunction.empty(), registry) == Monomial.one()
 
 
 def test_hat_repeated_disjunct_squares():
@@ -351,7 +344,7 @@ def test_hat_repeated_disjunct_squares():
 def test_hat_unregistered():
     registry = Registry()
     with pytest.raises(UnregisteredForm):
-        hat(Disjunction.of(LinEq.of({X1: 1}, 0)), registry)
+        product_monomial(Disjunction.of(LinEq.of({X1: 1}, 0)), registry)
 
 
 # -- serialization -------------------------------------------------------------

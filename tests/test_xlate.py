@@ -91,7 +91,7 @@ def test_simulation_zero_one_frozen():
         ("y3", Polynomial.constant(1)),
     ]
     assert out.proof[out.line_map[-1]].poly == Polynomial.constant(1)
-    assert len(out.proof) == 15
+    assert len(out.proof) == 11
 
 
 def test_simulation_size_bound():
