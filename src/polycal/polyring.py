@@ -629,6 +629,11 @@ def multilinear_reduce(
 
 # -- serialization ----------------------------------------------------------
 
+# The largest exponent a serialized monomial may carry.  No generator emits
+# more than 2, while the work of substitution and the size of rationalize's
+# scale factors grow with the exponent (y_j^E in a definition adds T_j^E).
+EXPONENT_LIMIT = 1000
+
 
 def mono_to_obj(mono: Monomial) -> dict[str, int]:
     return {var.name: exp for var, exp in mono.pairs}
@@ -642,6 +647,8 @@ def mono_from_obj(obj: object) -> Monomial:
         var = parse_var(name)
         if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
             raise FormatError(f"exponent of {name} must be a positive integer")
+        if exp > EXPONENT_LIMIT:
+            raise FormatError(f"exponent of {name} exceeds the limit {EXPONENT_LIMIT}")
         pairs.append((var, exp))
     if len({v for v, _ in pairs}) != len(pairs):
         raise FormatError("duplicate variable in monomial")

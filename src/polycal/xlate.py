@@ -23,10 +23,11 @@ integers.  It is organized in phases:
             this introduces are pure 1/T_j rescalings.
   phase 2   multiplies the whole proof by a running integer factor F that
             grows whenever a rational scalar or a rational square root
-            needs clearing; every earlier line is re-emitted at the new
-            factor so the invariant "stored line = F times its phase-1
-            polynomial" holds throughout.  All coefficients stay integral
-            by construction.
+            needs clearing.  Each phase-1 line is stored with the factor
+            it was emitted at, and a line is rescaled to the current F
+            when a later rule cites it, so every rule reads "F times its
+            phase-1 polynomial".  All coefficients stay integral by
+            construction.
 
 The final integer constant is the original one times F and the scale tag
 of the last line, so the ratio between output and input constants is a
@@ -335,7 +336,7 @@ def rationalize(
         )
 
     z_proof, final_factor = _phase_two(
-        new_axioms, phase_one, prime_of, proof, clearers, factors, faithful_constants
+        new_axioms, phase_one, proof, clearers, factors, faithful_constants
     )
     final = check_refutation(new_axioms, z_proof, SystemKind.EXTPCSQRT_Z)
     if not final.valid:
@@ -449,7 +450,6 @@ def _phase_one(
 def _phase_two(
     new_axioms: AxiomSet,
     phase_one: Sequence[PhaseOneLine],
-    prime_of: Sequence[int],
     original: Sequence[ProofLine],
     clearers: tuple[int, ...],
     factors: tuple[int, ...],
@@ -457,33 +457,30 @@ def _phase_two(
 ) -> tuple[list[ProofLine], int]:
     builder = ProofBuilder(new_axioms, SystemKind.EXTPCSQRT_Z)
     factor = 1
-    located: dict[int, int] = {}
+    located: list[tuple[int, int]] = []
 
-    def bump(multiplier: int, fresh: int) -> None:
-        """Raise the global factor, re-emitting every line but the fresh one."""
-        nonlocal factor
-        factor *= multiplier
-        for index in sorted(located):
-            if located[index] != fresh:
-                located[index] = builder.scale_line(located[index], multiplier)
+    def at(p: int) -> int:
+        """A line holding the current factor times phase-1 line p."""
+        line, stored = located[p]
+        if stored != factor:
+            line = builder.scale_line(line, factor // stored)
+            located[p] = (line, factor)
+        return line
 
-    for p, line in enumerate(phase_one):
+    for line in phase_one:
         rule = line.rule
         if isinstance(rule, Axiom):
-            emitted = builder.axiom_line(rule.index)
-            if factor != 1:
-                emitted = builder.scale_line(emitted, factor)
-        elif isinstance(rule, MulVar):
-            emitted = builder.mul_var(located[rule.k], rule.var)
+            located.append((builder.axiom_line(rule.index), 1))
+            continue
+        if isinstance(rule, MulVar):
+            emitted = builder.mul_var(at(rule.k), rule.var)
         elif isinstance(rule, LinComb):
             alpha, beta = as_scalar(rule.alpha), as_scalar(rule.beta)
-            d1, d2 = _scalar_denominator(alpha), _scalar_denominator(beta)
-            multiplier = d1 * d2
+            multiplier = _scalar_denominator(alpha) * _scalar_denominator(beta)
             emitted = builder.lincomb(
-                located[rule.j], located[rule.k], alpha * multiplier, beta * multiplier
+                at(rule.j), at(rule.k), alpha * multiplier, beta * multiplier
             )
-            if multiplier != 1:
-                bump(multiplier, emitted)
+            factor *= multiplier
         else:
             root = line.poly
             if faithful_constants:
@@ -499,13 +496,12 @@ def _phase_two(
                     )
             else:
                 clearing = root.denominator_lcm()
-            squared = builder.scale_line(located[rule.k], factor * clearing**2)
+            squared = builder.scale_line(at(rule.k), factor * clearing**2)
             emitted = builder.sqrt_of(squared, root.scale(factor * clearing))
-            if clearing != 1:
-                bump(clearing, emitted)
-        located[p] = emitted
+            factor *= clearing
+        located.append((emitted, factor))
 
-    last = located[len(phase_one) - 1]
+    last = at(len(phase_one) - 1)
     if last != len(builder.lines) - 1:
         builder.scale_line(last, 1)
     return builder.lines, factor

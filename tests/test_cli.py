@@ -9,6 +9,7 @@ shared refutation corpora.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from polycal.proofcore import (
     proof_to_obj,
     report_from_obj,
 )
-from polycal.polyring import xvar
+from polycal.polyring import EXPONENT_LIMIT, xvar
 from polycal.reslin import (
     Disjunction,
     RlAxiom,
@@ -35,7 +36,7 @@ from polycal.reslin import (
     reslin_to_obj,
 )
 
-from q_corpus import negative_root
+from q_corpus import negative_root, nested_extensions
 from reslin_corpus import bvp_splitting, eq, run as run_rules, zero_one
 
 
@@ -270,7 +271,36 @@ def test_rationalize_state_past_the_int_digit_limit(tmp_path, capsys):
         capsys, "rationalize", "--proof", q, "--out", z, "--state", state
     )
     assert code == 0, err
-    assert max(len(clearer) for clearer in json.loads(out)["L"]) > 4300
+    state_obj = json.loads(out)
+    assert max(len(clearer) for clearer in state_obj["L"]) > 4300
+    # The Q proof ends in 1, so F is the whole Z constant: (2^4)!.
+    constant = str(math.factorial(16))
+    assert state_obj["F_final"] == state_obj["final_constant"] == constant
+    code, out, err = run(capsys, "check", "--proof", z)
+    assert code == 0, err
+    assert json.loads(out)["final_constant"] == constant
+
+
+@pytest.mark.parametrize(
+    "exponent, code", [(EXPONENT_LIMIT, 0), (EXPONENT_LIMIT + 1, 2)]
+)
+def test_exponent_limit_guards_rationalize_and_check(
+    tmp_path, capsys, exponent, code
+):
+    axioms, proof = nested_extensions()
+    obj = proof_to_obj(SystemKind.EXTPCSQRT_Q, axioms, proof)
+    obj["axioms"]["extensions"][1]["def"]["terms"][0]["mono"] = {"y1": exponent}
+    doc = write_json(tmp_path / "q.json", obj)
+    z = str(tmp_path / "z.json")
+    commands = (["rationalize", "--proof", doc, "--out", z], ["check", "--proof", doc])
+    for argv in commands:
+        got, out, err = run(capsys, *argv)
+        assert got == code, (argv[0], err)
+        if code == 2:
+            assert out == ""
+            error = json.loads(err)
+            assert error["error"] == "FormatError"
+            assert "exponent of y1" in error["message"]
 
 
 def test_rationalize_invalid_input_proof_exits_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the two proof translators."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from polycal.xlate import (
     verify_phase_one,
 )
 from q_corpus import rational_corpus, nested_extensions, negative_root
-from reslin_corpus import refutation_corpus, thirds, zero_one
+from reslin_corpus import bvp_splitting, refutation_corpus, thirds, zero_one
 
 X1 = xvar(1)
 
@@ -145,10 +146,16 @@ def test_rational_corpus_lifts_to_integers():
 
 
 def test_phase_two_line_budget():
-    for name, axioms, proof in rational_corpus():
+    splitting = simulate_reslin_b(*bvp_splitting(3))
+    inputs = list(rational_corpus())
+    inputs.append(("bvp_splitting(3)", splitting.axioms, list(splitting.proof)))
+    for name, axioms, proof in inputs:
         for faithful, result in run_both_modes(axioms, proof):
             t = len(result.phase_one)
             assert len(result.proof) <= 2 * t * t + t, (name, faithful)
+            # Each phase-1 line adds its own lines plus one rescale per cited
+            # premise, and the final line adds at most one more.
+            assert len(result.proof) <= 3 * t + 1, (name, faithful, len(result.proof))
 
 
 def test_phase_one_is_a_valid_rational_proof():
@@ -206,6 +213,10 @@ def test_simulation_output_feeds_rationalization():
     report = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
     assert report.valid
     assert report.final_constant == result.state.final_factor >= 2
+    # The splitting refutation of BVP_3 ends in 1, so F alone is the Z constant.
+    out = simulate_reslin_b(*bvp_splitting(3))
+    state = rationalize(out.axioms, list(out.proof)).state
+    assert state.final_factor == state.final_constant == math.factorial(8)
 
 
 def test_non_integer_base_rejected():
