@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .bvp import (
     COST_LIMIT,
@@ -39,7 +39,7 @@ from .bvp import (
     trace_mod_check,
     trace_report_to_obj,
 )
-from .polyring import FormatError, int_from_str
+from .polyring import FormatError, int_from_str, int_to_str
 from .proofcore import (
     SystemKind,
     check_refutation,
@@ -73,7 +73,32 @@ def canonical_json(obj: object) -> str:
     Re-serializing any parsed output of this function reproduces it byte
     for byte, which is what makes the emitted artifacts safe to diff.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        text = "".join(_json_chunks(obj))
+    return text + "\n"
+
+
+def _json_chunks(obj: object) -> Iterator[str]:
+    """canonical_json's text, writing every integer through int_to_str."""
+    if isinstance(obj, dict):
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "") + json.dumps(key) + ":"
+            yield from _json_chunks(obj[key])
+        yield "}"
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        for i, item in enumerate(obj):
+            if i:
+                yield ","
+            yield from _json_chunks(item)
+        yield "]"
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        yield int_to_str(obj)
+    else:
+        yield json.dumps(obj)
 
 
 class UsageError(Exception):

@@ -4,7 +4,8 @@ Values are built from three immutable layers:
 
   VarId       a variable, either x<k> (problem variables) or y<k>
               (definition variables introduced by extension axioms)
-  Monomial    a finite product of variables with positive integer exponents
+  Monomial    a finite product of variables with positive integer exponents,
+              interned so that equal monomials are one object
   Polynomial  a finite sum of monomials with nonzero coefficients
 
 Coefficients are plain Python ints whenever they are integral and
@@ -23,13 +24,14 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
-_VAR_NAME_RE = re.compile(r"^([xy])([1-9][0-9]*)$")
+_VAR_NAME_RE = re.compile(r"([xy])([1-9][0-9]*)")
 # Canonical forms only: no -0, no leading zeros, no zero or padded denominator.
 _SCALAR_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
@@ -180,29 +182,41 @@ def yvar(index: int) -> VarId:
     return VarId("y", index)
 
 
+# Every name parse_var has accepted, so a name is validated once.  It grows
+# only with distinct valid names, one small entry each.
+_PARSED_VARS: dict[str, VarId] = {}
+
+
 def parse_var(name: str) -> VarId:
-    m = _VAR_NAME_RE.match(name) if isinstance(name, str) else None
-    if m is None:
-        raise FormatError(f"malformed variable name {name!r}")
-    return VarId(m.group(1), int(m.group(2)))
+    var = _PARSED_VARS.get(name) if isinstance(name, str) else None
+    if var is None:
+        m = _VAR_NAME_RE.fullmatch(name) if isinstance(name, str) else None
+        if m is None:
+            raise FormatError(f"malformed variable name {name!r}")
+        var = _PARSED_VARS[name] = VarId(m.group(1), int(m.group(2)))
+    return var
 
 
 class Monomial:
-    """A product of variables with positive exponents; immutable and hashable."""
+    """A product of variables with positive exponents; immutable and hashable.
 
-    __slots__ = ("_pairs", "_degree", "_hash")
+    Monomials are interned: while anything holds a monomial, every way of
+    building the same product returns that one object.  Equality is
+    therefore identity (inherited from object), and each monomial memoizes
+    its products, so a repeated ``times`` is one dict lookup.
+    """
 
-    def __init__(self, pairs: Iterable[tuple[VarId, int]] = ()):
-        merged: dict[VarId, int] = {}
-        for var, exp in pairs:
-            if exp < 0:
-                raise ValueError(f"negative exponent for {var.name}")
-            if exp:
-                merged[var] = merged.get(var, 0) + exp
-        items = tuple(sorted(merged.items()))
-        object.__setattr__(self, "_pairs", items)
-        object.__setattr__(self, "_degree", sum(e for _, e in items))
-        object.__setattr__(self, "_hash", hash(items))
+    __slots__ = ("_pairs", "_degree", "_hash", "_products", "_obj", "__weakref__")
+
+    def __new__(cls, pairs: Iterable[tuple[VarId, int]] = ()) -> Monomial:
+        return _intern(_canonical(pairs))
+
+    def __init__(self, pairs: Iterable[tuple[VarId, int]] = ()) -> None:
+        """Does nothing: __new__ returns an interned, fully built monomial.
+
+        It stays in the class body so that wrapping it counts the calls of
+        Monomial(...) (perfbench's ``polyring.monomials_built``).
+        """
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Monomial is immutable")
@@ -213,7 +227,9 @@ class Monomial:
 
     @staticmethod
     def of(var: VarId, exp: int = 1) -> Monomial:
-        return Monomial(((var, exp),))
+        if exp < 0:
+            raise ValueError(f"negative exponent for {var.name}")
+        return _intern(((var, exp),) if exp else ())
 
     @property
     def pairs(self) -> tuple[tuple[VarId, int], ...]:
@@ -236,26 +252,31 @@ class Monomial:
         return tuple(v for v, _ in self._pairs)
 
     def times(self, other: Monomial) -> Monomial:
+        # The memo is keyed by the other factor's pairs, not by the factor,
+        # and never holds the unit: each monomial then refers only to
+        # monomials of higher degree, so no cycle waits for the collector.
         if not other._pairs:
             return self
         if not self._pairs:
             return other
-        return Monomial(self._pairs + other._pairs)
+        product = self._products.get(other._pairs)
+        if product is None:
+            product = _intern(_canonical(self._pairs + other._pairs))
+            self._products[other._pairs] = product
+        return product
 
     def times_var(self, var: VarId, exp: int = 1) -> Monomial:
-        return Monomial(self._pairs + ((var, exp),))
+        return self.times(Monomial.of(var, exp))
 
     def without(self, var: VarId, exp: int = 1) -> Monomial:
         """Divide by var**exp; raises if the exponent would go negative."""
         current = self.exponent(var)
         if current < exp:
             raise ValueError(f"{self} is not divisible by {var.name}^{exp}")
-        return Monomial(
-            tuple((v, e - exp if v == var else e) for v, e in self._pairs)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self._pairs == other._pairs
+        return _intern(tuple(
+            (v, e - exp if v == var else e)
+            for v, e in self._pairs if v != var or e != exp
+        ))
 
     def __hash__(self) -> int:
         return self._hash
@@ -285,6 +306,39 @@ class Monomial:
         return "*".join(
             v.name if e == 1 else f"{v.name}^{e}" for v, e in self._pairs
         )
+
+
+def _canonical(pairs: Iterable[tuple[VarId, int]]) -> tuple[tuple[VarId, int], ...]:
+    """Merge exponents per variable, drop zeros and sort by variable."""
+    merged: dict[VarId, int] = {}
+    for var, exp in pairs:
+        if exp < 0:
+            raise ValueError(f"negative exponent for {var.name}")
+        if exp:
+            merged[var] = merged.get(var, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+# Every live monomial, keyed by its canonical pairs.  Weak values: an entry
+# goes when the last holder of its monomial lets go.
+_INTERNED: weakref.WeakValueDictionary[
+    tuple[tuple[VarId, int], ...], Monomial
+] = weakref.WeakValueDictionary()
+
+
+def _intern(pairs: tuple[tuple[VarId, int], ...]) -> Monomial:
+    """The one monomial with these canonical pairs (see _canonical)."""
+    mono = _INTERNED.get(pairs)
+    if mono is None:
+        mono = object.__new__(Monomial)
+        put = object.__setattr__
+        put(mono, "_pairs", pairs)
+        put(mono, "_degree", sum(e for _, e in pairs))
+        put(mono, "_hash", hash(pairs))
+        put(mono, "_products", {})
+        put(mono, "_obj", None)
+        _INTERNED[pairs] = mono
+    return mono
 
 
 _MONO_ONE = Monomial()
@@ -636,12 +690,34 @@ EXPONENT_LIMIT = 1000
 
 
 def mono_to_obj(mono: Monomial) -> dict[str, int]:
-    return {var.name: exp for var, exp in mono.pairs}
+    """The monomial's JSON object; one cached dict per monomial, not to be mutated."""
+    obj = mono._obj
+    if obj is None:
+        obj = {var.name: exp for var, exp in mono.pairs}
+        object.__setattr__(mono, "_obj", obj)
+    return obj
+
+
+# Monomials decoded from JSON objects, keyed by tuple(obj.items()).  Weak
+# values, like _INTERNED.
+_PARSED_MONOS: weakref.WeakValueDictionary[
+    tuple[tuple[str, int], ...], Monomial
+] = weakref.WeakValueDictionary()
 
 
 def mono_from_obj(obj: object) -> Monomial:
     if not isinstance(obj, dict):
         raise FormatError(f"monomial must be an object, got {obj!r}")
+    key = tuple(obj.items())
+    for _, exp in key:
+        # True == 1.0 == 1: only exact ints may hit a cached {"x1": 1}.
+        if type(exp) is not int:
+            key = None
+            break
+    else:
+        mono = _PARSED_MONOS.get(key)
+        if mono is not None:
+            return mono
     pairs: list[tuple[VarId, int]] = []
     for name, exp in obj.items():
         var = parse_var(name)
@@ -650,9 +726,11 @@ def mono_from_obj(obj: object) -> Monomial:
         if exp > EXPONENT_LIMIT:
             raise FormatError(f"exponent of {name} exceeds the limit {EXPONENT_LIMIT}")
         pairs.append((var, exp))
-    if len({v for v, _ in pairs}) != len(pairs):
-        raise FormatError("duplicate variable in monomial")
-    return Monomial(pairs)
+    # Distinct keys are distinct canonical names, hence distinct variables.
+    mono = _intern(tuple(sorted(pairs)))
+    if key is not None:
+        _PARSED_MONOS[key] = mono
+    return mono
 
 
 def poly_to_obj(poly: Polynomial) -> dict[str, object]:

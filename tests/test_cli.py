@@ -27,7 +27,7 @@ from polycal.proofcore import (
     proof_to_obj,
     report_from_obj,
 )
-from polycal.polyring import EXPONENT_LIMIT, xvar
+from polycal.polyring import EXPONENT_LIMIT, int_from_str, xvar
 from polycal.reslin import (
     Disjunction,
     RlAxiom,
@@ -148,6 +148,15 @@ def test_check_reads_clausal_numbers_past_the_int_digit_limit(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--proof", str(path))
     assert code == 0, err
     assert json.loads(out)["valid"] is True
+
+
+def test_check_refuses_a_variable_name_with_a_trailing_newline(tmp_path, capsys):
+    obj = reslin_to_obj(*zero_one())
+    obj["axioms"][0] = [{"coeffs": {"x1": 1, "x1\n": 2}, "const": 0}]
+    code, out, err = run(capsys, "check", "--proof", write_json(tmp_path / "nl.json", obj))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FormatError"
 
 
 def test_check_handles_clausal_documents(reslin_doc, capsys):
@@ -370,6 +379,24 @@ def test_measure_clausal_document(reslin_doc, capsys):
     code, out, _ = run(capsys, "measure", "--proof", reslin_doc)
     assert code == 0
     assert json.loads(out) == {"line_count": 4, "size_binary": 0, "size_unary": 2}
+
+
+def test_measure_writes_sizes_past_the_int_digit_limit(tmp_path, capsys):
+    # One axiom line C x1 = 0 with C written out in 5000 digits.
+    c = 77777
+    axioms = [Disjunction.of(eq({xvar(1): c}, 0))]
+    text = json.dumps(reslin_to_obj(axioms, run_rules(axioms, [RlAxiom(0)])))
+    path = tmp_path / "big.json"
+    path.write_text(text.replace(str(c), "9" * 5000), encoding="utf-8")
+    code, out, err = run(capsys, "measure", "--proof", str(path))
+    assert code == 0, err
+    c = 10**5000 - 1
+    size_binary = (c - 1).bit_length()  # ceil(log2 c)
+    assert out == (
+        f'{{"line_count":1,"size_binary":{size_binary},'
+        f'"size_unary":{"9" * 5000}}}\n'
+    )
+    assert json.loads(out, parse_int=int_from_str)["size_unary"] == c
 
 
 # -- failure plumbing ------------------------------------------------------------

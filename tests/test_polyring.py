@@ -1,12 +1,16 @@
 """Unit and property tests for the polynomial layer."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycal import polyring
 from polycal.polyring import (
+    EXPONENT_LIMIT,
     FormatError,
     Monomial,
     Polynomial,
@@ -115,6 +119,15 @@ def test_var_order_x_before_y():
         parse_var("z1")
 
 
+@pytest.mark.parametrize("name", ["x1\n", "x1 ", " x1", "y2\n\n"])
+def test_parse_var_matches_the_whole_name(name):
+    with pytest.raises(FormatError):
+        parse_var(name)
+    parse_var(name.strip())  # the memo now holds the canonical name
+    with pytest.raises(FormatError):
+        parse_var(name)
+
+
 def test_monomial_basics():
     m = Monomial(((x1, 2), (x2, 1)))
     assert m.degree == 3
@@ -142,6 +155,116 @@ def test_grlex_order():
         Monomial.of(x1),
         Monomial(((x1, 1), (x2, 1))),
     ]
+
+
+# -- the interned kernel -------------------------------------------------------
+
+KERNEL_VARS = (xvar(1), xvar(2), xvar(4), yvar(1), yvar(3))
+pair_lists = st.lists(
+    st.tuples(st.sampled_from(KERNEL_VARS), st.integers(0, 3)), max_size=6
+)
+monomials = pair_lists.map(Monomial)
+
+
+def reference_pairs(pairs):
+    """Sort, then merge equal neighbours, then drop zero exponents."""
+    merged = []
+    for var, exp in sorted(pairs):
+        if merged and merged[-1][0] == var:
+            merged[-1] = (var, merged[-1][1] + exp)
+        else:
+            merged.append((var, exp))
+    return tuple((var, exp) for var, exp in merged if exp)
+
+
+def reference_key(pairs):
+    """Graded lex as a sort key: degree, then the exponent vector in variable order."""
+    exps = dict(pairs)
+    return (sum(exps.values()), tuple(exps.get(v, 0) for v in KERNEL_VARS))
+
+
+@given(pair_lists, pair_lists)
+@settings(max_examples=200, deadline=None)
+def test_interned_monomials_match_a_sort_and_merge(a, b):
+    ma, mb = Monomial(a), Monomial(b)
+    ref_a, ref_b = reference_pairs(a), reference_pairs(b)
+    assert ma.pairs == ref_a
+    assert ma.degree == sum(e for _, e in ref_a)
+    assert hash(ma) == hash(ref_a)
+    assert (ma < mb) == (reference_key(ref_a) < reference_key(ref_b))
+    assert (ma is mb) == (ref_a == ref_b) == (ma == mb)
+    assert Monomial(list(reversed(a))) is ma
+    assert ma.times(mb).pairs == reference_pairs(a + b)
+
+
+@given(monomials, monomials, st.sampled_from(KERNEL_VARS), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_products_are_shared_and_invertible(a, b, var, exp):
+    assert a.times(b) is b.times(a)
+    assert a.times(b) is a.times(b)
+    assert a.times_var(var, exp).without(var, exp) is a
+    assert a.times_var(var) is a.times(Monomial.of(var))
+
+
+def test_memoized_products_leave_no_cycle():
+    a, b = Monomial.of(xvar(9011)), Monomial.of(xvar(9012))
+    assert a.times(b) is b.times(a)
+    gone = weakref.ref(a), weakref.ref(b), weakref.ref(a.times(b))
+    gc.disable()  # reference counting alone must free them
+    try:
+        del a, b
+        alive = [ref() for ref in gone]
+    finally:
+        gc.enable()
+    assert alive == [None, None, None]
+
+
+def test_negative_exponent_is_refused():
+    with pytest.raises(ValueError):
+        Monomial(((x1, -1),))
+    with pytest.raises(ValueError):
+        Monomial.of(x1, -1)
+
+
+@given(
+    st.integers(1, 3),
+    st.sampled_from([bool, float, Fraction, lambda e: [e], str]),
+)
+@settings(max_examples=60, deadline=None)
+def test_warm_decoder_still_validates_exponents(exp, lookalike):
+    # True == 1.0 == Fraction(1) == 1, so these would hit a lookup keyed by value.
+    for good in ({"x1": exp}, {"x1": 1, "y1": exp}):
+        warm = mono_from_obj(good)
+        assert mono_from_obj(dict(good)) is warm
+        bad = dict(good)
+        bad[list(good)[-1]] = lookalike(exp)
+        with pytest.raises(FormatError):
+            mono_from_obj(bad)
+
+
+def test_intern_tables_drop_a_collected_proof():
+    # Variables no other test uses, so only this proof holds their monomials.
+    a, b, c = xvar(9001), xvar(9002), yvar(9003)
+    line = P("x9001 + 2*x9002 - 1")
+    proof = [line]
+    for var in (a, b, c, a):
+        proof.append(proof[-1].mul_var(var))
+    proof.append(proof[-1] * proof[1])
+    proof.extend(poly_from_obj(poly_to_obj(p)) for p in list(proof))
+    del line
+
+    def held():
+        names = {"x9001", "x9002", "y9003"}
+        interned = [k for k in list(polyring._INTERNED.keys())
+                    if {v for v, _ in k} & {a, b, c}]
+        parsed = [k for k in list(polyring._PARSED_MONOS.keys())
+                  if {name for name, _ in k} & names]
+        return interned + parsed
+
+    assert held()
+    del proof
+    gc.collect()
+    assert held() == []
 
 
 # -- polynomial arithmetic -----------------------------------------------------
