@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bvp import (
     COST_LIMIT,
@@ -44,8 +44,8 @@ from .proofcore import (
     SystemKind,
     check_refutation,
     measure,
+    proof_chunks,
     proof_from_obj,
-    proof_to_obj,
     report_to_obj,
 )
 from .reslin import (
@@ -117,12 +117,23 @@ def _load_json(path: str) -> object:
         return json.load(handle, parse_int=int_from_str)
 
 
+def _write(chunks: Iterable[str], out_path: Optional[str]) -> None:
+    """Print text piece by piece, writing each piece to out_path too if given.
+
+    The file is opened before anything is printed, so a path that cannot be
+    written fails with nothing on stdout.
+    """
+    if out_path is None:
+        sys.stdout.writelines(chunks)
+        return
+    with open(out_path, "w", encoding="utf-8") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            sys.stdout.write(chunk)
+
+
 def _emit(obj: object, out_path: Optional[str] = None) -> None:
-    text = canonical_json(obj)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    sys.stdout.write(text)
+    _write((canonical_json(obj),), out_path)
 
 
 def _is_reslin_doc(doc: object) -> bool:
@@ -161,7 +172,7 @@ def _cmd_gen_bvp(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_refute(args: argparse.Namespace) -> int:
     axioms, proof = brute_force_refutation(args.n, force=args.force)
-    _emit(proof_to_obj(SystemKind.PCSQRT_Z, axioms, proof), args.out)
+    _write(proof_chunks(SystemKind.PCSQRT_Z, axioms, proof), args.out)
     return 0
 
 
@@ -176,11 +187,10 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         doc = {"axioms": ax_doc["axioms"], "lines": doc["lines"]}
     axioms, lines = reslin_from_obj(doc)
     output = simulate_reslin_b(axioms, lines)
-    text = canonical_json(
-        proof_to_obj(SystemKind.EXTPCSQRT_Q, output.axioms, output.proof)
-    )
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(
+            proof_chunks(SystemKind.EXTPCSQRT_Q, output.axioms, output.proof)
+        )
     _emit({"line_map": list(output.line_map), "line_count": len(output.proof)})
     return 0
 
@@ -188,11 +198,10 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_rationalize(args: argparse.Namespace) -> int:
     _kind, axioms, lines = proof_from_obj(_load_json(args.proof))
     result = rationalize(axioms, lines, faithful_constants=args.faithful_constants)
-    text = canonical_json(
-        proof_to_obj(SystemKind.EXTPCSQRT_Z, result.axioms, list(result.proof))
-    )
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(
+            proof_chunks(SystemKind.EXTPCSQRT_Z, result.axioms, result.proof)
+        )
     _emit(state_to_obj(result.state), args.state)
     return 0
 

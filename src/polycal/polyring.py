@@ -27,7 +27,7 @@ import re
 import weakref
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -43,9 +43,9 @@ class FormatError(ValueError):
 # Validators shared by every from_obj decoder; each names the field it checks.
 
 
-def require_fields(obj: object, fields: set[str], what: str) -> dict:
+def require_fields(obj: object, fields: AbstractSet[str], what: str) -> dict:
     """obj itself, if it is a JSON object with exactly the given keys."""
-    if not isinstance(obj, dict) or set(obj) != fields:
+    if not isinstance(obj, dict) or obj.keys() != fields:
         raise FormatError(f"{what} must have exactly the fields {sorted(fields)}")
     return obj
 
@@ -84,6 +84,10 @@ class UnboundVariable(KeyError):
 
 def as_scalar(value: Scalar) -> Scalar:
     """Normalize a coefficient: Fractions with denominator 1 become ints."""
+    # The exact type test first: isinstance against Fraction, an ABC, costs
+    # ten times more, and almost every coefficient is an int.
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, int):
@@ -109,6 +113,8 @@ def int_from_str(text: str) -> int:
 
 def scalar_to_str(value: Scalar) -> str:
     """Canonical decimal form: ``p`` for integers, ``p/q`` in lowest terms."""
+    if type(value) is int:
+        return int_to_str(value)
     value = as_scalar(value)
     if isinstance(value, int):
         return int_to_str(value)
@@ -144,7 +150,8 @@ def ceil_log2(n: int) -> int:
 
 def scalar_bits(value: Scalar) -> int:
     """Bit cost of a coefficient: ceil_log2|num| + ceil_log2 den; 0 for 0."""
-    value = as_scalar(value)
+    if type(value) is not int:
+        value = as_scalar(value)
     if value == 0:
         return 0
     if isinstance(value, int):
@@ -206,7 +213,7 @@ class Monomial:
     its products, so a repeated ``times`` is one dict lookup.
     """
 
-    __slots__ = ("_pairs", "_degree", "_hash", "_products", "_obj", "__weakref__")
+    __slots__ = ("_pairs", "_degree", "_hash", "_products", "_json", "__weakref__")
 
     def __new__(cls, pairs: Iterable[tuple[VarId, int]] = ()) -> Monomial:
         return _intern(_canonical(pairs))
@@ -336,7 +343,7 @@ def _intern(pairs: tuple[tuple[VarId, int], ...]) -> Monomial:
         put(mono, "_degree", sum(e for _, e in pairs))
         put(mono, "_hash", hash(pairs))
         put(mono, "_products", {})
-        put(mono, "_obj", None)
+        put(mono, "_json", None)
         _INTERNED[pairs] = mono
     return mono
 
@@ -690,34 +697,26 @@ EXPONENT_LIMIT = 1000
 
 
 def mono_to_obj(mono: Monomial) -> dict[str, int]:
-    """The monomial's JSON object; one cached dict per monomial, not to be mutated."""
-    obj = mono._obj
-    if obj is None:
-        obj = {var.name: exp for var, exp in mono.pairs}
-        object.__setattr__(mono, "_obj", obj)
-    return obj
+    return {var.name: exp for var, exp in mono.pairs}
 
 
-# Monomials decoded from JSON objects, keyed by tuple(obj.items()).  Weak
-# values, like _INTERNED.
-_PARSED_MONOS: weakref.WeakValueDictionary[
-    tuple[tuple[str, int], ...], Monomial
-] = weakref.WeakValueDictionary()
+def mono_to_json(mono: Monomial) -> str:
+    """canonical_json text of mono_to_obj(mono), cached on the monomial.
+
+    JSON keys sort as strings, so x10 comes before x2.
+    """
+    text = mono._json
+    if text is None:
+        named = sorted((var.name, exp) for var, exp in mono.pairs)
+        text = "{" + ",".join(f'"{name}":{int_to_str(exp)}' for name, exp in named) + "}"
+        object.__setattr__(mono, "_json", text)
+    return text
 
 
-def mono_from_obj(obj: object) -> Monomial:
+def _mono_from_obj(obj: object) -> Monomial:
+    """Validate a monomial object field by field."""
     if not isinstance(obj, dict):
         raise FormatError(f"monomial must be an object, got {obj!r}")
-    key = tuple(obj.items())
-    for _, exp in key:
-        # True == 1.0 == 1: only exact ints may hit a cached {"x1": 1}.
-        if type(exp) is not int:
-            key = None
-            break
-    else:
-        mono = _PARSED_MONOS.get(key)
-        if mono is not None:
-            return mono
     pairs: list[tuple[VarId, int]] = []
     for name, exp in obj.items():
         var = parse_var(name)
@@ -727,10 +726,74 @@ def mono_from_obj(obj: object) -> Monomial:
             raise FormatError(f"exponent of {name} exceeds the limit {EXPONENT_LIMIT}")
         pairs.append((var, exp))
     # Distinct keys are distinct canonical names, hence distinct variables.
-    mono = _intern(tuple(sorted(pairs)))
-    if key is not None:
-        _PARSED_MONOS[key] = mono
-    return mono
+    return _intern(tuple(sorted(pairs)))
+
+
+_POLY_FIELDS = frozenset({"terms"})
+_TERM_FIELDS = frozenset({"coef", "mono"})
+
+
+class Decoder:
+    """Decodes the polynomials of one document.
+
+    Each distinct coefficient string and monomial object is validated once;
+    a repeat is one dict lookup.  The tables are plain dicts that live as
+    long as the decoder, so make one per document: nothing outlives the
+    decode and no document inherits another's work.
+    """
+
+    __slots__ = ("_scalars", "_monos")
+
+    def __init__(self) -> None:
+        self._scalars: dict[str, Scalar] = {}
+        self._monos: dict[tuple[tuple[str, int], ...], Monomial] = {}
+
+    def scalar(self, text: object) -> Scalar:
+        """scalar_from_str(text), remembered per exact string."""
+        if type(text) is not str:
+            return scalar_from_str(text)  # type: ignore[arg-type]
+        value = self._scalars.get(text)
+        if value is None:
+            value = self._scalars[text] = scalar_from_str(text)
+        return value
+
+    def mono(self, obj: object) -> Monomial:
+        """The monomial of a JSON object, remembered per tuple(obj.items())."""
+        if type(obj) is dict:
+            # True == 1.0 == 1: only exact ints may share an entry with {"x1": 1}.
+            for exp in obj.values():
+                if type(exp) is not int:
+                    break
+            else:
+                key = tuple(obj.items())
+                mono = self._monos.get(key)
+                if mono is None:
+                    mono = self._monos[key] = _mono_from_obj(obj)
+                return mono
+        return _mono_from_obj(obj)
+
+    def poly(self, obj: object) -> Polynomial:
+        terms = require_fields(obj, _POLY_FIELDS, "polynomial")["terms"]
+        if not isinstance(terms, list):
+            raise FormatError("'terms' must be an array")
+        scalar, mono_of = self.scalar, self.mono
+        out: dict[Monomial, Scalar] = {}
+        for entry in terms:
+            require_fields(entry, _TERM_FIELDS, "term")
+            coef = scalar(entry["coef"])
+            if coef == 0:
+                raise FormatError("zero coefficient is not canonical")
+            mono = mono_of(entry["mono"])
+            if mono in out:
+                raise FormatError(f"duplicate monomial {mono!r}")
+            out[mono] = coef
+        # scalar_from_str returns normalized scalars, and zeros and repeated
+        # monomials were refused, so the dict is already canonical.
+        return Polynomial._wrap(out)
+
+
+def mono_from_obj(obj: object) -> Monomial:
+    return Decoder().mono(obj)
 
 
 def poly_to_obj(poly: Polynomial) -> dict[str, object]:
@@ -742,23 +805,16 @@ def poly_to_obj(poly: Polynomial) -> dict[str, object]:
     }
 
 
+def poly_to_json(poly: Polynomial) -> str:
+    """canonical_json text of poly_to_obj(poly), without the newline."""
+    return '{"terms":[' + ",".join(
+        f'{{"coef":"{scalar_to_str(coef)}","mono":{mono_to_json(mono)}}}'
+        for mono, coef in poly.terms()
+    ) + "]}"
+
+
 def poly_from_obj(obj: object) -> Polynomial:
-    terms = require_fields(obj, {"terms"}, "polynomial")["terms"]
-    if not isinstance(terms, list):
-        raise FormatError("'terms' must be an array")
-    seen: set[Monomial] = set()
-    pairs: list[tuple[Monomial, Scalar]] = []
-    for entry in terms:
-        require_fields(entry, {"coef", "mono"}, "term")
-        coef = scalar_from_str(entry["coef"])
-        if coef == 0:
-            raise FormatError("zero coefficient is not canonical")
-        mono = mono_from_obj(entry["mono"])
-        if mono in seen:
-            raise FormatError(f"duplicate monomial {mono!r}")
-        seen.add(mono)
-        pairs.append((mono, coef))
-    return Polynomial(pairs)
+    return Decoder().poly(obj)
 
 
 _TERM_SPLIT_RE = re.compile(r"(?=[+-])")

@@ -25,17 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .polyring import (
+    Decoder,
     FormatError,
     Monomial,
     Polynomial,
     Scalar,
     VarId,
     as_scalar,
+    int_to_str,
     parse_var,
-    poly_from_obj,
+    poly_to_json,
     poly_to_obj,
     require_bool,
     require_fields,
@@ -482,6 +484,16 @@ class ProofBuilder:
 # -- serialization ------------------------------------------------------------
 
 
+_AXIOM_FIELDS = frozenset({"type", "index"})
+_LINCOMB_FIELDS = frozenset({"type", "j", "k", "alpha", "beta"})
+_MULVAR_FIELDS = frozenset({"type", "k", "var"})
+_SQRT_FIELDS = frozenset({"type", "k"})
+_AXIOMS_FIELDS = frozenset({"base", "extensions"})
+_EXTENSION_FIELDS = frozenset({"var", "def"})
+_PROOF_FIELDS = frozenset({"system", "axioms", "lines"})
+_LINE_FIELDS = frozenset({"poly", "rule"})
+
+
 def rule_to_obj(rule: StepRule) -> dict[str, object]:
     if isinstance(rule, Axiom):
         return {"type": "axiom", "index": rule.index}
@@ -500,15 +512,31 @@ def rule_to_obj(rule: StepRule) -> dict[str, object]:
     raise TypeError(f"unknown rule {rule!r}")
 
 
+def _rule_to_json(rule: StepRule) -> str:
+    """canonical_json text of rule_to_obj(rule): keys in sorted order."""
+    if isinstance(rule, LinComb):
+        return (
+            f'{{"alpha":"{scalar_to_str(rule.alpha)}","beta":"{scalar_to_str(rule.beta)}",'
+            f'"j":{int_to_str(rule.j)},"k":{int_to_str(rule.k)},"type":"lincomb"}}'
+        )
+    if isinstance(rule, MulVar):
+        return f'{{"k":{int_to_str(rule.k)},"type":"mulvar","var":"{rule.var.name}"}}'
+    if isinstance(rule, Axiom):
+        return f'{{"index":{int_to_str(rule.index)},"type":"axiom"}}'
+    if isinstance(rule, Sqrt):
+        return f'{{"k":{int_to_str(rule.k)},"type":"sqrt"}}'
+    raise TypeError(f"unknown rule {rule!r}")
+
+
 def rule_from_obj(obj: object) -> StepRule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise FormatError(f"rule must be an object with a 'type', got {obj!r}")
     kind = obj["type"]
     if kind == "axiom":
-        require_fields(obj, {"type", "index"}, "axiom rule")
+        require_fields(obj, _AXIOM_FIELDS, "axiom rule")
         return Axiom(require_index(obj["index"], "axiom index"))
     if kind == "lincomb":
-        require_fields(obj, {"type", "j", "k", "alpha", "beta"}, "lincomb rule")
+        require_fields(obj, _LINCOMB_FIELDS, "lincomb rule")
         return LinComb(
             require_index(obj["j"], "lincomb j"),
             require_index(obj["k"], "lincomb k"),
@@ -516,10 +544,10 @@ def rule_from_obj(obj: object) -> StepRule:
             scalar_from_str(obj["beta"]),
         )
     if kind == "mulvar":
-        require_fields(obj, {"type", "k", "var"}, "mulvar rule")
+        require_fields(obj, _MULVAR_FIELDS, "mulvar rule")
         return MulVar(require_index(obj["k"], "mulvar k"), parse_var(obj["var"]))
     if kind == "sqrt":
-        require_fields(obj, {"type", "k"}, "sqrt rule")
+        require_fields(obj, _SQRT_FIELDS, "sqrt rule")
         return Sqrt(require_index(obj["k"], "sqrt k"))
     raise FormatError(f"unknown rule type {kind!r}")
 
@@ -535,20 +563,21 @@ def axioms_to_obj(axioms: AxiomSet) -> dict[str, object]:
 
 
 def axioms_from_obj(obj: object) -> AxiomSet:
-    require_fields(obj, {"base", "extensions"}, "axioms")
+    decoder = Decoder()
+    require_fields(obj, _AXIOMS_FIELDS, "axioms")
     base = obj["base"]
     extensions = obj["extensions"]
     if not isinstance(base, list) or not isinstance(extensions, list):
         raise FormatError("'base' and 'extensions' must be arrays")
     exts = []
     for entry in extensions:
-        require_fields(entry, {"var", "def"}, "extension")
+        require_fields(entry, _EXTENSION_FIELDS, "extension")
         var = parse_var(entry["var"])
         if var.kind != "y":
             raise FormatError(f"extension variable must be y<k>, got {var.name}")
-        exts.append(ExtensionAxiom(var, poly_from_obj(entry["def"])))
+        exts.append(ExtensionAxiom(var, decoder.poly(entry["def"])))
     return AxiomSet(
-        tuple(poly_from_obj(p) for p in base),
+        tuple(decoder.poly(p) for p in base),
         tuple(exts),
     )
 
@@ -556,6 +585,7 @@ def axioms_from_obj(obj: object) -> AxiomSet:
 def proof_to_obj(
     kind: SystemKind, axioms: AxiomSet, proof: Sequence[ProofLine]
 ) -> dict[str, object]:
+    """The proof document as JSON objects; see proof_chunks for its text."""
     return {
         "system": kind.value,
         "axioms": axioms_to_obj(axioms),
@@ -566,21 +596,51 @@ def proof_to_obj(
     }
 
 
+def proof_chunks(
+    kind: SystemKind, axioms: AxiomSet, proof: Sequence[ProofLine]
+) -> Iterator[str]:
+    """The text of canonical_json(proof_to_obj(kind, axioms, proof)) in pieces.
+
+    One piece per axiom and per line, so a large proof is written without
+    building its object tree or its whole text.  The pieces are templates,
+    not json.dumps of each line's objects: on the n=8 splitting chain they
+    write the Q document about four times faster.
+    """
+    yield '{"axioms":{"base":['
+    for i, poly in enumerate(axioms.base):
+        yield ("," if i else "") + poly_to_json(poly)
+    yield '],"extensions":['
+    for i, ext in enumerate(axioms.extensions):
+        yield (
+            f'{"," if i else ""}{{"def":{poly_to_json(ext.definition)},'
+            f'"var":"{ext.var.name}"}}'
+        )
+    yield ']},"lines":['
+    for i, line in enumerate(proof):
+        yield (
+            f'{"," if i else ""}{{"poly":{poly_to_json(line.poly)},'
+            f'"rule":{_rule_to_json(line.rule)}}}'
+        )
+    yield f'],"system":"{kind.value}"}}\n'
+
+
 def proof_from_obj(obj: object) -> tuple[SystemKind, AxiomSet, list[ProofLine]]:
-    require_fields(obj, {"system", "axioms", "lines"}, "proof")
+    """Decode a proof document; one Decoder serves all of its lines."""
+    require_fields(obj, _PROOF_FIELDS, "proof")
     try:
         kind = SystemKind(obj["system"])
     except ValueError:
         raise FormatError(f"unknown system {obj['system']!r}") from None
     axioms = axioms_from_obj(obj["axioms"])
+    decoder = Decoder()
     raw_lines = obj["lines"]
     if not isinstance(raw_lines, list):
         raise FormatError("'lines' must be an array")
     lines = []
     for entry in raw_lines:
-        require_fields(entry, {"poly", "rule"}, "proof line")
+        require_fields(entry, _LINE_FIELDS, "proof line")
         lines.append(
-            ProofLine(poly_from_obj(entry["poly"]), rule_from_obj(entry["rule"]))
+            ProofLine(decoder.poly(entry["poly"]), rule_from_obj(entry["rule"]))
         )
     return kind, axioms, lines
 

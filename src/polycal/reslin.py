@@ -408,8 +408,12 @@ def lineq_to_obj(eq: LinEq) -> dict[str, object]:
     }
 
 
+_LINEQ_FIELDS = frozenset({"coeffs", "const"})
+_RL_LINE_FIELDS = frozenset({"disjunction", "rule"})
+
+
 def lineq_from_obj(obj: object) -> LinEq:
-    require_fields(obj, {"coeffs", "const"}, "equation")
+    require_fields(obj, _LINEQ_FIELDS, "equation")
     raw = obj["coeffs"]
     if not isinstance(raw, dict):
         raise FormatError("'coeffs' must be an object")
@@ -429,10 +433,43 @@ def disjunction_to_obj(disjunction: Disjunction) -> list:
     return [lineq_to_obj(eq) for eq in disjunction.disjuncts]
 
 
+class EquationDecoder:
+    """Decodes the disjunctions of one document, as polyring.Decoder does polynomials.
+
+    Each distinct equation is validated once; a repeat is one dict lookup.
+    Make one per document.
+    """
+
+    __slots__ = ("_eqs",)
+
+    def __init__(self) -> None:
+        self._eqs: dict[tuple[tuple[tuple[str, int], ...], int], LinEq] = {}
+
+    def lineq(self, obj: object) -> LinEq:
+        """lineq_from_obj(obj), remembered per coefficient items and constant."""
+        if type(obj) is dict and obj.keys() == _LINEQ_FIELDS:
+            raw, const = obj["coeffs"], obj["const"]
+            # True == 1: only exact ints may share an entry with an int-valued key.
+            if type(raw) is dict and type(const) is int:
+                for value in raw.values():
+                    if type(value) is not int:
+                        break
+                else:
+                    key = (tuple(raw.items()), const)
+                    eq = self._eqs.get(key)
+                    if eq is None:
+                        eq = self._eqs[key] = lineq_from_obj(obj)
+                    return eq
+        return lineq_from_obj(obj)
+
+    def disjunction(self, obj: object) -> Disjunction:
+        if not isinstance(obj, list):
+            raise FormatError(f"disjunction must be an array, got {obj!r}")
+        return Disjunction(tuple(self.lineq(entry) for entry in obj))
+
+
 def disjunction_from_obj(obj: object) -> Disjunction:
-    if not isinstance(obj, list):
-        raise FormatError(f"disjunction must be an array, got {obj!r}")
-    return Disjunction(tuple(lineq_from_obj(entry) for entry in obj))
+    return EquationDecoder().disjunction(obj)
 
 
 def rl_rule_to_obj(rule: RlRule) -> dict[str, object]:
@@ -515,17 +552,19 @@ def reslin_to_obj(
 
 
 def reslin_from_obj(obj: object) -> tuple[list[Disjunction], list[RlLine]]:
+    """Decode a Res-Lin document; one EquationDecoder serves all of its disjunctions."""
     require_fields(obj, {"axioms", "lines"}, "document")
     raw_axioms, raw_lines = obj["axioms"], obj["lines"]
     if not isinstance(raw_axioms, list) or not isinstance(raw_lines, list):
         raise FormatError("'axioms' and 'lines' must be arrays")
-    axioms = [disjunction_from_obj(d) for d in raw_axioms]
+    decoder = EquationDecoder()
+    axioms = [decoder.disjunction(d) for d in raw_axioms]
     lines = []
     for entry in raw_lines:
-        require_fields(entry, {"disjunction", "rule"}, "proof line")
+        require_fields(entry, _RL_LINE_FIELDS, "proof line")
         lines.append(
             RlLine(
-                disjunction_from_obj(entry["disjunction"]),
+                decoder.disjunction(entry["disjunction"]),
                 rl_rule_from_obj(entry["rule"]),
             )
         )

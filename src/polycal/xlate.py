@@ -14,9 +14,9 @@ rationalize turns a refutation over the rationals into one over the
 integers.  It is organized in phases:
 
   phase 0   picks integer multipliers: T_i rescales extension i so its
-            definition clears every denominator, and per-line clearing
-            constants L_k are precomputed from the linear-combination
-            denominators (deltas).
+            definition clears every denominator, and the per-line clearing
+            constants L_k = (prod deltas)^(k+1) follow from the
+            linear-combination denominators (deltas).
   phase 1   substitutes y_i -> y_i / T_i throughout and tracks, per line,
             whether the result is the plain substituted polynomial
             (Unscaled) or T_j times it (Scaled(j)).  All auxiliary lines
@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .polyring import (
     Polynomial,
@@ -244,10 +245,17 @@ class PhaseOneLine:
 
 @dataclass(frozen=True)
 class RationalizeState:
+    """What rationalize computed; the line clearers L_k follow from deltas.
+
+    L_k = (prod deltas)^(k+1) for each of the line_count input lines.  It is
+    not stored: the clearers together hold quadratically many digits, and
+    only the faithful square-root branch and state_to_obj read them.
+    """
+
     denominator_products: tuple[int, ...]
     scale_factors: tuple[int, ...]
     deltas: tuple[int, ...]
-    line_clearers: tuple[int, ...]
+    line_count: int
     final_factor: int
     final_constant: int
 
@@ -324,8 +332,6 @@ def rationalize(
 
     products, factors = compute_scale_factors(axioms)
     deltas = _collect_deltas(proof)
-    spread = math.prod(deltas)
-    clearers = tuple(spread ** (k + 1) for k in range(len(proof)))
 
     new_axioms, phase_one, prime_of = _phase_one(axioms, proof, factors)
     phase_proof = [ProofLine(line.poly, line.rule) for line in phase_one]
@@ -336,7 +342,7 @@ def rationalize(
         )
 
     z_proof, final_factor = _phase_two(
-        new_axioms, phase_one, proof, clearers, factors, faithful_constants
+        new_axioms, phase_one, proof, math.prod(deltas), factors, faithful_constants
     )
     final = check_refutation(new_axioms, z_proof, SystemKind.EXTPCSQRT_Z)
     if not final.valid:
@@ -356,7 +362,7 @@ def rationalize(
             denominator_products=products,
             scale_factors=factors,
             deltas=deltas,
-            line_clearers=clearers,
+            line_count=len(proof),
             final_factor=final_factor,
             final_constant=final.final_constant,
         ),
@@ -451,7 +457,7 @@ def _phase_two(
     new_axioms: AxiomSet,
     phase_one: Sequence[PhaseOneLine],
     original: Sequence[ProofLine],
-    clearers: tuple[int, ...],
+    spread: int,
     factors: tuple[int, ...],
     faithful_constants: bool,
 ) -> tuple[list[ProofLine], int]:
@@ -485,7 +491,7 @@ def _phase_two(
             root = line.poly
             if faithful_constants:
                 origin = line.provenance
-                clearing = clearers[origin]
+                clearing = spread ** (origin + 1)
                 for j in range(len(factors)):
                     clearing *= factors[j] ** _max_degree_of(
                         original[origin].poly, yvar(j + 1)
@@ -554,12 +560,26 @@ def verify_phase_one(
                 )
 
 
+def _line_clearer_digits(state: RationalizeState) -> Iterator[str]:
+    """Decimal digits of L_0, L_1, ..., the powers (prod deltas)^(k+1).
+
+    The powers are built as exact Decimals, whose digits print in linear
+    time; printing each int power would take time quadratic in its digits.
+    """
+    exact = Context(prec=MAX_PREC)
+    spread = Decimal(math.prod(state.deltas))
+    clearer = Decimal(1)
+    for _ in range(state.line_count):
+        clearer = exact.multiply(clearer, spread)
+        yield str(clearer)
+
+
 def state_to_obj(state: RationalizeState) -> dict[str, object]:
     return {
         "M": [int_to_str(m) for m in state.denominator_products],
         "T": [int_to_str(t) for t in state.scale_factors],
         "deltas": [int_to_str(d) for d in state.deltas],
-        "L": [int_to_str(c) for c in state.line_clearers],
+        "L": list(_line_clearer_digits(state)),
         "F_final": int_to_str(state.final_factor),
         "final_constant": int_to_str(state.final_constant),
     }

@@ -159,6 +159,43 @@ def test_check_refuses_a_variable_name_with_a_trailing_newline(tmp_path, capsys)
     assert json.loads(err)["error"] == "FormatError"
 
 
+def _q_doc_after_warm_memo(second_term):
+    """A Q document whose second line repeats its first term with one change."""
+    warm = {"coef": "1", "mono": {"x1": 1}}
+    return {
+        "system": "pc-q",
+        "axioms": {"base": [{"terms": [warm]}], "extensions": []},
+        "lines": [
+            {"poly": {"terms": [warm]}, "rule": {"type": "axiom", "index": 0}},
+            {"poly": {"terms": [second_term]}, "rule": {"type": "axiom", "index": 0}},
+        ],
+    }
+
+
+def _clausal_doc_after_warm_memo(second_eq):
+    obj = reslin_to_obj(*zero_one())
+    obj["axioms"] = [[{"coeffs": {"x1": 1}, "const": 0}], [second_eq]]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _q_doc_after_warm_memo({"coef": "1", "mono": {"x1": True}}),
+        _q_doc_after_warm_memo({"coef": "1", "mono": {"x1": 1.0}}),
+        _q_doc_after_warm_memo({"coef": "01", "mono": {"x1": 1}}),
+        _clausal_doc_after_warm_memo({"coeffs": {"x1": True}, "const": 0}),
+        _clausal_doc_after_warm_memo({"coeffs": {"x1": 1}, "const": False}),
+    ],
+)
+def test_a_warm_decoder_memo_still_refuses_lookalikes(tmp_path, capsys, doc):
+    # True == 1.0 == 1, and "01" names the value of "1": none may reuse its entry.
+    code, out, err = run(capsys, "check", "--proof", write_json(tmp_path / "d.json", doc))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FormatError"
+
+
 def test_check_handles_clausal_documents(reslin_doc, capsys):
     code, out, _ = run(capsys, "check", "--proof", reslin_doc)
     assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycal import polyring
+from polycal.proofcore import proof_from_obj
 from polycal.polyring import (
     EXPONENT_LIMIT,
     FormatError,
@@ -234,12 +235,13 @@ def test_negative_exponent_is_refused():
 def test_warm_decoder_still_validates_exponents(exp, lookalike):
     # True == 1.0 == Fraction(1) == 1, so these would hit a lookup keyed by value.
     for good in ({"x1": exp}, {"x1": 1, "y1": exp}):
-        warm = mono_from_obj(good)
-        assert mono_from_obj(dict(good)) is warm
+        decoder = polyring.Decoder()
+        warm = decoder.mono(good)
+        assert decoder.mono(dict(good)) is warm
         bad = dict(good)
         bad[list(good)[-1]] = lookalike(exp)
         with pytest.raises(FormatError):
-            mono_from_obj(bad)
+            decoder.mono(bad)
 
 
 def test_intern_tables_drop_a_collected_proof():
@@ -254,17 +256,37 @@ def test_intern_tables_drop_a_collected_proof():
     del line
 
     def held():
-        names = {"x9001", "x9002", "y9003"}
         interned = [k for k in list(polyring._INTERNED.keys())
                     if {v for v, _ in k} & {a, b, c}]
-        parsed = [k for k in list(polyring._PARSED_MONOS.keys())
-                  if {name for name, _ in k} & names]
-        return interned + parsed
+        return interned
 
     assert held()
     del proof
     gc.collect()
     assert held() == []
+
+    # A decoded document: the decoder's tables go with its decode call.
+    term = {"coef": "2", "mono": {"x9004": 1, "y9005": 2}}
+    doc = {
+        "system": "extpcsqrt-q",
+        "axioms": {
+            "base": [{"terms": [term]}],
+            "extensions": [
+                {"var": "y9005", "def": {"terms": [{"coef": "1/2", "mono": {"x9004": 1}}]}}
+            ],
+        },
+        "lines": [{"poly": {"terms": [term]}, "rule": {"type": "axiom", "index": 0}}],
+    }
+    decoded = proof_from_obj(doc)
+
+    def decoded_held():
+        return [k for k in list(polyring._INTERNED.keys())
+                if {v for v, _ in k} & {xvar(9004), yvar(9005)}]
+
+    assert decoded_held()
+    del decoded
+    gc.collect()
+    assert decoded_held() == []
 
 
 # -- polynomial arithmetic -----------------------------------------------------

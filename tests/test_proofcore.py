@@ -1,11 +1,23 @@
 """Unit tests for the refutation checker."""
 
+import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polycal.polyring import FormatError, Monomial, Polynomial, poly_parse, xvar, yvar
+from polycal.cli import canonical_json
+from polycal.polyring import (
+    FormatError,
+    Monomial,
+    Polynomial,
+    int_from_str,
+    poly_parse,
+    xvar,
+    yvar,
+)
 from polycal.proofcore import (
     Axiom,
     AxiomSet,
@@ -21,6 +33,7 @@ from polycal.proofcore import (
     check_refutation,
     check_step,
     measure,
+    proof_chunks,
     proof_from_obj,
     proof_to_obj,
     report_from_obj,
@@ -426,3 +439,62 @@ def test_report_from_obj_names_the_bad_field(field, value):
     obj[field] = value
     with pytest.raises(FormatError, match=field):
         report_from_obj(obj)
+
+
+# Indices past 9 sort differently as JSON keys ("x10" < "x2") than as variables.
+CHUNK_VARS = (xvar(1), xvar(2), xvar(10), xvar(11), xvar(123), yvar(1), yvar(2), yvar(10))
+HUGE = 10**4400 + 7  # past Python's 4300-digit int-to-str limit
+chunk_scalars = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.sampled_from([HUGE, -HUGE, Fraction(1, HUGE)]),
+)
+
+
+@st.composite
+def chunk_polys(draw):
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        chosen = draw(st.sets(st.sampled_from(CHUNK_VARS), max_size=4))
+        mono = Monomial([(v, draw(st.integers(1, 3))) for v in chosen])
+        pairs.append((mono, draw(chunk_scalars)))
+    return Polynomial(pairs)
+
+
+chunk_rules = st.one_of(
+    st.builds(Axiom, st.integers(0, 20)),
+    st.builds(LinComb, st.integers(0, 20), st.integers(0, 20), chunk_scalars, chunk_scalars),
+    st.builds(MulVar, st.integers(0, 20), st.sampled_from(CHUNK_VARS)),
+    st.builds(Sqrt, st.integers(0, 20)),
+)
+chunk_extensions = st.lists(chunk_polys(), max_size=3).map(
+    lambda defs: tuple(ExtensionAxiom(yvar(i + 1), d) for i, d in enumerate(defs))
+)
+EVERY_CASE_LINES = [
+    ProofLine(Polynomial.constant(HUGE), Axiom(0)),
+    ProofLine(P("x10*x2 + 1/3*x2^2*y10 - 1"), LinComb(0, 0, Fraction(1, 3), -HUGE)),
+    ProofLine(P("x10*x2*x11"), MulVar(1, xvar(11))),
+    ProofLine(P("x10 - x2"), Sqrt(2)),
+]
+
+
+@given(
+    st.sampled_from(list(SystemKind)),
+    st.lists(chunk_polys(), max_size=3),
+    chunk_extensions,
+    st.lists(st.builds(ProofLine, chunk_polys(), chunk_rules), max_size=6),
+)
+@example(SystemKind.EXTPCSQRT_Z, [], (), EVERY_CASE_LINES)
+@example(
+    SystemKind.PCSQRT_Q,
+    [P("x10*x2 - 1/2"), P("x2")],
+    (ExtensionAxiom(yvar(1), P("x11*x10^2 + 2")),),
+    EVERY_CASE_LINES,
+)
+@settings(max_examples=80, deadline=None)
+def test_proof_chunks_match_the_object_form(kind, base, extensions, lines):
+    axioms = AxiomSet(tuple(base), extensions)
+    text = "".join(proof_chunks(kind, axioms, lines))
+    assert text == canonical_json(proof_to_obj(kind, axioms, lines))
+    decoded = proof_from_obj(json.loads(text, parse_int=int_from_str))
+    assert decoded == (kind, axioms, lines)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,27 @@ def test_simulation_output_feeds_rationalization():
     out = simulate_reslin_b(*bvp_splitting(3))
     state = rationalize(out.axioms, list(out.proof)).state
     assert state.final_factor == state.final_constant == math.factorial(8)
+
+
+def test_rationalize_state_holds_no_per_line_integers():
+    # The line clearers L_k = (prod deltas)^(k+1) hold quadratically many
+    # digits, so the state keeps deltas and the line count instead.
+    out = simulate_reslin_b(*bvp_splitting(6))
+    start = time.perf_counter()
+    state = rationalize(out.axioms, list(out.proof)).state
+    assert time.perf_counter() - start < 10
+    assert state.line_count == len(out.proof)
+    for field in dataclasses.fields(state):
+        value = getattr(state, field.name)
+        assert isinstance(value, int) or len(value) < state.line_count, field.name
+    assert state.final_factor == state.final_constant == math.factorial(64)
+
+    small = rationalize(*nested_extensions()).state
+    spread = math.prod(small.deltas)
+    assert spread > 1
+    assert state_to_obj(small)["L"] == [
+        str(spread ** (k + 1)) for k in range(small.line_count)
+    ]
 
 
 def test_non_integer_base_rejected():
