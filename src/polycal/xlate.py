@@ -17,10 +17,10 @@ integers.  It is organized in phases:
             definition clears every denominator, and the per-line clearing
             constants L_k = (prod deltas)^(k+1) follow from the
             linear-combination denominators (deltas).
-  phase 1   substitutes y_i -> y_i / T_i throughout and tracks, per line,
-            whether the result is the plain substituted polynomial
-            (Unscaled) or T_j times it (Scaled(j)).  All auxiliary lines
-            this introduces are pure 1/T_j rescalings.
+  phase 1   substitutes y_i -> y_i / T_i throughout; each line is its
+            scale s (1 or some T_j) times the substituted polynomial.  A
+            rule that needs scale 1 cites the one 1/s copy of a line, made
+            at its first use; a line of scale 1 is never copied.
   phase 2   multiplies the whole proof by a running integer factor F that
             grows whenever a rational scalar or a rational square root
             needs clearing.  Each phase-1 line is stored with the factor
@@ -29,8 +29,8 @@ integers.  It is organized in phases:
             phase-1 polynomial".  All coefficients stay integral by
             construction.
 
-The final integer constant is the original one times F and the scale tag
-of the last line, so the ratio between output and input constants is a
+The final integer constant is the original one times F and the scale of
+the last line, so the ratio between output and input constants is a
 positive integer.
 """
 
@@ -237,10 +237,16 @@ def _simulate_contraction(builder, registry, proof, hat_lines, rule) -> int:
 
 @dataclass(frozen=True)
 class PhaseOneLine:
+    """poly == scale * (input line provenance with y_i -> y_i / T_i).
+
+    A line without provenance is the 1/s copy of the line it cites, whose
+    scale is s, and has scale 1 itself.
+    """
+
     poly: Polynomial
     rule: StepRule
     provenance: Optional[int]
-    scale_tag: Optional[int]
+    scale: int
 
 
 @dataclass(frozen=True)
@@ -296,6 +302,14 @@ def compute_scale_factors(axioms: AxiomSet) -> tuple[tuple[int, ...], tuple[int,
         products.append(m)
         factors.append(t)
     return tuple(products), tuple(factors)
+
+
+def _descaling(factors: Sequence[int]) -> dict[VarId, Polynomial]:
+    """The phase-1 substitution y_i -> y_i / T_i."""
+    return {
+        yvar(i): Polynomial.variable(yvar(i)).scale(Fraction(1, t))
+        for i, t in enumerate(factors, 1)
+    }
 
 
 def _collect_deltas(proof: Sequence[ProofLine]) -> tuple[int, ...]:
@@ -372,10 +386,7 @@ def rationalize(
 def _phase_one(
     axioms: AxiomSet, proof: Sequence[ProofLine], factors: tuple[int, ...]
 ) -> tuple[AxiomSet, list[PhaseOneLine], list[int]]:
-    substitution = {
-        yvar(i + 1): Polynomial.variable(yvar(i + 1)).scale(Fraction(1, factors[i]))
-        for i in range(len(factors))
-    }
+    substitution = _descaling(factors)
     new_extensions = tuple(
         ExtensionAxiom(
             extension.var,
@@ -387,68 +398,52 @@ def _phase_one(
 
     lines: list[PhaseOneLine] = []
     prime_of: list[int] = []
+    copies: dict[int, int] = {}
 
     def push(
-        poly: Polynomial, rule: StepRule, provenance: Optional[int], tag: Optional[int]
+        poly: Polynomial, rule: StepRule, provenance: Optional[int], scale: int
     ) -> int:
-        lines.append(PhaseOneLine(poly, rule, provenance, tag))
+        lines.append(PhaseOneLine(poly, rule, provenance, scale))
         return len(lines) - 1
 
     def unscaled(index: int) -> int:
-        """A copy of phase-1 line index with its scale tag divided away."""
-        tag = lines[index].scale_tag
-        if tag is None:
-            return index
-        reciprocal = Fraction(1, factors[tag - 1])
-        return push(
-            lines[index].poly.scale(reciprocal),
-            LinComb(index, index, reciprocal, 0),
-            None,
-            None,
-        )
+        """Phase-1 line index at scale 1, copied at most once."""
+        scale = lines[index].scale
+        if scale != 1 and index not in copies:
+            reciprocal = Fraction(1, scale)
+            copy = LinComb(index, index, reciprocal, 0)
+            copies[index] = push(lines[index].poly.scale(reciprocal), copy, None, 1)
+        return copies.get(index, index)
 
     for k, line in enumerate(proof):
         rule = line.rule
         if isinstance(rule, Axiom):
             if rule.index < len(axioms.base):
-                target = push(line.poly, rule, k, None)
+                target = push(line.poly, rule, k, 1)
             else:
                 e = rule.index - len(axioms.base)
-                target = push(new_extensions[e].polynomial, rule, k, e + 1)
+                target = push(new_extensions[e].polynomial, rule, k, factors[e])
         elif isinstance(rule, MulVar):
             premise = prime_of[rule.k]
             if rule.var.kind == "x":
-                target = push(
-                    lines[premise].poly.mul_var(rule.var),
-                    MulVar(premise, rule.var),
-                    k,
-                    lines[premise].scale_tag,
-                )
+                scale = lines[premise].scale
             else:
-                source = unscaled(premise)
-                target = push(
-                    lines[source].poly.mul_var(rule.var),
-                    MulVar(source, rule.var),
-                    k,
-                    rule.var.index,
-                )
+                premise, scale = unscaled(premise), factors[rule.var.index - 1]
+            product = lines[premise].poly.mul_var(rule.var)
+            target = push(product, MulVar(premise, rule.var), k, scale)
         elif isinstance(rule, LinComb):
             left, right = prime_of[rule.j], prime_of[rule.k]
-            if lines[left].scale_tag != lines[right].scale_tag:
+            if lines[left].scale != lines[right].scale:
                 left, right = unscaled(left), unscaled(right)
             combined = lines[left].poly.scale(rule.alpha).add(
                 lines[right].poly.scale(rule.beta)
             )
-            target = push(
-                combined,
-                LinComb(left, right, rule.alpha, rule.beta),
-                k,
-                lines[left].scale_tag,
-            )
+            step = LinComb(left, right, rule.alpha, rule.beta)
+            target = push(combined, step, k, lines[left].scale)
         else:
             source = unscaled(prime_of[rule.k])
             root = line.poly.substitute(substitution)
-            target = push(root, Sqrt(source), k, None)
+            target = push(root, Sqrt(source), k, 1)
         prime_of.append(target)
     return new_axioms, lines, prime_of
 
@@ -520,41 +515,32 @@ def verify_phase_one(
 
     Checks the substitution identity for every line that realizes an input
     line, and that every linear combination either reuses the original
-    scalars or is a pure 1/T_j rescaling.  Raises InternalCheckFailure on
-    the first violation.
+    scalars or is the 1/s rescaling of the line it cites, whose scale is s.
+    Raises InternalCheckFailure on the first violation.
     """
-    factors = result.state.scale_factors
-    substitution = {
-        yvar(i + 1): Polynomial.variable(yvar(i + 1)).scale(Fraction(1, factors[i]))
-        for i in range(len(factors))
-    }
-    reciprocals = {Fraction(1, t) for t in factors}
+    substitution = _descaling(result.state.scale_factors)
+    phase = result.phase_one
 
     for k, line in enumerate(proof):
-        image = result.phase_one[result.prime_of[k]]
-        expected = line.poly.substitute(substitution)
-        if image.scale_tag is not None:
-            expected = expected.scale(factors[image.scale_tag - 1])
-        if image.poly != expected:
-            raise InternalCheckFailure(
-                f"line {k} breaks the substitution identity"
-            )
+        image = phase[result.prime_of[k]]
+        if image.poly != line.poly.substitute(substitution).scale(image.scale):
+            raise InternalCheckFailure(f"line {k} breaks the substitution identity")
 
-    for index, line in enumerate(result.phase_one):
+    for index, line in enumerate(phase):
         if not isinstance(line.rule, LinComb):
             continue
+        alpha, beta = as_scalar(line.rule.alpha), as_scalar(line.rule.beta)
         if line.provenance is None:
-            alpha, beta = as_scalar(line.rule.alpha), as_scalar(line.rule.beta)
-            if beta != 0 or alpha not in reciprocals:
+            if beta != 0 or alpha != Fraction(1, phase[line.rule.j].scale):
                 raise InternalCheckFailure(
-                    f"auxiliary line {index} is not a pure rescaling"
+                    f"auxiliary line {index} is not the 1/s copy of its premise"
                 )
         else:
             origin = proof[line.provenance].rule
             if not isinstance(origin, LinComb) or (
                 as_scalar(origin.alpha),
                 as_scalar(origin.beta),
-            ) != (as_scalar(line.rule.alpha), as_scalar(line.rule.beta)):
+            ) != (alpha, beta):
                 raise InternalCheckFailure(
                     f"line {index} does not reuse the original scalars"
                 )

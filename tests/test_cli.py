@@ -8,6 +8,8 @@ launcher built from the console script that pyproject.toml declares in
 shared refutation corpora.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -15,10 +17,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ROOT, child_env
 
-from polycal.bvp import audit_report_from_obj, trace_report_from_obj
+from polycal.bvp import (
+    audit_report_from_obj,
+    brute_force_refutation,
+    trace_report_from_obj,
+)
 from polycal.cli import canonical_json, main
 from polycal.proofcore import (
     SystemKind,
@@ -35,6 +43,7 @@ from polycal.reslin import (
     RlSimplification,
     reslin_to_obj,
 )
+from polycal.xlate import simulate_reslin_b
 
 from q_corpus import negative_root, nested_extensions
 from reslin_corpus import bvp_splitting, eq, run as run_rules, zero_one
@@ -470,6 +479,82 @@ def test_cost_guard_stops_oversized_oracle_runs(capsys):
     code, _, err = run(capsys, "oracle-refute", "--n", "9")
     assert code == 2
     assert json.loads(err)["error"] == "CostGuard"
+
+
+# -- hostile documents ----------------------------------------------------------
+
+# What one edit may write: numerals, variable names, rule types, indices and
+# values of the wrong JSON type.
+HOSTILE_VALUES = [
+    "0", "2", "-1", "1/2", "-3/4", "01", "1/0", "", " 1", "9" * 5000,
+    "x1", "x2", "x9", "y1", "y9", "z1", "x1\n",
+    "axiom", "mulvar", "lincomb", "sqrt", "resolution", "boolean", "weakening",
+    0, 1, 2, -1, 3, 10**6, True, 1.5, None, [], {},
+]
+
+
+def _edit_sites(obj, path=()):
+    """(path, key) of every dict entry and list item in a JSON tree."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _edit_sites(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def valid_n2_docs(tmp_path_factory):
+    chain = simulate_reslin_b(*bvp_splitting(2))
+    docs = {
+        "oracle": proof_to_obj(SystemKind.PCSQRT_Z, *brute_force_refutation(2)),
+        "q": proof_to_obj(SystemKind.EXTPCSQRT_Q, chain.axioms, chain.proof),
+        "clausal": reslin_to_obj(*bvp_splitting(2)),
+    }
+    return docs, tmp_path_factory.mktemp("hostile")
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["oracle", "q", "clausal"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_edit_to_a_valid_document_never_raises(valid_n2_docs, kind, data):
+    docs, work = valid_n2_docs
+    doc = json.loads(json.dumps(docs[kind]))
+    path, key = data.draw(st.sampled_from(list(_edit_sites(doc))), label="site")
+    container = doc
+    for step in path:
+        container = container[step]
+    value = data.draw(st.sampled_from(HOSTILE_VALUES), label="value")
+    edit = data.draw(st.sampled_from(["replace", "rename", "drop"]), label="edit")
+    if edit == "rename" and isinstance(container, dict) and isinstance(value, str):
+        container[value] = container.pop(key)
+    elif edit == "drop":
+        del container[key]
+    else:
+        container[key] = value
+    proof = write_json(work / f"{kind}.json", doc)
+    commands = (
+        ["check"],
+        ["measure"],
+        ["audit", "--n", "2"],
+        ["trace", "--n", "2", "--k", "2"],
+        ["rationalize", "--out", str(work / "z.json")],
+    )
+    for command in commands:
+        code, out, err = _run_quietly(command + ["--proof", proof])
+        if err:
+            # exit 1 with an error is rationalize refusing an invalid input.
+            assert code in (1, 2) and out == "", (command, code)
+            assert set(json.loads(err)) == {"error", "message"}, command
+        else:
+            assert code in (0, 1), (command, code)
+            json.loads(out, parse_int=int_from_str)
 
 
 # -- canonical round-trips -------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from polycal.polyring import Polynomial, poly_parse, xvar, yvar
 from polycal.proofcore import (
+    Axiom,
     AxiomSet,
     LinComb,
     ProofLine,
@@ -284,6 +285,54 @@ def test_verify_phase_one_catches_foreign_scalars():
     tampered = dataclasses.replace(result, phase_one=tuple(phase))
     with pytest.raises(InternalCheckFailure):
         verify_phase_one(axioms, proof, tampered)
+
+
+def test_verify_phase_one_ties_a_copy_to_the_scale_of_its_premise():
+    from q_corpus import working_extension
+
+    axioms, proof = working_extension()
+    result = rationalize(axioms, proof)
+    phase = list(result.phase_one)
+    copy = next(
+        i
+        for i, line in enumerate(phase)
+        if line.provenance is None and line.rule.alpha == Fraction(1, 2)
+    )
+    base_line = next(
+        i
+        for i, line in enumerate(phase)
+        if isinstance(line.rule, Axiom) and line.rule.index < len(axioms.base)
+    )
+    # 1/2 undoes the scale T_1 = 2, not the scale 1 of a base axiom line.
+    phase[copy] = dataclasses.replace(
+        phase[copy], rule=dataclasses.replace(phase[copy].rule, j=base_line, k=base_line)
+    )
+    tampered = dataclasses.replace(result, phase_one=tuple(phase))
+    with pytest.raises(InternalCheckFailure):
+        verify_phase_one(axioms, proof, tampered)
+
+
+def test_phase_one_copies_each_line_at_most_once():
+    # Every T_j is 1 on the splitting chain, so phase 1 copies no line.
+    for n in (3, 4, 5):
+        out = simulate_reslin_b(*bvp_splitting(n))
+        result = rationalize(out.axioms, list(out.proof))
+        assert len(result.phase_one) == len(out.proof), n
+        assert not any(line.provenance is None for line in result.phase_one), n
+        if n == 4:
+            assert result.state.final_constant == math.factorial(16)
+
+    from q_corpus import working_extension
+
+    result = rationalize(*working_extension())
+    cited = [
+        line.rule.j
+        for line in result.phase_one
+        if isinstance(line.rule, LinComb) and line.provenance is None
+    ]
+    assert cited and len(cited) == len(set(cited))
+    # Each 1/2 copy doubles F; with the repeated copy F was 64.
+    assert result.state.final_factor == 32
 
 
 def test_state_obj_shape():
