@@ -373,7 +373,7 @@ class ProofBuildError(Exception):
 
 class ProofBuilder:
     """Accumulates a derivation, computing rule results so lines check by
-    construction.  Raw `append` re-verifies via check_step."""
+    construction.  Raw `append` re-verifies the line with the checker."""
 
     def __init__(self, axioms: AxiomSet, kind: SystemKind):
         error = validate_axiom_set(axioms, kind)
@@ -397,10 +397,11 @@ class ProofBuilder:
         return self.lines[index].poly
 
     def append(self, poly: Polynomial, rule: StepRule) -> int:
-        error = check_step(self.lines, ProofLine(poly, rule), self.axioms, self.kind)
+        line = ProofLine(poly, rule)
+        error = _verify_line(self.lines, len(self.lines), line, self._pool, self.kind)
         if error is not None:
             raise ProofBuildError(f"{error.code}: {error.message}")
-        self.lines.append(ProofLine(poly, rule))
+        self.lines.append(line)
         return len(self.lines) - 1
 
     def _push(self, poly: Polynomial, rule: StepRule) -> int:

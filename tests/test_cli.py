@@ -9,12 +9,14 @@ shared refutation corpora.
 """
 
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from polycal.bvp import (
     brute_force_refutation,
     trace_report_from_obj,
 )
+from polycal import cli
 from polycal.cli import canonical_json, main
 from polycal.proofcore import (
     SystemKind,
@@ -555,6 +558,107 @@ def test_one_edit_to_a_valid_document_never_raises(valid_n2_docs, kind, data):
         else:
             assert code in (0, 1), (command, code)
             json.loads(out, parse_int=int_from_str)
+
+
+# -- the paused collector --------------------------------------------------------
+
+
+def _pipeline(work):
+    """(argv, exit code) of every subcommand and of the exit-1 and exit-2 paths."""
+    clausal = write_json(work / "clausal.json", reslin_to_obj(*bvp_splitting(2)))
+    oracle, q, z = (str(work / name) for name in ("oracle.json", "q.json", "z.json"))
+    malformed = write_json(work / "malformed.json", {"system": "pcsqrt-z"})
+    return [
+        (["gen-bvp", "--n", "2", "--out", str(work / "instance.json")], 0),
+        (["oracle-refute", "--n", "2", "--out", oracle], 0),
+        (["check", "--proof", oracle], 0),
+        (["check", "--proof", clausal], 0),
+        (["translate", "--reslin", clausal, "--out", q], 0),
+        (["check", "--proof", q], 0),
+        (["rationalize", "--proof", q, "--out", z, "--state", str(work / "s.json")], 0),
+        (["rationalize", "--proof", q, "--out", str(work / "zf.json"),
+          "--faithful-constants"], 0),
+        (["check", "--proof", z], 0),
+        (["audit", "--proof", z, "--n", "2"], 0),
+        (["trace", "--proof", oracle, "--n", "2", "--k", "2"], 0),
+        (["measure", "--proof", q], 0),
+        (["measure", "--proof", clausal], 0),
+        (["primes", "--below", "30"], 0),
+        (["audit", "--proof", oracle, "--n", "3"], 1),
+        (["check", "--proof", malformed], 2),
+        (["trace", "--proof", oracle, "--n", "2"], 2),
+    ]
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path):
+    # main pauses the collector, which is sound only while commands leave
+    # nothing in reference cycles: reference counting must free it all.
+    _run_quietly(["primes", "--below", "8"])  # first use builds the parser
+    steps = _pipeline(tmp_path)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    try:
+        for argv, expected in steps:
+            code, _, err = _run_quietly(argv)
+            assert code == expected, (argv, err)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                found = gc.collect()
+                leaked = Counter(type(obj).__name__ for obj in gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.collect()
+            assert found == 0, (argv, leaked.most_common(10))
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _raise_inside_handler(args):
+    raise RuntimeError("handler failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(oracle_doc, monkeypatch, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, expected in [
+            (["primes", "--below", "8"], 0),
+            (["audit", "--proof", oracle_doc, "--n", "2"], 1),
+            (["check", "--proof", "/nonexistent/nope.json"], 2),
+            (["primes", "--bogus", "1"], 2),
+        ]:
+            assert _run_quietly(argv)[0] == expected
+            assert gc.isenabled() is enabled, argv
+        monkeypatch.setattr(cli, "_cmd_primes", _raise_inside_handler)
+        with pytest.raises(RuntimeError):
+            _run_quietly(["primes", "--below", "8"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "command", ["check", "measure", "audit", "trace", "rationalize", "translate"]
+)
+def test_deeply_nested_json_is_a_format_error(tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    deep, out = str(deep), str(tmp_path / "out.json")
+    flags = {
+        "check": ["--proof", deep],
+        "measure": ["--proof", deep],
+        "audit": ["--proof", deep, "--n", "2"],
+        "trace": ["--proof", deep, "--n", "2", "--k", "2"],
+        "rationalize": ["--proof", deep, "--out", out],
+        "translate": ["--reslin", deep, "--out", out],
+    }[command]
+    code, out, err = _run_quietly([command, *flags])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "FormatError"
 
 
 # -- canonical round-trips -------------------------------------------------------
