@@ -253,6 +253,11 @@ def audit_divisibility(constant: int, n: int) -> AuditReport:
         raise ZeroConstant("the zero constant ends no refutation")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
+    # Refused before 1 << n is built: the shift alone grows with n.
+    if n > (SIEVE_LIMIT - 1).bit_length() - 1:
+        raise SieveGuard(
+            f"n = {n} needs primes up to 2^{n}, past the sieve limit {SIEVE_LIMIT}"
+        )
     magnitude = abs(constant)
     checks = tuple(
         AuditCheck(p, magnitude % p == 0) for p in primes_below((1 << n) + 1)
@@ -297,13 +302,18 @@ def trace_mod_check(
     at the point is reported mod q, and for integer-scalar proofs they are
     all zero, which is the per-prime certificate behind the audit.
     """
-    if not 0 <= k < (1 << n):
+    # Cheapest first: nothing below does work in proportion to n until the
+    # base has shown that n matches the document.
+    if not (k >= 0 and k.bit_length() <= n):
         raise ValueError(f"k must lie in [0, 2^{n})")
+    if (
+        len(axioms.base) != n + 1
+        or axioms.base != gen_bvp(n).axiom_set().base
+    ):
+        raise ValueError("the base axioms are not the generated instance")
     modulus = k + 1
     if not is_prime(modulus):
         raise KPlusOneNotPrime(f"k + 1 = {modulus} is not prime")
-    if axioms.base != gen_bvp(n).axiom_set().base:
-        raise ValueError("the base axioms are not the generated instance")
 
     assignment: dict[VarId, int] = {
         xvar(i): (k >> (i - 1)) & 1 for i in range(1, n + 1)

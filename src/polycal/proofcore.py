@@ -80,12 +80,12 @@ class SystemKind(Enum):
         return self in (SystemKind.PC_Q, SystemKind.SPS_PC_Q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Axiom:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinComb:
     j: int
     k: int
@@ -93,13 +93,13 @@ class LinComb:
     beta: Scalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MulVar:
     k: int
     var: VarId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sqrt:
     k: int
 
@@ -107,7 +107,7 @@ class Sqrt:
 StepRule = Union[Axiom, LinComb, MulVar, Sqrt]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofLine:
     poly: Polynomial
     rule: StepRule
@@ -626,7 +626,13 @@ def proof_chunks(
 
 
 def proof_from_obj(obj: object) -> tuple[SystemKind, AxiomSet, list[ProofLine]]:
-    """Decode a proof document; one Decoder serves all of its lines."""
+    """Decode a proof document; one Decoder serves all of its lines.
+
+    Decoding takes the lines out of obj: each entry of obj["lines"] is set to
+    None once it is decoded, so a line's JSON is freed as its ProofLine is
+    built and the document's tree and its decoded proof are never alive
+    together.  Keep a copy of obj if it is needed afterwards.
+    """
     require_fields(obj, _PROOF_FIELDS, "proof")
     try:
         kind = SystemKind(obj["system"])
@@ -638,11 +644,12 @@ def proof_from_obj(obj: object) -> tuple[SystemKind, AxiomSet, list[ProofLine]]:
     if not isinstance(raw_lines, list):
         raise FormatError("'lines' must be an array")
     lines = []
-    for entry in raw_lines:
+    for index, entry in enumerate(raw_lines):
         require_fields(entry, _LINE_FIELDS, "proof line")
         lines.append(
             ProofLine(decoder.poly(entry["poly"]), rule_from_obj(entry["rule"]))
         )
+        raw_lines[index] = None
     return kind, axioms, lines
 
 

@@ -552,7 +552,11 @@ def reslin_to_obj(
 
 
 def reslin_from_obj(obj: object) -> tuple[list[Disjunction], list[RlLine]]:
-    """Decode a Res-Lin document; one EquationDecoder serves all of its disjunctions."""
+    """Decode a Res-Lin document; one EquationDecoder serves all of its disjunctions.
+
+    Decoding takes the lines out of obj, as proofcore.proof_from_obj does:
+    each entry of obj["lines"] is set to None once it is decoded.
+    """
     require_fields(obj, {"axioms", "lines"}, "document")
     raw_axioms, raw_lines = obj["axioms"], obj["lines"]
     if not isinstance(raw_axioms, list) or not isinstance(raw_lines, list):
@@ -560,7 +564,7 @@ def reslin_from_obj(obj: object) -> tuple[list[Disjunction], list[RlLine]]:
     decoder = EquationDecoder()
     axioms = [decoder.disjunction(d) for d in raw_axioms]
     lines = []
-    for entry in raw_lines:
+    for index, entry in enumerate(raw_lines):
         require_fields(entry, _RL_LINE_FIELDS, "proof line")
         lines.append(
             RlLine(
@@ -568,4 +572,5 @@ def reslin_from_obj(obj: object) -> tuple[list[Disjunction], list[RlLine]]:
                 rl_rule_from_obj(entry["rule"]),
             )
         )
+        raw_lines[index] = None
     return axioms, lines

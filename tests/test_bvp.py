@@ -133,6 +133,15 @@ def test_sieve_guard():
         primes_below((1 << 24) + 1)
 
 
+@pytest.mark.parametrize("limit, widest", [(16, 3), (17, 4), (32, 4), (33, 5)])
+def test_audit_refuses_n_past_the_sieve_limit(monkeypatch, limit, widest):
+    # The widest n whose bound 2^n + 1 is within the limit is audited.
+    monkeypatch.setattr(bvp, "SIEVE_LIMIT", limit)
+    assert audit_divisibility(2, widest).checks[-1].prime <= 1 << widest
+    with pytest.raises(SieveGuard, match=f"n = {widest + 1} "):
+        audit_divisibility(2, widest + 1)
+
+
 def test_is_prime_small():
     assert [m for m in range(20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)

@@ -16,7 +16,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +31,12 @@ from polycal.bvp import (
     brute_force_refutation,
     trace_report_from_obj,
 )
-from polycal import cli
+from polycal import bvp, cli
 from polycal.cli import canonical_json, main
 from polycal.proofcore import (
     SystemKind,
     check_refutation,
+    proof_chunks,
     proof_from_obj,
     proof_to_obj,
     report_from_obj,
@@ -44,6 +47,7 @@ from polycal.reslin import (
     RlAxiom,
     RlResolution,
     RlSimplification,
+    reslin_from_obj,
     reslin_to_obj,
 )
 from polycal.xlate import simulate_reslin_b
@@ -130,7 +134,7 @@ def test_check_system_mismatch_is_a_usage_error(oracle_doc, capsys):
 def test_check_corrupted_line_exits_one_with_code_and_index(
     oracle_doc, tmp_path, capsys
 ):
-    doc = json.loads(open(oracle_doc, encoding="utf-8").read())
+    doc = json.loads(Path(oracle_doc).read_text(encoding="utf-8"))
     doc["lines"][3]["poly"]["terms"][0]["coef"] = "7"
     bad = write_json(tmp_path / "bad.json", doc)
     code, out, _ = run(capsys, "check", "--proof", bad)
@@ -238,7 +242,7 @@ def test_translate_emits_line_map_and_valid_proof(reslin_doc, tmp_path, capsys):
 
 
 def test_translate_split_files_match_bundled_document(reslin_doc, tmp_path, capsys):
-    doc = json.loads(open(reslin_doc, encoding="utf-8").read())
+    doc = json.loads(Path(reslin_doc).read_text(encoding="utf-8"))
     lines_file = write_json(tmp_path / "lines.json", {"lines": doc["lines"]})
     ax_file = write_json(tmp_path / "ax.json", {"axioms": doc["axioms"]})
     bundled = tmp_path / "out1.json"
@@ -392,8 +396,18 @@ def test_audit_failing_divisibility_exits_one(oracle_doc, capsys):
     assert report["all_divide"] is False
 
 
+@pytest.mark.parametrize("n", [24, 10**8])
+def test_audit_past_the_sieve_limit_is_a_sieve_guard(oracle_doc, n):
+    # Refused before 2^n is computed or formatted.
+    code, out, err = _run_quietly(["audit", "--proof", oracle_doc, "--n", str(n)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "SieveGuard"
+    assert f"n = {n} " in error["message"]
+
+
 def test_audit_checks_the_proof_before_auditing(oracle_doc, tmp_path, capsys):
-    doc = json.loads(open(oracle_doc, encoding="utf-8").read())
+    doc = json.loads(Path(oracle_doc).read_text(encoding="utf-8"))
     doc["lines"][3]["poly"]["terms"][0]["coef"] = "7"
     bad = write_json(tmp_path / "bad.json", doc)
     code, out, _ = run(capsys, "audit", "--proof", bad, "--n", "1")
@@ -413,6 +427,25 @@ def test_trace_composite_modulus_is_a_precondition_failure(oracle_doc, capsys):
     code, _, err = run(capsys, "trace", "--proof", oracle_doc, "--n", "1", "--k", "0")
     assert code == 2
     assert json.loads(err)["error"] == "KPlusOneNotPrime"
+
+
+def _never_called(*args):
+    raise AssertionError("called before the base axioms were compared")
+
+
+@pytest.mark.parametrize("n, k", [(40000, 1), (64, (1 << 61) - 2)])
+def test_trace_compares_bases_before_work_in_n(oracle_doc, monkeypatch, n, k):
+    # The document is the 1-bit instance; neither gen_bvp(n) nor trial
+    # division of k + 1 (here up to the prime 2^61 - 1) may run first.
+    monkeypatch.setattr(bvp, "is_prime", _never_called)
+    monkeypatch.setattr(bvp, "gen_bvp", _never_called)
+    argv = ["trace", "--proof", oracle_doc, "--n", str(n), "--k", str(k)]
+    code, out, err = _run_quietly(argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "the base axioms are not the generated instance",
+    }
 
 
 # -- measure ---------------------------------------------------------------------
@@ -661,11 +694,70 @@ def test_deeply_nested_json_is_a_format_error(tmp_path, command):
     assert json.loads(err)["error"] == "FormatError"
 
 
+# -- decoding consumes the document -----------------------------------------------
+
+
+def _q_document(path, n):
+    """Write the Q proof translated from the n-bit splitting refutation.
+
+    Nothing of the translation stays alive, so no monomial of the document
+    is interned before a command decodes it.
+    """
+    output = simulate_reslin_b(*bvp_splitting(n))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(
+            proof_chunks(SystemKind.EXTPCSQRT_Q, output.axioms, output.proof)
+        )
+    return str(path)
+
+
+def test_decoding_releases_each_line(tmp_path):
+    q_text = Path(_q_document(tmp_path / "q.json", 3)).read_text(encoding="utf-8")
+    q_doc = json.loads(q_text, parse_int=int_from_str)
+    kind, axioms, lines = proof_from_obj(q_doc)
+    assert q_doc["lines"] == [None] * len(lines)
+    assert "".join(proof_chunks(kind, axioms, lines)) == q_text
+
+    clausal = reslin_to_obj(*bvp_splitting(3))
+    clausal_doc = json.loads(json.dumps(clausal))
+    rl_axioms, rl_lines = reslin_from_obj(clausal_doc)
+    assert clausal_doc["lines"] == [None] * len(rl_lines)
+    assert reslin_to_obj(rl_axioms, rl_lines) == clausal
+
+
+def _traced_peak(call):
+    """(peak bytes traced while call() runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["check"], 0), (["measure"], 0), (["audit", "--n", "3"], 1)],
+    ids=["check", "measure", "audit"],
+)
+def test_commands_never_hold_the_tree_and_the_proof(tmp_path, argv, expected):
+    # Each line's JSON is freed as it is decoded, so a command peaks where
+    # json.load does.  Holding the whole tree beside the decoded proof
+    # peaked at 1.49-1.57 times that.
+    q = _q_document(tmp_path / "q.json", 5)
+    argv = [*argv, "--proof", q]
+    assert _run_quietly(argv)[0] == expected  # first use builds the parser
+    load_peak, _ = _traced_peak(lambda: cli._load_json(q))
+    command_peak, (code, _, _) = _traced_peak(lambda: _run_quietly(argv))
+    assert code == expected
+    assert command_peak <= 1.25 * load_peak, command_peak / load_peak
+
+
 # -- canonical round-trips -------------------------------------------------------
 
 
 def test_emitted_artifacts_reserialize_byte_identically(oracle_doc, capsys):
-    proof_text = open(oracle_doc, encoding="utf-8").read()
+    proof_text = Path(oracle_doc).read_text(encoding="utf-8")
     kind, axioms, lines = proof_from_obj(json.loads(proof_text))
     assert canonical_json(proof_to_obj(kind, axioms, lines)) == proof_text
 
