@@ -14,6 +14,18 @@ three-way contract:
 Stdout is reserved for the primary artifact so that pipelines compose; the
 `--out` flag additionally writes the same bytes to a file.
 
+Every output file (`--out`, and `rationalize --state`) is rewritten in place
+by `_output`, so a rerun reuses the old file's blocks.  On ext4 mounted with
+`discard`, a truncating `open(path, "w")` of an existing file blocks while
+the old blocks are freed, before a byte is written: 35-80 ms for 7 KB,
+80-180 ms for 6 MB and 0.9-2.8 s for 100 MB, against under 13 ms to write
+the same bytes over the old ones (`BENCH_11.json`).  Renaming a temporary
+file over the target frees the old blocks the same way.  Only regular files
+are trimmed; `/dev/null`, pipes and devices refuse `ftruncate`.  The
+trade-off: a command killed mid-write leaves the new text followed by the
+old file's tail, where a truncating open left the new text alone.  Either
+way the file is incomplete, and `check` verifies whatever it reads.
+
 `main` runs each command with the cyclic garbage collector paused and
 restores the caller's setting on the way out.  Decoding a large document
 allocates millions of container objects, and each collection the allocations
@@ -30,11 +42,14 @@ find nothing after each.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
+import os
+import stat
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .bvp import (
     COST_LIMIT,
@@ -134,23 +149,47 @@ def _load_json(path: str) -> object:
             raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
-def _write(chunks: Iterable[str], out_path: Optional[str]) -> None:
-    """Print text piece by piece, writing each piece to out_path too if given.
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[Optional[TextIO]]:
+    """The file at path, open to be rewritten in place; None without a path.
 
-    The file is opened before anything is printed, so a path that cannot be
-    written fails with nothing on stdout.
+    The file is created if missing but not truncated, and writing starts at
+    offset 0.  On the way out, even after an exception, a regular file that
+    was written to is cut at the end of what was written, so it holds
+    exactly the new text.  A file that nothing was written to keeps its old
+    bytes: opening an output destroys nothing.  Callers open their outputs
+    before printing anything, so a path that cannot be written fails with
+    nothing on stdout.
     """
-    if out_path is None:
+    if path is None:
+        yield None
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        handle = open(fd, "w", encoding="utf-8")
+    except BaseException:
+        os.close(fd)
+        raise
+    with handle:
+        try:
+            yield handle
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode) and handle.tell():
+                handle.truncate()
+
+
+def _write(chunks: Iterable[str], out: Optional[TextIO]) -> None:
+    """Print text piece by piece, writing each piece to out too if given."""
+    if out is None:
         sys.stdout.writelines(chunks)
         return
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for chunk in chunks:
-            handle.write(chunk)
-            sys.stdout.write(chunk)
+    for chunk in chunks:
+        out.write(chunk)
+        sys.stdout.write(chunk)
 
 
-def _emit(obj: object, out_path: Optional[str] = None) -> None:
-    _write((canonical_json(obj),), out_path)
+def _emit(obj: object, out: Optional[TextIO] = None) -> None:
+    _write((canonical_json(obj),), out)
 
 
 def _is_reslin_doc(doc: object) -> bool:
@@ -183,13 +222,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_bvp(args: argparse.Namespace) -> int:
-    _emit(instance_to_obj(gen_bvp(args.n)), args.out)
+    instance = instance_to_obj(gen_bvp(args.n))
+    with _output(args.out) as out:
+        _emit(instance, out)
     return 0
 
 
 def _cmd_oracle_refute(args: argparse.Namespace) -> int:
     axioms, proof = brute_force_refutation(args.n, force=args.force)
-    _write(proof_chunks(SystemKind.PCSQRT_Z, axioms, proof), args.out)
+    with _output(args.out) as out:
+        _write(proof_chunks(SystemKind.PCSQRT_Z, axioms, proof), out)
     return 0
 
 
@@ -204,10 +246,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         doc = {"axioms": ax_doc["axioms"], "lines": doc["lines"]}
     axioms, lines = reslin_from_obj(doc)
     output = simulate_reslin_b(axioms, lines)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.writelines(
-            proof_chunks(SystemKind.EXTPCSQRT_Q, output.axioms, output.proof)
-        )
+    with _output(args.out) as out:
+        out.writelines(proof_chunks(SystemKind.EXTPCSQRT_Q, output.axioms, output.proof))
     _emit({"line_map": list(output.line_map), "line_count": len(output.proof)})
     return 0
 
@@ -215,11 +255,12 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_rationalize(args: argparse.Namespace) -> int:
     _kind, axioms, lines = proof_from_obj(_load_json(args.proof))
     result = rationalize(axioms, lines, faithful_constants=args.faithful_constants)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.writelines(
-            proof_chunks(SystemKind.EXTPCSQRT_Z, result.axioms, result.proof)
-        )
-    _emit(state_to_obj(result.state), args.state)
+    # Both files open before either is written, so an unwritable --state
+    # leaves --out as it was.  Only --state carries the line clearers L,
+    # which hold quadratically many digits.
+    with _output(args.out) as out, _output(args.state) as state_out:
+        out.writelines(proof_chunks(SystemKind.EXTPCSQRT_Z, result.axioms, result.proof))
+        _emit(state_to_obj(result.state, line_clearers=state_out is not None), state_out)
     return 0
 
 

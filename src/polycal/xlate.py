@@ -560,12 +560,15 @@ def _line_clearer_digits(state: RationalizeState) -> Iterator[str]:
         yield str(clearer)
 
 
-def state_to_obj(state: RationalizeState) -> dict[str, object]:
-    return {
+def state_to_obj(state: RationalizeState, line_clearers: bool = True) -> dict[str, object]:
+    """The state as JSON strings; without line_clearers, L is not computed."""
+    obj: dict[str, object] = {
         "M": [int_to_str(m) for m in state.denominator_products],
         "T": [int_to_str(t) for t in state.scale_factors],
         "deltas": [int_to_str(d) for d in state.deltas],
-        "L": list(_line_clearer_digits(state)),
         "F_final": int_to_str(state.final_factor),
         "final_constant": int_to_str(state.final_constant),
     }
+    if line_clearers:
+        obj["L"] = list(_line_clearer_digits(state))
+    return obj

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -376,6 +377,123 @@ def test_rationalize_invalid_input_proof_exits_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "InvalidInputProof"
+
+
+def test_rationalize_without_state_prints_no_line_clearers(tmp_path, capsys):
+    # At n = 6 the clearers L alone hold about 1.3 * 10^9 digits.
+    rl = write_json(tmp_path / "rl.json", reslin_to_obj(*bvp_splitting(6)))
+    q, z = str(tmp_path / "q.json"), str(tmp_path / "z.json")
+    assert main(["translate", "--reslin", rl, "--out", q]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "rationalize", "--proof", q, "--out", z)
+    assert code == 0, err
+    assert len(out.encode()) < 10**6
+    state = json.loads(out)
+    assert "L" not in state
+    assert state["F_final"] == state["final_constant"] == str(math.factorial(64))
+
+
+def test_an_unwritable_state_leaves_out_as_it_was(tmp_path, capsys):
+    z = tmp_path / "z.json"
+    z.write_text("OLD CONTENT", encoding="utf-8")
+    state = str(tmp_path / "missing" / "s.json")
+    code, out, err = run(
+        capsys, "rationalize", "--proof", make_rational_doc(tmp_path),
+        "--out", str(z), "--state", state,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert z.read_text(encoding="utf-8") == "OLD CONTENT"
+
+
+# -- output files ----------------------------------------------------------------
+
+
+def _writer_argv(work, flag, path):
+    """argv that writes its flag's output to path; the other output goes to work."""
+    clausal = write_json(work / "clausal.json", reslin_to_obj(*bvp_splitting(2)))
+    q, z, state = (str(work / name) for name in ("q.json", "z.json", "s.json"))
+    assert main(["translate", "--reslin", clausal, "--out", q]) == 0
+    return {
+        "gen-bvp --out": ["gen-bvp", "--n", "2", "--out", path],
+        "oracle-refute --out": ["oracle-refute", "--n", "2", "--out", path],
+        "translate --out": ["translate", "--reslin", clausal, "--out", path],
+        "rationalize --out": ["rationalize", "--proof", q, "--out", path, "--state", state],
+        "rationalize --state": ["rationalize", "--proof", q, "--out", z, "--state", path],
+    }[flag]
+
+
+@pytest.mark.parametrize("old_size", ["longer", "shorter"])
+@pytest.mark.parametrize(
+    "flag",
+    ["gen-bvp --out", "oracle-refute --out", "translate --out",
+     "rationalize --out", "rationalize --state"],
+)
+def test_rewriting_an_output_gives_the_bytes_of_a_fresh_write(
+    tmp_path, capsys, flag, old_size
+):
+    fresh, rewritten = tmp_path / "fresh.json", tmp_path / "rewritten.json"
+    code, fresh_out, err = run(capsys, *_writer_argv(tmp_path, flag, str(fresh)))
+    assert code == 0, err
+    expected = fresh.read_bytes()
+    old_length = len(expected) * 3 if old_size == "longer" else len(expected) // 3
+    rewritten.write_bytes(b"#" * old_length)
+    code, out, err = run(capsys, *_writer_argv(tmp_path, flag, str(rewritten)))
+    assert code == 0, err
+    assert out == fresh_out
+    assert rewritten.read_bytes() == expected
+
+
+def test_out_to_dev_null_prints_the_whole_document(tmp_path, capsys):
+    fresh = tmp_path / "p.json"
+    assert main(["oracle-refute", "--n", "2", "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "oracle-refute", "--n", "2", "--out", os.devnull)
+    assert code == 0, err
+    assert out == fresh.read_text(encoding="utf-8")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_to_a_named_pipe_is_not_trimmed(tmp_path, capsys):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    code, out, err = run(capsys, "oracle-refute", "--n", "2", "--out", str(pipe))
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert code == 0, err
+    assert received == [out.encode()]
+
+
+def test_a_directory_as_out_is_exit_two(tmp_path, capsys):
+    code, out, err = run(capsys, "gen-bvp", "--n", "2", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "IsADirectoryError"
+
+
+def test_a_write_cut_short_leaves_only_the_pieces_written(tmp_path, monkeypatch, capsys):
+    whole_chunks = cli.proof_chunks
+    written = []
+
+    def three_pieces_then_fail(*args):
+        for piece in whole_chunks(*args):
+            if len(written) == 3:
+                raise RuntimeError("write cut short")
+            written.append(piece)
+            yield piece
+
+    out_file = tmp_path / "p.json"
+    out_file.write_text("#" * 100_000, encoding="utf-8")
+    monkeypatch.setattr(cli, "proof_chunks", three_pieces_then_fail)
+    with pytest.raises(RuntimeError):
+        main(["oracle-refute", "--n", "2", "--out", str(out_file)])
+    assert len(written) == 3
+    assert out_file.read_text(encoding="utf-8") == "".join(written)
+    assert capsys.readouterr().out == "".join(written)
 
 
 # -- audit and trace -------------------------------------------------------------
