@@ -64,7 +64,6 @@ from .xlate import (
     SimulationOutput,
     rationalize,
     simulate_reslin_b,
-    verify_phase_one,
 )
 
 __version__ = "0.1.0"
@@ -111,7 +110,6 @@ __all__ = [
     "size_binary",
     "size_unary",
     "trace_mod_check",
-    "verify_phase_one",
     "xvar",
     "yvar",
 ]

@@ -256,11 +256,10 @@ def _cmd_rationalize(args: argparse.Namespace) -> int:
     _kind, axioms, lines = proof_from_obj(_load_json(args.proof))
     result = rationalize(axioms, lines, faithful_constants=args.faithful_constants)
     # Both files open before either is written, so an unwritable --state
-    # leaves --out as it was.  Only --state carries the line clearers L,
-    # which hold quadratically many digits.
+    # leaves --out as it was.
     with _output(args.out) as out, _output(args.state) as state_out:
         out.writelines(proof_chunks(SystemKind.EXTPCSQRT_Z, result.axioms, result.proof))
-        _emit(state_to_obj(result.state, line_clearers=state_out is not None), state_out)
+        _emit(state_to_obj(result.state), state_out)
     return 0
 
 

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .polyring import (
     Polynomial,
@@ -254,8 +253,9 @@ class RationalizeState:
     """What rationalize computed; the line clearers L_k follow from deltas.
 
     L_k = (prod deltas)^(k+1) for each of the line_count input lines.  It is
-    not stored: the clearers together hold quadratically many digits, and
-    only the faithful square-root branch and state_to_obj read them.
+    neither stored nor written out: the clearers together hold
+    quadratically many digits, and only the faithful square-root branch of
+    _phase_two computes one, for the line it clears.
     """
 
     denominator_products: tuple[int, ...]
@@ -333,7 +333,8 @@ def rationalize(
     positive integer, so its final constant is the original times that
     integer.  faithful_constants switches the square-root clearing factor
     from the least common denominator to the precomputed per-line product,
-    which is larger but independent of the actual polynomial.
+    which is larger but independent of the actual polynomial.  Phase 1 and
+    the output are both verified; a failure raises InternalCheckFailure.
     """
     for base in axioms.base:
         if not base.is_integral():
@@ -367,7 +368,7 @@ def rationalize(
     if ratio <= 0 or ratio.denominator != 1:
         raise InternalCheckFailure(f"constant ratio {ratio} is not a positive integer")
 
-    return RationalizeResult(
+    result = RationalizeResult(
         axioms=new_axioms,
         proof=tuple(z_proof),
         phase_one=tuple(phase_one),
@@ -381,6 +382,9 @@ def rationalize(
             final_constant=final.final_constant,
         ),
     )
+    # The Z checker cannot see the substitution identity, so check it here.
+    verify_phase_one(axioms, proof, result)
+    return result
 
 
 def _phase_one(
@@ -546,29 +550,13 @@ def verify_phase_one(
                 )
 
 
-def _line_clearer_digits(state: RationalizeState) -> Iterator[str]:
-    """Decimal digits of L_0, L_1, ..., the powers (prod deltas)^(k+1).
-
-    The powers are built as exact Decimals, whose digits print in linear
-    time; printing each int power would take time quadratic in its digits.
-    """
-    exact = Context(prec=MAX_PREC)
-    spread = Decimal(math.prod(state.deltas))
-    clearer = Decimal(1)
-    for _ in range(state.line_count):
-        clearer = exact.multiply(clearer, spread)
-        yield str(clearer)
-
-
-def state_to_obj(state: RationalizeState, line_clearers: bool = True) -> dict[str, object]:
-    """The state as JSON strings; without line_clearers, L is not computed."""
-    obj: dict[str, object] = {
+def state_to_obj(state: RationalizeState) -> dict[str, object]:
+    """The state as JSON strings; line_count fixes every L_k with deltas."""
+    return {
         "M": [int_to_str(m) for m in state.denominator_products],
         "T": [int_to_str(t) for t in state.scale_factors],
         "deltas": [int_to_str(d) for d in state.deltas],
+        "line_count": int_to_str(state.line_count),
         "F_final": int_to_str(state.final_factor),
         "final_constant": int_to_str(state.final_constant),
     }
-    if line_clearers:
-        obj["L"] = list(_line_clearer_digits(state))
-    return obj

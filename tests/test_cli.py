@@ -325,23 +325,45 @@ def test_rationalize_faithful_flag_changes_the_factor(tmp_path, capsys):
 
 
 def test_rationalize_state_past_the_int_digit_limit(tmp_path, capsys):
-    # At n = 4 some line clearers L run past 4300 decimal digits.
-    rl = write_json(tmp_path / "rl.json", reslin_to_obj(*bvp_splitting(4)))
+    # In faithful mode F at n = 3 runs past 4300 decimal digits.
+    rl = write_json(tmp_path / "rl.json", reslin_to_obj(*bvp_splitting(3)))
     q, z, state = (str(tmp_path / name) for name in ("q.json", "z.json", "s.json"))
     assert main(["translate", "--reslin", rl, "--out", q]) == 0
     capsys.readouterr()
     code, out, err = run(
-        capsys, "rationalize", "--proof", q, "--out", z, "--state", state
+        capsys, "rationalize", "--proof", q, "--out", z, "--state", state,
+        "--faithful-constants",
     )
     assert code == 0, err
     state_obj = json.loads(out)
-    assert max(len(clearer) for clearer in state_obj["L"]) > 4300
-    # The Q proof ends in 1, so F is the whole Z constant: (2^4)!.
-    constant = str(math.factorial(16))
-    assert state_obj["F_final"] == state_obj["final_constant"] == constant
+    assert len(state_obj["F_final"]) > 4300
+    # The Q proof ends in 1, so F is the whole Z constant.
+    constant = state_obj["F_final"]
+    assert state_obj["final_constant"] == constant
     code, out, err = run(capsys, "check", "--proof", z)
     assert code == 0, err
     assert json.loads(out)["final_constant"] == constant
+
+
+def test_rationalize_prints_the_same_state_with_or_without_state_file(
+    tmp_path, capsys
+):
+    # At n = 5, listing the line clearers L would print 80 MB.
+    rl = write_json(tmp_path / "rl.json", reslin_to_obj(*bvp_splitting(5)))
+    q, z, state = (str(tmp_path / name) for name in ("q.json", "z.json", "s.json"))
+    code, out, err = run(capsys, "translate", "--reslin", rl, "--out", q)
+    assert code == 0, err
+    q_lines = json.loads(out)["line_count"]
+    code, plain, err = run(capsys, "rationalize", "--proof", q, "--out", z)
+    assert code == 0, err
+    code, out, err = run(
+        capsys, "rationalize", "--proof", q, "--out", z, "--state", state
+    )
+    assert code == 0, err
+    assert out == plain == Path(state).read_text(encoding="utf-8")
+    state_obj = json.loads(out)
+    assert "L" not in state_obj
+    assert state_obj["line_count"] == str(q_lines)
 
 
 @pytest.mark.parametrize(

@@ -237,9 +237,7 @@ def test_rationalize_state_holds_no_per_line_integers():
     small = rationalize(*nested_extensions()).state
     spread = math.prod(small.deltas)
     assert spread > 1
-    assert state_to_obj(small)["L"] == [
-        str(spread ** (k + 1)) for k in range(small.line_count)
-    ]
+    assert state_to_obj(small)["line_count"] == str(small.line_count)
 
 
 def test_non_integer_base_rejected():
@@ -312,6 +310,15 @@ def test_verify_phase_one_ties_a_copy_to_the_scale_of_its_premise():
         verify_phase_one(axioms, proof, tampered)
 
 
+def test_rationalize_runs_verify_phase_one(monkeypatch):
+    def refuse(axioms, proof, result):
+        raise InternalCheckFailure("phase 1 refused")
+
+    monkeypatch.setattr("polycal.xlate.verify_phase_one", refuse)
+    with pytest.raises(InternalCheckFailure, match="phase 1 refused"):
+        rationalize(*nested_extensions())
+
+
 def test_phase_one_copies_each_line_at_most_once():
     # Every T_j is 1 on the splitting chain, so phase 1 copies no line.
     for n in (3, 4, 5):
@@ -338,7 +345,7 @@ def test_phase_one_copies_each_line_at_most_once():
 def test_state_obj_shape():
     axioms, proof = nested_extensions()
     obj = state_to_obj(rationalize(axioms, proof).state)
-    assert set(obj) == {"M", "T", "deltas", "L", "F_final", "final_constant"}
+    assert set(obj) == {"M", "T", "deltas", "line_count", "F_final", "final_constant"}
     assert obj["M"] == ["2", "5"] and obj["T"] == ["2", "20"]
-    assert all(isinstance(v, str) for v in obj["deltas"] + obj["L"])
+    assert all(isinstance(v, str) for v in obj["deltas"] + [obj["line_count"]])
     assert isinstance(obj["F_final"], str) and isinstance(obj["final_constant"], str)
