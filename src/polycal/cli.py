@@ -9,7 +9,7 @@ three-way contract:
   1   well-formed input whose verdict is negative (invalid proof, failed
       divisibility audit, nonzero trace residue)
   2   unusable input: flag errors, unreadable files, malformed JSON,
-      violated preconditions, guarded resource limits
+      violated preconditions, guarded resource limits, running out of memory
 
 Stdout is reserved for the primary artifact so that pipelines compose; the
 `--out` flag additionally writes the same bytes to a file.
@@ -100,34 +100,12 @@ def canonical_json(obj: object) -> str:
     """Serialize with sorted keys and no whitespace; ends in a newline.
 
     Re-serializing any parsed output of this function reproduces it byte
-    for byte, which is what makes the emitted artifacts safe to diff.
+    for byte, which is what makes the emitted artifacts safe to diff.  No int
+    past the int-to-str digit limit may reach it: reports write big integers
+    as decimal strings through `int_to_str`, or, like `measure` of a clausal
+    document, as raw numbers through templates.
     """
-    try:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    except ValueError:  # an integer past Python's int-to-str digit limit
-        text = "".join(_json_chunks(obj))
-    return text + "\n"
-
-
-def _json_chunks(obj: object) -> Iterator[str]:
-    """canonical_json's text, writing every integer through int_to_str."""
-    if isinstance(obj, dict):
-        yield "{"
-        for i, key in enumerate(sorted(obj)):
-            yield ("," if i else "") + json.dumps(key) + ":"
-            yield from _json_chunks(obj[key])
-        yield "}"
-    elif isinstance(obj, (list, tuple)):
-        yield "["
-        for i, item in enumerate(obj):
-            if i:
-                yield ","
-            yield from _json_chunks(item)
-        yield "]"
-    elif isinstance(obj, int) and not isinstance(obj, bool):
-        yield int_to_str(obj)
-    else:
-        yield json.dumps(obj)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class UsageError(Exception):
@@ -299,12 +277,9 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     doc = _load_json(args.proof)
     if _is_reslin_doc(doc):
         _axioms, lines = reslin_from_obj(doc)
-        _emit(
-            {
-                "size_unary": size_unary(lines),
-                "size_binary": size_binary(lines),
-                "line_count": len(lines),
-            }
+        sys.stdout.write(
+            f'{{"line_count":{len(lines)},"size_binary":{size_binary(lines)},'
+            f'"size_unary":{int_to_str(size_unary(lines))}}}\n'
         )
     else:
         _kind, _axioms, lines = proof_from_obj(doc)
@@ -403,6 +378,7 @@ _USAGE_ERRORS = (
     json.JSONDecodeError,
     FormatError,
     ValueError,
+    MemoryError,
     CostGuard,
     SieveGuard,
     ZeroConstant,

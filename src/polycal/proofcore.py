@@ -239,7 +239,9 @@ def _verify_line(
     rule = line.rule
     if isinstance(rule, Axiom):
         if not 0 <= rule.index < len(pool):
-            return fail("BadIndex", f"axiom index {rule.index} out of range")
+            return fail(
+                "BadIndex", f"axiom index {int_to_str(rule.index)} out of range"
+            )
         if line.poly != pool[rule.index]:
             return fail(
                 "AxiomNotInSet",
@@ -250,8 +252,8 @@ def _verify_line(
         if not (0 <= rule.j < index and 0 <= rule.k < index):
             return fail(
                 "BadIndex",
-                f"linear combination cites lines {rule.j},{rule.k} "
-                f"at line {index}",
+                f"linear combination cites lines {int_to_str(rule.j)},"
+                f"{int_to_str(rule.k)} at line {index}",
             )
         alpha, beta = as_scalar(rule.alpha), as_scalar(rule.beta)
         if not (_scalar_ok(alpha, kind) and _scalar_ok(beta, kind)):
@@ -271,7 +273,9 @@ def _verify_line(
         return None
     if isinstance(rule, MulVar):
         if not 0 <= rule.k < index:
-            return fail("BadIndex", f"multiplication cites line {rule.k}")
+            return fail(
+                "BadIndex", f"multiplication cites line {int_to_str(rule.k)}"
+            )
         if line.poly != prefix[rule.k].poly.mul_var(rule.var):
             return fail(
                 "RuleMismatch",
@@ -284,7 +288,7 @@ def _verify_line(
                 "SqrtForbidden", f"{kind.value} does not admit square roots"
             )
         if not 0 <= rule.k < index:
-            return fail("BadIndex", f"square root cites line {rule.k}")
+            return fail("BadIndex", f"square root cites line {int_to_str(rule.k)}")
         if line.poly.square() != prefix[rule.k].poly:
             return fail(
                 "SqrtMismatch",

@@ -45,6 +45,7 @@ from .polyring import (
     VarId,
     as_scalar,
     ceil_log2,
+    int_to_str,
     parse_var,
     require_fields,
     require_int,
@@ -218,7 +219,9 @@ def _verify_rl_line(
     claimed = line.disjunction.multiset()
     if isinstance(rule, RlAxiom):
         if not 0 <= rule.index < len(axioms):
-            return fail("BadIndex", f"axiom index {rule.index} out of range")
+            return fail(
+                "BadIndex", f"axiom index {int_to_str(rule.index)} out of range"
+            )
         if claimed != axioms[rule.index].multiset():
             return fail("RuleMismatch", f"line {index} does not match axiom {rule.index}")
         return None
@@ -232,7 +235,10 @@ def _verify_rl_line(
     if isinstance(rule, RlResolution):
         dj_prem, dk_prem = premise(rule.j), premise(rule.k)
         if dj_prem is None or dk_prem is None:
-            return fail("BadIndex", f"resolution cites lines {rule.j},{rule.k}")
+            return fail(
+                "BadIndex",
+                f"resolution cites lines {int_to_str(rule.j)},{int_to_str(rule.k)}",
+            )
         if not 0 <= rule.dj < len(dj_prem) or not 0 <= rule.dk < len(dk_prem):
             return fail("BadPosition", "resolution position out of range")
         alpha, beta = as_scalar(rule.alpha), as_scalar(rule.beta)
@@ -252,14 +258,16 @@ def _verify_rl_line(
     if isinstance(rule, RlWeakening):
         prem = premise(rule.j)
         if prem is None:
-            return fail("BadIndex", f"weakening cites line {rule.j}")
+            return fail("BadIndex", f"weakening cites line {int_to_str(rule.j)}")
         if claimed != prem.multiset() + Counter([rule.eq]):
             return fail("RuleMismatch", f"line {index} is not the stated weakening")
         return None
     if isinstance(rule, RlSimplification):
         prem = premise(rule.j)
         if prem is None:
-            return fail("BadIndex", f"simplification cites line {rule.j}")
+            return fail(
+                "BadIndex", f"simplification cites line {int_to_str(rule.j)}"
+            )
         if not 0 <= rule.d < len(prem):
             return fail("BadPosition", "simplification position out of range")
         target = prem.disjuncts[rule.d]
@@ -277,7 +285,7 @@ def _verify_rl_line(
     if isinstance(rule, RlContraction):
         prem = premise(rule.j)
         if prem is None:
-            return fail("BadIndex", f"contraction cites line {rule.j}")
+            return fail("BadIndex", f"contraction cites line {int_to_str(rule.j)}")
         if (
             not 0 <= rule.d1 < len(prem)
             or not 0 <= rule.d2 < len(prem)

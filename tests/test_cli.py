@@ -42,10 +42,11 @@ from polycal.proofcore import (
     proof_to_obj,
     report_from_obj,
 )
-from polycal.polyring import EXPONENT_LIMIT, int_from_str, xvar
+from polycal.polyring import EXPONENT_LIMIT, int_from_str, int_to_str, xvar
 from polycal.reslin import (
     Disjunction,
     RlAxiom,
+    RlBooleanAxiom,
     RlResolution,
     RlSimplification,
     reslin_from_obj,
@@ -621,6 +622,45 @@ def test_measure_writes_sizes_past_the_int_digit_limit(tmp_path, capsys):
     assert json.loads(out, parse_int=int_from_str)["size_unary"] == c
 
 
+def test_clausal_chain_past_the_int_digit_limit(tmp_path, capsys):
+    # C x1 = 1 with C = 10^5000 + 1, refuted through the boolean axiom with
+    # beta = -C twice; every report the chain prints must still be JSON.
+    c = 7777
+    axioms = [Disjunction.of(eq({xvar(1): c}, 1))]
+    rules = [
+        RlAxiom(0),
+        RlBooleanAxiom(xvar(1)),
+        RlResolution(0, 1, 0, 0, 1, -c),
+        RlResolution(0, 2, 0, 0, 1, -c),
+        RlSimplification(3, 0),
+        RlSimplification(4, 0),
+    ]
+    text = json.dumps(reslin_to_obj(axioms, run_rules(axioms, rules)))
+    big = 10**5000
+    text = text.replace(str(c), int_to_str(big + 1))
+    text = text.replace(str(c - 1), int_to_str(big))  # the constant 1 - C
+    rl = tmp_path / "rl.json"
+    rl.write_text(text, encoding="utf-8")
+    q, z, zf = (str(tmp_path / name) for name in ("q.json", "z.json", "zf.json"))
+    commands = [
+        ["check", "--proof", str(rl)],
+        ["measure", "--proof", str(rl)],
+        ["translate", "--reslin", str(rl), "--out", q],
+        ["check", "--proof", q],
+        ["rationalize", "--proof", q, "--out", z],
+        ["rationalize", "--proof", q, "--out", zf, "--faithful-constants"],
+        ["check", "--proof", zf],
+        ["measure", "--proof", zf],
+    ]
+    outs = []
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        outs.append(json.loads(out, parse_int=int_from_str))
+    assert outs[1]["size_unary"] == big + 4  # C, then 1 + 1 + 1 after it
+    assert outs[6]["valid"] is True
+
+
 # -- failure plumbing ------------------------------------------------------------
 
 
@@ -649,6 +689,31 @@ def test_missing_command_is_exit_two(capsys):
     code, _, err = run(capsys)
     assert code == 2
     assert json.loads(err)["error"] == "UsageError"
+
+
+def test_out_of_memory_is_exit_two(monkeypatch, capsys):
+    def exhausted(below):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "primes_below", exhausted)
+    code, out, err = run(capsys, "primes", "--below", "16")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "MemoryError"
+
+
+@pytest.mark.parametrize("fixture", ["oracle_doc", "reslin_doc"])
+def test_index_past_the_int_digit_limit_is_bad_index(fixture, request, capsys):
+    path = Path(request.getfixturevalue(fixture))
+    capsys.readouterr()
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["lines"][0]["rule"]["index"] = 777777
+    path.write_text(json.dumps(obj).replace("777777", "9" * 5000), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--proof", str(path))
+    assert code == 1, err
+    error = json.loads(out)["error"]
+    assert (error["code"], error["line"]) == ("BadIndex", 0)
+    assert error["message"] == f"axiom index {'9' * 5000} out of range"
 
 
 def test_cost_guard_stops_oversized_oracle_runs(capsys):
