@@ -40,6 +40,21 @@ class FormatError(ValueError):
     """Raised when serialized input is malformed or not in canonical form."""
 
 
+def shown(value: object) -> str:
+    """repr(value) for a FormatError message about a document value.
+
+    repr raises ValueError on an int past the int-str digit limit, and so on
+    any container holding one; such a value is described by its size.  A
+    value already known to be a str needs no helper.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 # Validators shared by every from_obj decoder; each names the field it checks.
 
 
@@ -124,7 +139,7 @@ def scalar_to_str(value: Scalar) -> str:
 def scalar_from_str(text: str) -> Scalar:
     """Parse a canonical scalar string, rejecting unreduced or padded forms."""
     if not isinstance(text, str):
-        raise FormatError(f"scalar must be a string, got {text!r}")
+        raise FormatError(f"scalar must be a string, got {shown(text)}")
     m = _SCALAR_RE.fullmatch(text)
     if m is None:
         raise FormatError(f"malformed or non-canonical scalar {text!r}")
@@ -199,7 +214,7 @@ def parse_var(name: str) -> VarId:
     if var is None:
         m = _VAR_NAME_RE.fullmatch(name) if isinstance(name, str) else None
         if m is None:
-            raise FormatError(f"malformed variable name {name!r}")
+            raise FormatError(f"malformed variable name {shown(name)}")
         var = _PARSED_VARS[name] = VarId(m.group(1), int(m.group(2)))
     return var
 
@@ -716,7 +731,7 @@ def mono_to_json(mono: Monomial) -> str:
 def _mono_from_obj(obj: object) -> Monomial:
     """Validate a monomial object field by field."""
     if not isinstance(obj, dict):
-        raise FormatError(f"monomial must be an object, got {obj!r}")
+        raise FormatError(f"monomial must be an object, got {shown(obj)}")
     pairs: list[tuple[VarId, int]] = []
     for name, exp in obj.items():
         var = parse_var(name)

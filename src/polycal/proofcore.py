@@ -45,6 +45,7 @@ from .polyring import (
     require_int,
     scalar_from_str,
     scalar_to_str,
+    shown,
 )
 
 
@@ -535,7 +536,7 @@ def _rule_to_json(rule: StepRule) -> str:
 
 def rule_from_obj(obj: object) -> StepRule:
     if not isinstance(obj, dict) or "type" not in obj:
-        raise FormatError(f"rule must be an object with a 'type', got {obj!r}")
+        raise FormatError(f"rule must be an object with a 'type', got {shown(obj)}")
     kind = obj["type"]
     if kind == "axiom":
         require_fields(obj, _AXIOM_FIELDS, "axiom rule")
@@ -554,7 +555,7 @@ def rule_from_obj(obj: object) -> StepRule:
     if kind == "sqrt":
         require_fields(obj, _SQRT_FIELDS, "sqrt rule")
         return Sqrt(require_index(obj["k"], "sqrt k"))
-    raise FormatError(f"unknown rule type {kind!r}")
+    raise FormatError(f"unknown rule type {shown(kind)}")
 
 
 def axioms_to_obj(axioms: AxiomSet) -> dict[str, object]:
@@ -641,7 +642,7 @@ def proof_from_obj(obj: object) -> tuple[SystemKind, AxiomSet, list[ProofLine]]:
     try:
         kind = SystemKind(obj["system"])
     except ValueError:
-        raise FormatError(f"unknown system {obj['system']!r}") from None
+        raise FormatError(f"unknown system {shown(obj['system'])}") from None
     axioms = axioms_from_obj(obj["axioms"])
     decoder = Decoder()
     raw_lines = obj["lines"]

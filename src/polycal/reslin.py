@@ -49,6 +49,7 @@ from .polyring import (
     parse_var,
     require_fields,
     require_int,
+    shown,
     yvar,
 )
 from .proofcore import CheckError, CheckReport, ExtensionAxiom
@@ -472,7 +473,7 @@ class EquationDecoder:
 
     def disjunction(self, obj: object) -> Disjunction:
         if not isinstance(obj, list):
-            raise FormatError(f"disjunction must be an array, got {obj!r}")
+            raise FormatError(f"disjunction must be an array, got {shown(obj)}")
         return Disjunction(tuple(self.lineq(entry) for entry in obj))
 
 
@@ -506,7 +507,7 @@ def rl_rule_to_obj(rule: RlRule) -> dict[str, object]:
 
 def rl_rule_from_obj(obj: object) -> RlRule:
     if not isinstance(obj, dict) or "type" not in obj:
-        raise FormatError(f"rule must be an object with a 'type', got {obj!r}")
+        raise FormatError(f"rule must be an object with a 'type', got {shown(obj)}")
     kind = obj["type"]
     if kind == "axiom":
         require_fields(obj, {"type", "index"}, "axiom rule")
@@ -541,7 +542,7 @@ def rl_rule_from_obj(obj: object) -> RlRule:
             require_int(obj["d1"], "d1"),
             require_int(obj["d2"], "d2"),
         )
-    raise FormatError(f"unknown rule type {kind!r}")
+    raise FormatError(f"unknown rule type {shown(kind)}")
 
 
 def reslin_to_obj(

@@ -7,8 +7,10 @@ square-root refutation over the rationals.  Every affine form that occurs
 anywhere gets an extension variable (the registry), a disjunction becomes
 the product of its disjuncts' variables, and each resolution rule is
 replayed as a short derivation on those products.  The square root rule is
-used by exactly one case, contraction, which turns the product with a
-repeated variable into a perfect square first.
+used by exactly one case, contraction.  A contraction's premise product
+times its odd part is the square of its root monomial s = prod v^ceil(e/2);
+the square root is taken once per distinct root, and every contraction
+whose premise has that root lifts the one root line to its conclusion.
 
 rationalize turns a refutation over the rationals into one over the
 integers.  It is organized in phases:
@@ -42,6 +44,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .polyring import (
+    Monomial,
     Polynomial,
     Scalar,
     VarId,
@@ -134,6 +137,7 @@ def simulate_reslin_b(
     boolean_index = {v: len(axioms) + i for i, v in enumerate(xvars)}
 
     hat_lines: list[int] = []
+    roots: dict[Monomial, int] = {}
     for line in proof:
         rule = line.rule
         if isinstance(rule, RlAxiom):
@@ -151,7 +155,9 @@ def simulate_reslin_b(
                 builder, registry, proof, hat_lines, rule
             )
         else:
-            emitted = _simulate_contraction(builder, registry, proof, hat_lines, rule)
+            emitted = _simulate_contraction(
+                builder, registry, proof, hat_lines, rule, roots
+            )
         expected = Polynomial(((product_monomial(line.disjunction, registry), 1),))
         if builder.poly_at(emitted) != expected:
             raise InternalCheckFailure(
@@ -185,17 +191,28 @@ def _simulate_boolean(builder, registry, boolean_index, rule) -> int:
 
 
 def _simulate_resolution(builder, registry, proof, hat_lines, rule) -> int:
-    """Combine two product lines through the resolved forms' definitions."""
+    """Combine two product lines through the resolved forms' definitions.
+
+    With A the shorter rest and B the longer, the swap line
+    y_new - alpha*y_a - beta*y_b is lifted by A, the hat whose rest is A is
+    added, the sum is lifted by B, and the other hat lifted by A is added:
+    2|A| + |B| variable multiplications.
+    """
     prem_a = proof[rule.j].disjunction
     prem_b = proof[rule.k].disjunction
     eq_a = prem_a.disjuncts[rule.dj]
     eq_b = prem_b.disjuncts[rule.dk]
     rest_a = product_monomial(prem_a.without(rule.dj), registry)
     rest_b = product_monomial(prem_b.without(rule.dk), registry)
+    (short_rest, short_hat, short_coef), (long_rest, long_hat, long_coef) = sorted(
+        (
+            (rest_a, hat_lines[rule.j], rule.alpha),
+            (rest_b, hat_lines[rule.k], rule.beta),
+        ),
+        key=lambda side: side[0].degree,
+    )
     combined = eq_a.combine(eq_b, rule.alpha, rule.beta)
 
-    lifted_a = builder.monomial_multiple(hat_lines[rule.j], rest_b)
-    lifted_b = builder.monomial_multiple(hat_lines[rule.k], rest_a)
     def_new = builder.extension_line(registry.lookup(combined))
     partial = builder.lincomb(
         def_new, builder.extension_line(registry.lookup(eq_a)), 1, -rule.alpha
@@ -203,9 +220,15 @@ def _simulate_resolution(builder, registry, proof, hat_lines, rule) -> int:
     swap = builder.lincomb(
         partial, builder.extension_line(registry.lookup(eq_b)), 1, -rule.beta
     )
-    swap_lifted = builder.monomial_multiple(swap, rest_a.times(rest_b))
-    mixed = builder.lincomb(lifted_a, lifted_b, rule.alpha, rule.beta)
-    return builder.lincomb(mixed, swap_lifted, 1, 1)
+    lifted = builder.lincomb(
+        builder.monomial_multiple(swap, short_rest), short_hat, 1, short_coef
+    )
+    return builder.lincomb(
+        builder.monomial_multiple(lifted, long_rest),
+        builder.monomial_multiple(long_hat, short_rest),
+        1,
+        long_coef,
+    )
 
 
 def _simulate_simplification(builder, registry, proof, hat_lines, rule) -> int:
@@ -221,14 +244,25 @@ def _simulate_simplification(builder, registry, proof, hat_lines, rule) -> int:
     return builder.scale_line(difference, Fraction(1, constant))
 
 
-def _simulate_contraction(builder, registry, proof, hat_lines, rule) -> int:
-    """Square the product over the tail, then take the square root."""
+def _simulate_contraction(builder, registry, proof, hat_lines, rule, roots) -> int:
+    """Lift the one square root of the premise hat to the conclusion's hat.
+
+    The premise hat prod v^e_v has the root s = prod v^ceil(e_v/2); times
+    its odd part prod v^(e_v mod 2) it is s^2.  roots maps each s to the
+    line holding it, so a run of contractions that shares s takes a single
+    square root, and each conclusion is s times the remainder.
+    """
     premise = proof[rule.j].disjunction
-    repeated = registry.lookup(premise.disjuncts[rule.d1])
-    tail = product_monomial(premise.without(rule.d1, rule.d2), registry)
-    squared = builder.monomial_multiple(hat_lines[rule.j], tail)
-    root = Polynomial(((tail.times_var(repeated), 1),))
-    return builder.sqrt_of(squared, root)
+    hat = product_monomial(premise, registry)
+    root = Monomial((v, (e + 1) // 2) for v, e in hat.pairs)
+    line = roots.get(root)
+    if line is None:
+        odd = Monomial((v, e % 2) for v, e in hat.pairs)
+        squared = builder.monomial_multiple(hat_lines[rule.j], odd)
+        line = roots[root] = builder.sqrt_of(squared, Polynomial(((root, 1),)))
+    conclusion = hat.without(registry.lookup(premise.disjuncts[rule.d1]))
+    remainder = Monomial((v, e - root.exponent(v)) for v, e in conclusion.pairs)
+    return builder.monomial_multiple(line, remainder)
 
 
 # -- rationalization of proofs over the rationals --------------------------------

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -166,6 +167,31 @@ def test_check_reads_clausal_numbers_past_the_int_digit_limit(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--proof", str(path))
     assert code == 0, err
     assert json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "field, pattern, complaint",
+    [
+        ("coef", r'"coef":"[^"]*"', "scalar must be a string"),
+        ("mono", r'"mono":\{[^}]*\}', "monomial must be an object"),
+    ],
+)
+def test_check_names_the_field_of_a_bare_number_past_the_int_digit_limit(
+    tmp_path, capsys, field, pattern, complaint
+):
+    # repr of such a number raises ValueError; the message describes it instead.
+    path = tmp_path / "p.json"
+    assert run(capsys, "oracle-refute", "--n", "2", "--out", str(path))[0] == 0
+    text = path.read_text(encoding="utf-8")
+    path.write_text(
+        re.sub(pattern, f'"{field}":' + "7" * 5000, text, count=1), encoding="utf-8"
+    )
+    code, out, err = run(capsys, "check", "--proof", str(path))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "FormatError"
+    assert error["message"] == f"{complaint}, got an integer of 16610 bits"
 
 
 def test_check_refuses_a_variable_name_with_a_trailing_newline(tmp_path, capsys):

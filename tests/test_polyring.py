@@ -33,6 +33,7 @@ from polycal.polyring import (
     scalar_bits,
     scalar_from_str,
     scalar_to_str,
+    shown,
     xvar,
     yvar,
 )
@@ -103,6 +104,16 @@ def test_scalar_strings_past_the_int_digit_limit():
         assert scalar_to_str(scalar) == text
     with pytest.raises(FormatError):
         scalar_from_str("0" + digits)
+
+
+def test_shown_is_repr_unless_repr_hits_the_int_digit_limit():
+    for value in ["x1", 5, None, {"x1": 2}, [1, "a"]]:
+        assert shown(value) == repr(value)
+    big = 10**5000
+    assert shown(big) == f"an integer of {big.bit_length()} bits"
+    assert shown([1, big]) == "a list holding an integer too long to print"
+    with pytest.raises(FormatError, match="got an integer of 16610 bits"):
+        scalar_from_str(big)
 
 
 # -- variables and monomials ---------------------------------------------------

@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from polycal.bvp import audit_divisibility
 from polycal.polyring import Polynomial, poly_parse, xvar, yvar
 from polycal.proofcore import (
     Axiom,
     AxiomSet,
     LinComb,
+    MulVar,
     ProofLine,
     Sqrt,
     SystemKind,
@@ -95,6 +97,47 @@ def test_simulation_zero_one_frozen():
     ]
     assert out.proof[out.line_map[-1]].poly == Polynomial.constant(1)
     assert len(out.proof) == 11
+
+
+# Q lines of the splitting refutation of BVP_n, as upper bounds: each run of
+# contractions takes one square root, and a resolution lifts its shorter rest.
+SPLITTING_Q_LINES = {3: 275, 4: 667, 5: 1587, 6: 3739}
+
+
+def _emitting_lines(out):
+    """Index of the input line whose simulation emitted each output line."""
+    owner, start = [], 0
+    for i, target in enumerate(out.line_map):
+        end = max(start, target + 1)
+        owner.extend([i] * (end - start))
+        start = end
+    return owner
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_splitting_takes_one_square_root_per_run_of_contractions(n):
+    axioms, lines = bvp_splitting(n)
+    out = simulate_reslin_b(axioms, lines)
+    proof = out.proof
+    owner = _emitting_lines(out)
+    assert len(owner) == len(proof)
+    sqrt_lines = [i for i, line in enumerate(proof) if isinstance(line.rule, Sqrt)]
+    assert len(sqrt_lines) == 2**n - 2
+    assert all(isinstance(lines[owner[i]].rule, RlContraction) for i in sqrt_lines)
+    for i, rl_line in enumerate(lines):
+        if isinstance(rl_line.rule, RlContraction):
+            k = out.line_map[i]
+            while isinstance(proof[k].rule, MulVar):
+                k = proof[k].rule.k
+            assert isinstance(proof[k].rule, Sqrt), (n, i)
+    if n in SPLITTING_Q_LINES:
+        assert len(proof) <= SPLITTING_Q_LINES[n]
+
+    result = rationalize(out.axioms, list(proof))
+    report = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
+    assert report.valid
+    assert report.final_constant == math.factorial(2**n)
+    assert audit_divisibility(report.final_constant, n).all_divide
 
 
 def test_simulation_size_bound():
