@@ -10,7 +10,12 @@ replayed as a short derivation on those products.  The square root rule is
 used by exactly one case, contraction.  A contraction's premise product
 times its odd part is the square of its root monomial s = prod v^ceil(e/2);
 the square root is taken once per distinct root, and every contraction
-whose premise has that root lifts the one root line to its conclusion.
+whose premise has that root lifts the one root line to its conclusion,
+stripping first the variables the rest of its run removes, so each later
+contraction of the run finds its line already made.  A resolution's swap
+line y_new - alpha*y_a - beta*y_b is derived once per pair of forms and
+coefficients, and when both rests are one monomial the two hats are added
+before a single lift.
 
 rationalize turns a refutation over the rationals into one over the
 integers.  It is organized in phases:
@@ -136,16 +141,28 @@ def simulate_reslin_b(
     builder = ProofBuilder(out_axioms, SystemKind.EXTPCSQRT_Q)
     boolean_index = {v: len(axioms) + i for i, v in enumerate(xvars)}
 
+    # The variables that the run of contractions from each line goes on to
+    # remove, in order; a contraction's lift strips them first.
+    removed_after: dict[int, tuple[VarId, ...]] = {}
+    for i in reversed(range(len(proof))):
+        rule = proof[i].rule
+        if isinstance(rule, RlContraction):
+            var = registry.lookup(proof[rule.j].disjunction.disjuncts[rule.d1])
+            removed_after[rule.j] = (var,) + removed_after.get(i, ())
+
     hat_lines: list[int] = []
     roots: dict[Monomial, int] = {}
-    for line in proof:
+    swaps: dict[tuple, int] = {}
+    for i, line in enumerate(proof):
         rule = line.rule
         if isinstance(rule, RlAxiom):
             emitted = builder.axiom_line(rule.index)
         elif isinstance(rule, RlBooleanAxiom):
             emitted = _simulate_boolean(builder, registry, boolean_index, rule)
         elif isinstance(rule, RlResolution):
-            emitted = _simulate_resolution(builder, registry, proof, hat_lines, rule)
+            emitted = _simulate_resolution(
+                builder, registry, proof, hat_lines, rule, swaps
+            )
         elif isinstance(rule, RlWeakening):
             emitted = builder.mul_var(
                 hat_lines[rule.j], registry.lookup(rule.eq)
@@ -156,7 +173,8 @@ def simulate_reslin_b(
             )
         else:
             emitted = _simulate_contraction(
-                builder, registry, proof, hat_lines, rule, roots
+                builder, registry, proof, hat_lines, rule, roots,
+                removed_after.get(i, ()),
             )
         expected = Polynomial(((product_monomial(line.disjunction, registry), 1),))
         if builder.poly_at(emitted) != expected:
@@ -190,13 +208,18 @@ def _simulate_boolean(builder, registry, boolean_index, rule) -> int:
     return builder.lincomb(partial, cross, 1, 1)
 
 
-def _simulate_resolution(builder, registry, proof, hat_lines, rule) -> int:
+def _simulate_resolution(builder, registry, proof, hat_lines, rule, swaps) -> int:
     """Combine two product lines through the resolved forms' definitions.
 
-    With A the shorter rest and B the longer, the swap line
-    y_new - alpha*y_a - beta*y_b is lifted by A, the hat whose rest is A is
-    added, the sum is lifted by B, and the other hat lifted by A is added:
-    2|A| + |B| variable multiplications.
+    The swap line y_new - alpha*y_a - beta*y_b is derived once per
+    (new, a, b, alpha, beta) and kept in swaps, so every resolution of that
+    pair of forms lifts the same line and shares its partial products.
+    When both rests are one monomial A, alpha*hat_a + beta*hat_b plus
+    A*swap is A*y_new, and one lift by A gives the conclusion: |A| + 2
+    lines besides the shared lift of the swap.  Otherwise, with A the
+    shorter rest and B the longer, A*swap plus the hat whose rest is A is
+    lifted by B, and the other hat lifted by A is added: 2|A| + |B|
+    variable multiplications.
     """
     prem_a = proof[rule.j].disjunction
     prem_b = proof[rule.k].disjunction
@@ -204,21 +227,30 @@ def _simulate_resolution(builder, registry, proof, hat_lines, rule) -> int:
     eq_b = prem_b.disjuncts[rule.dk]
     rest_a = product_monomial(prem_a.without(rule.dj), registry)
     rest_b = product_monomial(prem_b.without(rule.dk), registry)
+    var_new = registry.lookup(eq_a.combine(eq_b, rule.alpha, rule.beta))
+    var_a, var_b = registry.lookup(eq_a), registry.lookup(eq_b)
+    key = (var_new, var_a, var_b, rule.alpha, rule.beta)
+    swap = swaps.get(key)
+    if swap is None:
+        partial = builder.lincomb(
+            builder.extension_line(var_new), builder.extension_line(var_a),
+            1, -rule.alpha,
+        )
+        swap = swaps[key] = builder.lincomb(
+            partial, builder.extension_line(var_b), 1, -rule.beta
+        )
+    if rest_a == rest_b:
+        hats = builder.lincomb(
+            hat_lines[rule.j], hat_lines[rule.k], rule.alpha, rule.beta
+        )
+        lifted = builder.lincomb(builder.monomial_multiple(swap, rest_a), hats, 1, 1)
+        return builder.monomial_multiple(lifted, rest_a)
     (short_rest, short_hat, short_coef), (long_rest, long_hat, long_coef) = sorted(
         (
             (rest_a, hat_lines[rule.j], rule.alpha),
             (rest_b, hat_lines[rule.k], rule.beta),
         ),
         key=lambda side: side[0].degree,
-    )
-    combined = eq_a.combine(eq_b, rule.alpha, rule.beta)
-
-    def_new = builder.extension_line(registry.lookup(combined))
-    partial = builder.lincomb(
-        def_new, builder.extension_line(registry.lookup(eq_a)), 1, -rule.alpha
-    )
-    swap = builder.lincomb(
-        partial, builder.extension_line(registry.lookup(eq_b)), 1, -rule.beta
     )
     lifted = builder.lincomb(
         builder.monomial_multiple(swap, short_rest), short_hat, 1, short_coef
@@ -244,13 +276,19 @@ def _simulate_simplification(builder, registry, proof, hat_lines, rule) -> int:
     return builder.scale_line(difference, Fraction(1, constant))
 
 
-def _simulate_contraction(builder, registry, proof, hat_lines, rule, roots) -> int:
+def _simulate_contraction(
+    builder, registry, proof, hat_lines, rule, roots, removed_after
+) -> int:
     """Lift the one square root of the premise hat to the conclusion's hat.
 
     The premise hat prod v^e_v has the root s = prod v^ceil(e_v/2); times
     its odd part prod v^(e_v mod 2) it is s^2.  roots maps each s to the
     line holding it, so a run of contractions that shares s takes a single
-    square root, and each conclusion is s times the remainder.
+    square root, and each conclusion is s times the remainder.  The lift
+    strips first the variables removed_after names, those the rest of the
+    run removes in order, so the next conclusion's lift is a partial
+    product of this one: the lifts of a whole run cost |R| variable
+    multiplications for its first remainder R, not one chain each.
     """
     premise = proof[rule.j].disjunction
     hat = product_monomial(premise, registry)
@@ -262,7 +300,7 @@ def _simulate_contraction(builder, registry, proof, hat_lines, rule, roots) -> i
         line = roots[root] = builder.sqrt_of(squared, Polynomial(((root, 1),)))
     conclusion = hat.without(registry.lookup(premise.disjuncts[rule.d1]))
     remainder = Monomial((v, e - root.exponent(v)) for v, e in conclusion.pairs)
-    return builder.monomial_multiple(line, remainder)
+    return builder.monomial_multiple(line, remainder, removed_after)
 
 
 # -- rationalization of proofs over the rationals --------------------------------

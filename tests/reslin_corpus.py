@@ -171,6 +171,36 @@ def clause_pair() -> tuple[list[Disjunction], list[RlLine]]:
     return axioms, run(axioms, rules)
 
 
+def rests_of_one_degree() -> tuple[list[Disjunction], list[RlLine]]:
+    """Resolutions whose two rests are one monomial, and one whose rests
+    (x2=0 against x3=0) have the same degree but differ."""
+    X3 = xvar(3)
+    axioms = [
+        Disjunction.of(eq({X2: 1}, 0), eq({X1: 1}, 0)),
+        Disjunction.of(eq({X2: 1}, 0), eq({X1: 1}, 1)),
+        Disjunction.of(eq({X3: 1}, 0), eq({X1: 1}, 1)),
+        Disjunction.of(eq({X2: 1}, 1)),
+        Disjunction.of(eq({X3: 1}, 1)),
+    ]
+    rules: list[RlRule] = [
+        RlAxiom(0),                         # 0: (x2=0) v (x1=0)
+        RlAxiom(2),                         # 1: (x3=0) v (x1=1)
+        RlResolution(0, 1, 1, 1, 1, -1),    # 2: (x2=0) v (x3=0) v (0=-1)
+        RlSimplification(2, 2),             # 3: (x2=0) v (x3=0)
+        RlAxiom(4),                         # 4: (x3=1)
+        RlResolution(3, 4, 1, 0, 1, -1),    # 5: (x2=0) v (0=-1)
+        RlSimplification(5, 1),             # 6: (x2=0)
+        RlAxiom(1),                         # 7: (x2=0) v (x1=1)
+        RlResolution(0, 7, 1, 1, 1, -1),    # 8: (x2=0) v (x2=0) v (0=-1)
+        RlContraction(8, 0, 1),             # 9: (x2=0) v (0=-1)
+        RlSimplification(9, 1),             # 10: (x2=0)
+        RlAxiom(3),                         # 11: (x2=1)
+        RlResolution(6, 11, 0, 0, 1, -1),   # 12: (0=-1)
+        RlSimplification(12, 0),            # 13: empty
+    ]
+    return axioms, run(axioms, rules)
+
+
 def bvp_splitting(n: int) -> tuple[list[Disjunction], list[RlLine]]:
     """Refutation of 1 + x1 + 2 x2 + ... + 2^(n-1) xn = 0 by splitting on x1..xn.
 

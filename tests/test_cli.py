@@ -56,7 +56,14 @@ from polycal.reslin import (
 from polycal.xlate import simulate_reslin_b
 
 from q_corpus import negative_root, nested_extensions
-from reslin_corpus import bvp_splitting, eq, run as run_rules, zero_one
+from reslin_corpus import (
+    bvp_splitting,
+    eq,
+    refutation_corpus,
+    rests_of_one_degree,
+    run as run_rules,
+    zero_one,
+)
 
 
 def run(capsys, *argv):
@@ -685,6 +692,31 @@ def test_clausal_chain_past_the_int_digit_limit(tmp_path, capsys):
         outs.append(json.loads(out, parse_int=int_from_str))
     assert outs[1]["size_unary"] == big + 4  # C, then 1 + 1 + 1 after it
     assert outs[6]["valid"] is True
+
+
+CHAIN_INPUTS = [("rests_of_one_degree", *rests_of_one_degree())] + refutation_corpus()
+
+
+@pytest.mark.parametrize(
+    "axioms, lines", [item[1:] for item in CHAIN_INPUTS],
+    ids=[item[0] for item in CHAIN_INPUTS],
+)
+def test_clausal_refutations_pass_the_whole_chain(axioms, lines, tmp_path, capsys):
+    rl = write_json(tmp_path / "rl.json", reslin_to_obj(axioms, lines))
+    q, z, zf = (str(tmp_path / name) for name in ("q.json", "z.json", "zf.json"))
+    commands = [
+        ["translate", "--reslin", rl, "--out", q],
+        ["check", "--proof", q],
+        ["rationalize", "--proof", q, "--out", z],
+        ["rationalize", "--proof", q, "--out", zf, "--faithful-constants"],
+        ["check", "--proof", z],
+        ["check", "--proof", zf],
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if argv[0] == "check":
+            assert json.loads(out)["valid"] is True, argv
 
 
 # -- failure plumbing ------------------------------------------------------------

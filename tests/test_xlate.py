@@ -39,7 +39,13 @@ from polycal.xlate import (
     verify_phase_one,
 )
 from q_corpus import rational_corpus, nested_extensions, negative_root
-from reslin_corpus import bvp_splitting, refutation_corpus, thirds, zero_one
+from reslin_corpus import (
+    bvp_splitting,
+    refutation_corpus,
+    rests_of_one_degree,
+    thirds,
+    zero_one,
+)
 
 X1 = xvar(1)
 
@@ -138,6 +144,41 @@ def test_splitting_takes_one_square_root_per_run_of_contractions(n):
     assert report.valid
     assert report.final_constant == math.factorial(2**n)
     assert audit_divisibility(report.final_constant, n).all_divide
+
+
+# The same bounds once a run of contractions lifts its root line in the
+# order the run removes disjuncts and resolutions share their swap line.
+SHARED_SPLITTING_Q_LINES = {3: 255, 4: 591, 5: 1335, 6: 2975}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_splitting_runs_and_resolutions_share_their_lines(n):
+    axioms, lines = bvp_splitting(n)
+    out = simulate_reslin_b(axioms, lines)
+    proof = out.proof
+    contractions = sum(isinstance(line.rule, RlContraction) for line in lines)
+    sqrts = sum(isinstance(line.rule, Sqrt) for line in proof)
+    by_contractions = sum(
+        isinstance(lines[i].rule, RlContraction) for i in _emitting_lines(out)
+    )
+    assert by_contractions == contractions + sqrts
+    lincombs = [
+        (line.rule.j, line.rule.k, line.rule.alpha, line.rule.beta)
+        for line in proof
+        if isinstance(line.rule, LinComb)
+    ]
+    assert len(set(lincombs)) == len(lincombs)
+    if n in SHARED_SPLITTING_Q_LINES:
+        assert len(proof) <= SHARED_SPLITTING_Q_LINES[n]
+
+
+def test_resolution_with_equal_rests_adds_the_hats_first():
+    axioms, lines = rests_of_one_degree()
+    out = simulate_reslin_b(axioms, lines)
+    hats = LinComb(out.line_map[0], out.line_map[7], 1, -1)
+    assert [line.rule for line in out.proof].count(hats) == 1
+    report = check_refutation(out.axioms, list(out.proof), SystemKind.EXTPCSQRT_Q)
+    assert report.valid and report.final_constant == 1
 
 
 def test_simulation_size_bound():
