@@ -234,8 +234,14 @@ def _cmd_rationalize(args: argparse.Namespace) -> int:
     _kind, axioms, lines = proof_from_obj(_load_json(args.proof))
     result = rationalize(axioms, lines, faithful_constants=args.faithful_constants)
     # Both files open before either is written, so an unwritable --state
-    # leaves --out as it was.
+    # leaves --out as it was; one regular file may not be both.
     with _output(args.out) as out, _output(args.state) as state_out:
+        if state_out is not None:
+            out_stat = os.fstat(out.fileno())
+            if stat.S_ISREG(out_stat.st_mode) and os.path.samestat(
+                out_stat, os.fstat(state_out.fileno())
+            ):
+                raise UsageError("--out and --state name the same file")
         out.writelines(proof_chunks(SystemKind.EXTPCSQRT_Z, result.axioms, result.proof))
         _emit(state_to_obj(result.state), state_out)
     return 0

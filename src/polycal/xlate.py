@@ -28,13 +28,13 @@ integers.  It is organized in phases:
             scale s (1 or some T_j) times the substituted polynomial.  A
             rule that needs scale 1 cites the one 1/s copy of a line, made
             at its first use; a line of scale 1 is never copied.
-  phase 2   multiplies the whole proof by a running integer factor F that
-            grows whenever a rational scalar or a rational square root
-            needs clearing.  Each phase-1 line is stored with the factor
-            it was emitted at, and a line is rescaled to the current F
-            when a later rule cites it, so every rule reads "F times its
-            phase-1 polynomial".  All coefficients stay integral by
-            construction.
+  phase 2   keeps a running integer factor F that grows whenever a
+            rational scalar or a rational square root needs clearing.
+            Each integer line is g times its phase-1 line, for a divisor
+            g of F fixed at emission: 1 for an axiom, the premise's g for
+            a variable multiplication, and F for a rule that folds F/g of
+            its premises into integer scalars or a square root's one
+            rescaling.  Only the last line may be rescaled to F.
 
 The final integer constant is the original one times F and the scale of
 the last line, so the ratio between output and input constants is a
@@ -348,7 +348,7 @@ class RationalizeResult:
 
 
 def _max_degree_of(poly: Polynomial, var: VarId) -> int:
-    return max((mono.exponent(var) for mono, _ in poly.terms()), default=0)
+    return max((mono.exponent(var) for mono in poly.term_map), default=0)
 
 
 def _scalar_denominator(value: Scalar) -> int:
@@ -534,53 +534,46 @@ def _phase_two(
 ) -> tuple[list[ProofLine], int]:
     builder = ProofBuilder(new_axioms, SystemKind.EXTPCSQRT_Z)
     factor = 1
+    # located[p] = (line, g): integer line `line` is g times phase-1 line p.
     located: list[tuple[int, int]] = []
-
-    def at(p: int) -> int:
-        """A line holding the current factor times phase-1 line p."""
-        line, stored = located[p]
-        if stored != factor:
-            line = builder.scale_line(line, factor // stored)
-            located[p] = (line, factor)
-        return line
 
     for line in phase_one:
         rule = line.rule
         if isinstance(rule, Axiom):
-            located.append((builder.axiom_line(rule.index), 1))
-            continue
-        if isinstance(rule, MulVar):
-            emitted = builder.mul_var(at(rule.k), rule.var)
+            emitted, held = builder.axiom_line(rule.index), 1
+        elif isinstance(rule, MulVar):
+            premise, held = located[rule.k]
+            emitted = builder.mul_var(premise, rule.var)
         elif isinstance(rule, LinComb):
             alpha, beta = as_scalar(rule.alpha), as_scalar(rule.beta)
-            multiplier = _scalar_denominator(alpha) * _scalar_denominator(beta)
+            factor *= _scalar_denominator(alpha) * _scalar_denominator(beta)
+            (left, g_left), (right, g_right) = located[rule.j], located[rule.k]
             emitted = builder.lincomb(
-                at(rule.j), at(rule.k), alpha * multiplier, beta * multiplier
+                left, right, alpha * (factor // g_left), beta * (factor // g_right)
             )
-            factor *= multiplier
+            held = factor
         else:
             root = line.poly
             if faithful_constants:
-                origin = line.provenance
-                clearing = spread ** (origin + 1)
-                for j in range(len(factors)):
-                    clearing *= factors[j] ** _max_degree_of(
-                        original[origin].poly, yvar(j + 1)
-                    )
+                origin = original[line.provenance].poly
+                clearing = spread ** (line.provenance + 1) * math.prod(
+                    t ** _max_degree_of(origin, yvar(j)) for j, t in enumerate(factors, 1)
+                )
                 if clearing % root.denominator_lcm() != 0:
                     raise InternalCheckFailure(
                         "the per-line clearing constant misses a denominator"
                     )
             else:
                 clearing = root.denominator_lcm()
-            squared = builder.scale_line(at(rule.k), factor * clearing**2)
-            emitted = builder.sqrt_of(squared, root.scale(factor * clearing))
+            source, g_source = located[rule.k]
             factor *= clearing
-        located.append((emitted, factor))
+            squared = builder.scale_line(source, factor**2 // g_source)
+            emitted, held = builder.sqrt_of(squared, root.scale(factor)), factor
+        located.append((emitted, held))
 
-    last = at(len(phase_one) - 1)
-    if last != len(builder.lines) - 1:
-        builder.scale_line(last, 1)
+    last, held = located[-1]
+    if held != factor or last != len(builder.lines) - 1:
+        builder.scale_line(last, factor // held)
     return builder.lines, factor
 
 

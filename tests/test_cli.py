@@ -463,6 +463,35 @@ def test_an_unwritable_state_leaves_out_as_it_was(tmp_path, capsys):
     assert z.read_text(encoding="utf-8") == "OLD CONTENT"
 
 
+@pytest.mark.parametrize("alias", ["same path", "hard link", "new file"])
+def test_out_and_state_naming_one_file_is_a_usage_error(tmp_path, capsys, alias):
+    target = tmp_path / "z.json"
+    if alias != "new file":
+        target.write_text("OLD CONTENT", encoding="utf-8")
+    other = target
+    if alias == "hard link":
+        other = tmp_path / "link.json"
+        os.link(target, other)
+    code, out, err = run(
+        capsys, "rationalize", "--proof", make_rational_doc(tmp_path),
+        "--out", str(target), "--state", str(other),
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+    expected = "" if alias == "new file" else "OLD CONTENT"
+    assert target.read_text(encoding="utf-8") == expected
+
+
+def test_out_and_state_may_both_be_dev_null(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "rationalize", "--proof", make_rational_doc(tmp_path),
+        "--out", os.devnull, "--state", os.devnull,
+    )
+    assert code == 0, err
+    assert json.loads(out)["F_final"] == "2"
+
+
 # -- output files ----------------------------------------------------------------
 
 

@@ -244,6 +244,45 @@ def test_phase_two_line_budget():
             assert len(result.proof) <= 3 * t + 1, (name, faithful, len(result.proof))
 
 
+# (F_final, final constant) of each corpus proof, in default and faithful mode.
+CORPUS_CONSTANTS = {
+    "negative_root": ((2, 1), (32, 16)),
+    "negative_scalar": ((2, 1), (32, 16)),
+    "unused_extension": ((2, 1), (32, 16)),
+    "nested_extensions": ((2, 1), (32, 16)),
+    "third_delta": ((2, -2), (32, -32)),
+    "working_extension": ((32, -32), (1024, -1024)),
+    "affine_definition": ((2, 1), (128, 64)),
+    "two_thirds_definition": ((2, -2), (128, -128)),
+}
+
+
+def test_phase_two_adds_one_line_per_square_root():
+    # Each integer line is g times its phase-1 line with g fixed at
+    # emission, so phase 2 adds only one rescaling per square root and at
+    # most one for the last line, and F and the constant are unchanged.
+    cases = []
+    for name, axioms, proof in rational_corpus():
+        for faithful, result in run_both_modes(axioms, proof):
+            cases.append(((name, faithful), result, CORPUS_CONSTANTS[name][faithful]))
+    for n in range(2, 7):
+        out = simulate_reslin_b(*bvp_splitting(n))
+        for faithful in (False, True) if n <= 3 else (False,):
+            result = rationalize(out.axioms, list(out.proof), faithful_constants=faithful)
+            factor = result.state.final_factor
+            if faithful:
+                assert factor.bit_length() == {2: 693, 3: 15_575}[n]
+            else:
+                assert factor == math.factorial(2**n)
+                assert audit_divisibility(factor, n).all_divide
+            cases.append(((n, faithful), result, (factor, factor)))
+    for label, result, constants in cases:
+        roots = sum(isinstance(line.rule, Sqrt) for line in result.phase_one)
+        assert len(result.proof) - len(result.phase_one) - roots in (0, 1), label
+        state = result.state
+        assert (state.final_factor, state.final_constant) == constants, label
+
+
 def test_phase_one_is_a_valid_rational_proof():
     for name, axioms, proof in rational_corpus():
         result = rationalize(axioms, proof)
