@@ -66,7 +66,8 @@ from .polyring import (
 from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind
 
 # At n = 6 the document is 24,181 lines and 29 MB and the CLI refutes it in
-# about 3 s; n = 7 writes 265 MB with a peak RSS near 1.9 GB.
+# about 3 s.  n = 7 writes 265 MB in about 8 s at 180 MB of peak RSS, but
+# `check` and `trace` of that document peak at 1,117 MB: n = 7 needs force.
 COST_LIMIT = 6
 SIEVE_LIMIT = 1 << 24
 

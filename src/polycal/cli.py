@@ -230,18 +230,25 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _one_file(first: str, second: str) -> bool:
+    """Whether two paths name one regular file, or one file not yet made."""
+    try:
+        first_stat, second_stat = os.stat(first), os.stat(second)
+    except OSError:
+        return os.path.realpath(first) == os.path.realpath(second)
+    return stat.S_ISREG(first_stat.st_mode) and os.path.samestat(first_stat, second_stat)
+
+
 def _cmd_rationalize(args: argparse.Namespace) -> int:
+    # One regular file may not be both outputs; refused before any work,
+    # so a path not yet made is not created.
+    if args.state is not None and _one_file(args.out, args.state):
+        raise UsageError("--out and --state name the same file")
     _kind, axioms, lines = proof_from_obj(_load_json(args.proof))
     result = rationalize(axioms, lines, faithful_constants=args.faithful_constants)
     # Both files open before either is written, so an unwritable --state
-    # leaves --out as it was; one regular file may not be both.
+    # leaves --out as it was.
     with _output(args.out) as out, _output(args.state) as state_out:
-        if state_out is not None:
-            out_stat = os.fstat(out.fileno())
-            if stat.S_ISREG(out_stat.st_mode) and os.path.samestat(
-                out_stat, os.fstat(state_out.fileno())
-            ):
-                raise UsageError("--out and --state name the same file")
         out.writelines(proof_chunks(SystemKind.EXTPCSQRT_Z, result.axioms, result.proof))
         _emit(state_to_obj(result.state), state_out)
     return 0

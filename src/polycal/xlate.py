@@ -20,10 +20,13 @@ before a single lift.
 rationalize turns a refutation over the rationals into one over the
 integers.  It is organized in phases:
 
-  phase 0   picks integer multipliers: T_i rescales extension i so its
-            definition clears every denominator, and the per-line clearing
-            constants L_k = (prod deltas)^(k+1) follow from the
-            linear-combination denominators (deltas).
+  phase 0   picks integer multipliers: T_i rescales extension y_i so its
+            definition clears every denominator, from the T_j of the
+            earlier y_j it mentions; the map from each y_i to T_i is what
+            later phases read, so y's may be numbered with gaps and a y
+            that no extension defines is left alone, as an x is.  The
+            per-line clearing constants L_k = (prod deltas)^(k+1) follow
+            from the linear-combination denominators (deltas).
   phase 1   substitutes y_i -> y_i / T_i throughout; each line is its
             scale s (1 or some T_j) times the substituted polynomial.  A
             rule that needs scale 1 cites the one 1/s copy of a line, made
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .polyring import (
     Monomial,
@@ -56,7 +59,6 @@ from .polyring import (
     as_scalar,
     boolean_axiom,
     int_to_str,
-    yvar,
 )
 from .proofcore import (
     Axiom,
@@ -273,6 +275,8 @@ def _simulate_simplification(builder, registry, proof, hat_lines, rule) -> int:
     )
     lifted = builder.monomial_multiple(def_line, rest)
     difference = builder.lincomb(lifted, hat_lines[rule.j], 1, -1)
+    if constant == 1:
+        return difference
     return builder.scale_line(difference, Fraction(1, constant))
 
 
@@ -360,27 +364,25 @@ def compute_scale_factors(axioms: AxiomSet) -> tuple[tuple[int, ...], tuple[int,
     """Phase 0 for extensions: (M_i, T_i) per extension, in order.
 
     M_i is the product of the denominators in definition i, and
-    T_i = M_i * prod_j T_j^(max degree of y_j in definition i).
+    T_i = M_i * prod T_j^(max degree of y_j in definition i) over its y_j.
     """
     products: list[int] = []
-    factors: list[int] = []
-    for i, extension in enumerate(axioms.extensions):
+    scale: dict[VarId, int] = {}
+    for extension in axioms.extensions:
         definition = extension.definition
-        m = definition.denominator_product()
-        t = m
-        for j in range(i):
-            exponent = _max_degree_of(definition, yvar(j + 1))
-            t *= factors[j] ** exponent
+        m = t = definition.denominator_product()
+        for var in definition.variables():
+            if var in scale:
+                t *= scale[var] ** _max_degree_of(definition, var)
         products.append(m)
-        factors.append(t)
-    return tuple(products), tuple(factors)
+        scale[extension.var] = t
+    return tuple(products), tuple(scale.values())
 
 
-def _descaling(factors: Sequence[int]) -> dict[VarId, Polynomial]:
-    """The phase-1 substitution y_i -> y_i / T_i."""
+def _descaling(scale: Mapping[VarId, int]) -> dict[VarId, Polynomial]:
+    """The phase-1 substitution y_i -> y_i / T_i, for each T_i other than 1."""
     return {
-        yvar(i): Polynomial.variable(yvar(i)).scale(Fraction(1, t))
-        for i, t in enumerate(factors, 1)
+        v: Polynomial.variable(v).scale(Fraction(1, t)) for v, t in scale.items() if t != 1
     }
 
 
@@ -418,9 +420,10 @@ def rationalize(
         )
 
     products, factors = compute_scale_factors(axioms)
+    scale = dict(zip((ext.var for ext in axioms.extensions), factors))
     deltas = _collect_deltas(proof)
 
-    new_axioms, phase_one, prime_of = _phase_one(axioms, proof, factors)
+    new_axioms, phase_one, prime_of = _phase_one(axioms, proof, scale)
     phase_proof = [ProofLine(line.poly, line.rule) for line in phase_one]
     middle = check_refutation(new_axioms, phase_proof, SystemKind.EXTPCSQRT_Q)
     if not middle.valid:
@@ -429,7 +432,7 @@ def rationalize(
         )
 
     z_proof, final_factor = _phase_two(
-        new_axioms, phase_one, proof, math.prod(deltas), factors, faithful_constants
+        new_axioms, phase_one, proof, math.prod(deltas), scale, faithful_constants
     )
     final = check_refutation(new_axioms, z_proof, SystemKind.EXTPCSQRT_Z)
     if not final.valid:
@@ -460,15 +463,15 @@ def rationalize(
 
 
 def _phase_one(
-    axioms: AxiomSet, proof: Sequence[ProofLine], factors: tuple[int, ...]
+    axioms: AxiomSet, proof: Sequence[ProofLine], scale: Mapping[VarId, int]
 ) -> tuple[AxiomSet, list[PhaseOneLine], list[int]]:
-    substitution = _descaling(factors)
+    substitution = _descaling(scale)
     new_extensions = tuple(
         ExtensionAxiom(
             extension.var,
-            extension.definition.substitute(substitution).scale(factors[i]),
+            extension.definition.substitute(substitution).scale(scale[extension.var]),
         )
-        for i, extension in enumerate(axioms.extensions)
+        for extension in axioms.extensions
     )
     new_axioms = AxiomSet(base=axioms.base, extensions=new_extensions)
 
@@ -484,9 +487,9 @@ def _phase_one(
 
     def unscaled(index: int) -> int:
         """Phase-1 line index at scale 1, copied at most once."""
-        scale = lines[index].scale
-        if scale != 1 and index not in copies:
-            reciprocal = Fraction(1, scale)
+        s = lines[index].scale
+        if s != 1 and index not in copies:
+            reciprocal = Fraction(1, s)
             copy = LinComb(index, index, reciprocal, 0)
             copies[index] = push(lines[index].poly.scale(reciprocal), copy, None, 1)
         return copies.get(index, index)
@@ -497,16 +500,16 @@ def _phase_one(
             if rule.index < len(axioms.base):
                 target = push(line.poly, rule, k, 1)
             else:
-                e = rule.index - len(axioms.base)
-                target = push(new_extensions[e].polynomial, rule, k, factors[e])
+                extension = new_extensions[rule.index - len(axioms.base)]
+                target = push(extension.polynomial, rule, k, scale[extension.var])
         elif isinstance(rule, MulVar):
             premise = prime_of[rule.k]
-            if rule.var.kind == "x":
-                scale = lines[premise].scale
+            if rule.var in scale:
+                premise, s = unscaled(premise), scale[rule.var]
             else:
-                premise, scale = unscaled(premise), factors[rule.var.index - 1]
+                s = lines[premise].scale
             product = lines[premise].poly.mul_var(rule.var)
-            target = push(product, MulVar(premise, rule.var), k, scale)
+            target = push(product, MulVar(premise, rule.var), k, s)
         elif isinstance(rule, LinComb):
             left, right = prime_of[rule.j], prime_of[rule.k]
             if lines[left].scale != lines[right].scale:
@@ -529,7 +532,7 @@ def _phase_two(
     phase_one: Sequence[PhaseOneLine],
     original: Sequence[ProofLine],
     spread: int,
-    factors: tuple[int, ...],
+    scale: Mapping[VarId, int],
     faithful_constants: bool,
 ) -> tuple[list[ProofLine], int]:
     builder = ProofBuilder(new_axioms, SystemKind.EXTPCSQRT_Z)
@@ -557,7 +560,7 @@ def _phase_two(
             if faithful_constants:
                 origin = original[line.provenance].poly
                 clearing = spread ** (line.provenance + 1) * math.prod(
-                    t ** _max_degree_of(origin, yvar(j)) for j, t in enumerate(factors, 1)
+                    t ** _max_degree_of(origin, v) for v, t in scale.items()
                 )
                 if clearing % root.denominator_lcm() != 0:
                     raise InternalCheckFailure(
@@ -587,7 +590,8 @@ def verify_phase_one(
     scalars or is the 1/s rescaling of the line it cites, whose scale is s.
     Raises InternalCheckFailure on the first violation.
     """
-    substitution = _descaling(result.state.scale_factors)
+    variables = (ext.var for ext in axioms.extensions)
+    substitution = _descaling(dict(zip(variables, result.state.scale_factors)))
     phase = result.phase_one
 
     for k, line in enumerate(proof):

@@ -6,22 +6,27 @@ and between them they cover: a negative root, the scalar -1/2, a final
 constant of 1/2, unused and nested extension definitions, a denominator
 delta of 2, and an extension variable that the proof actually multiplies
 by (forcing scale-tag bookkeeping in the translator).
+
+Outside the corpus, gapped_extensions and free_variable number their
+y-variables other than y1..ym, unused_extensions declares many definitions,
+and renumber renames the y-variables of any document.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from polycal.polyring import poly_parse, xvar, yvar
+from polycal.polyring import Polynomial, VarId, poly_parse, xvar, yvar
 from polycal.proofcore import (
     AxiomSet,
     ExtensionAxiom,
+    MulVar,
     ProofBuilder,
     ProofLine,
     SystemKind,
 )
 
-X1, Y1, Y2 = xvar(1), yvar(1), yvar(2)
+X1, Y1, Y2, Y3, Y5 = xvar(1), yvar(1), yvar(2), yvar(3), yvar(5)
 
 HALF_AXIOMS = (poly_parse("2*x1 - 1"), poly_parse("x1^2 - x1"))
 THIRD_AXIOMS = (poly_parse("3*x1 - 1"), poly_parse("x1^2 - x1"))
@@ -153,3 +158,75 @@ def rational_corpus():
         ("affine_definition", *affine_definition()),
         ("two_thirds_definition", *two_thirds_definition()),
     ]
+
+
+def gapped_extensions(
+    multiplier: VarId, second: VarId = Y3
+) -> tuple[AxiomSet, list[ProofLine]]:
+    """Declares y1 := x/2 and second := 3*y1, skipping y2 by default, and
+    multiplies second - 3/2*x1 by multiplier before refuting."""
+    axioms = AxiomSet(
+        base=HALF_AXIOMS,
+        extensions=(
+            ExtensionAxiom(Y1, poly_parse("1/2*x1")),
+            ExtensionAxiom(second, poly_parse("3*y1")),
+        ),
+    )
+    builder = ProofBuilder(axioms, SystemKind.EXTPCSQRT_Q)
+    l0 = builder.lincomb(builder.extension_line(second), builder.extension_line(Y1), 1, 3)
+    builder.mul_var(l0, multiplier)
+    _half_family_body(builder, "1 - 2*x1", Fraction(1, 2))
+    return axioms, builder.lines
+
+
+def free_variable(multiplier: VarId = Y5) -> tuple[AxiomSet, list[ProofLine]]:
+    """Multiplies the definition y1 := x/2 by multiplier, by default y5,
+    which no extension defines, before refuting."""
+    axioms = AxiomSet(
+        base=HALF_AXIOMS, extensions=(ExtensionAxiom(Y1, poly_parse("1/2*x1")),)
+    )
+    builder = ProofBuilder(axioms, SystemKind.EXTPCSQRT_Q)
+    builder.mul_var(builder.extension_line(Y1), multiplier)
+    _half_family_body(builder, "1 - 2*x1", Fraction(1, 2))
+    return axioms, builder.lines
+
+
+def unused_extensions(count: int) -> tuple[AxiomSet, list[ProofLine]]:
+    """negative_root under count definitions y_i := x/2 that it never uses."""
+    axioms = AxiomSet(
+        base=HALF_AXIOMS,
+        extensions=tuple(
+            ExtensionAxiom(yvar(i), poly_parse("1/2*x1")) for i in range(1, count + 1)
+        ),
+    )
+    builder = ProofBuilder(axioms, SystemKind.EXTPCSQRT_Q)
+    _half_family_body(builder, "1 - 2*x1", Fraction(1, 2))
+    return axioms, builder.lines
+
+
+def y_variables(axioms: AxiomSet, proof) -> set[VarId]:
+    """Every y-variable of the axioms or of a variable multiplication; no
+    other rule brings a variable into a proof."""
+    named = {line.rule.var for line in proof if isinstance(line.rule, MulVar)}
+    named.update(v for poly in axioms.all_polynomials() for v in poly.variables())
+    return {v for v in named if v.kind == "y"}
+
+
+def renumber(axioms: AxiomSet, proof, mapping: dict[VarId, VarId]):
+    """The document with each variable v renamed mapping.get(v, v)."""
+    bindings = {old: Polynomial.variable(new) for old, new in mapping.items()}
+
+    def rule_of(rule):
+        if isinstance(rule, MulVar):
+            return MulVar(rule.k, mapping.get(rule.var, rule.var))
+        return rule
+
+    renamed = AxiomSet(
+        base=tuple(poly.substitute(bindings) for poly in axioms.base),
+        extensions=tuple(
+            ExtensionAxiom(mapping.get(ext.var, ext.var), ext.definition.substitute(bindings))
+            for ext in axioms.extensions
+        ),
+    )
+    lines = [ProofLine(line.poly.substitute(bindings), rule_of(line.rule)) for line in proof]
+    return renamed, lines

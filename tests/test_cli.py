@@ -55,7 +55,13 @@ from polycal.reslin import (
 )
 from polycal.xlate import simulate_reslin_b
 
-from q_corpus import negative_root, nested_extensions
+from q_corpus import (
+    Y3,
+    free_variable,
+    gapped_extensions,
+    negative_root,
+    nested_extensions,
+)
 from reslin_corpus import (
     bvp_splitting,
     eq,
@@ -358,6 +364,25 @@ def test_rationalize_faithful_flag_changes_the_factor(tmp_path, capsys):
     assert json.loads(out)["F_final"] == "32"
 
 
+GAPPED_DOCUMENTS = {
+    "y1, y3 and a y3 multiplication": lambda: gapped_extensions(Y3),
+    "y1, y3 and no y multiplication": lambda: gapped_extensions(xvar(1)),
+    "a free y5 multiplication": free_variable,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAPPED_DOCUMENTS))
+def test_rationalize_takes_y_variables_numbered_with_gaps(tmp_path, capsys, name):
+    obj = proof_to_obj(SystemKind.EXTPCSQRT_Q, *GAPPED_DOCUMENTS[name]())
+    doc, z = write_json(tmp_path / "q.json", obj), str(tmp_path / "z.json")
+    for flags in ([], ["--faithful-constants"]):
+        code, _, err = run(capsys, "rationalize", "--proof", doc, "--out", z, *flags)
+        assert code == 0, (flags, err)
+        code, out, err = run(capsys, "check", "--proof", z)
+        assert code == 0, (flags, err)
+        assert json.loads(out)["valid"] is True
+
+
 def test_rationalize_state_past_the_int_digit_limit(tmp_path, capsys):
     # In faithful mode F at n = 3 runs past 4300 decimal digits.
     rl = write_json(tmp_path / "rl.json", reslin_to_obj(*bvp_splitting(3)))
@@ -479,8 +504,26 @@ def test_out_and_state_naming_one_file_is_a_usage_error(tmp_path, capsys, alias)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "UsageError"
-    expected = "" if alias == "new file" else "OLD CONTENT"
-    assert target.read_text(encoding="utf-8") == expected
+    if alias == "new file":
+        assert not target.exists()
+    else:
+        assert target.read_text(encoding="utf-8") == "OLD CONTENT"
+
+
+def test_out_and_state_naming_one_file_is_refused_before_rationalize(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rationalize ran")
+
+    monkeypatch.setattr(cli, "rationalize", refuse)
+    target = str(tmp_path / "z.json")
+    code, out, err = run(
+        capsys, "rationalize", "--proof", make_rational_doc(tmp_path),
+        "--out", target, "--state", target,
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "UsageError"
 
 
 def test_out_and_state_may_both_be_dev_null(tmp_path, capsys):
