@@ -3,8 +3,8 @@
 The input proof works over the rationals: its extension variable is
 defined as x/2, one linear combination uses the scalar -1/2, and a square
 root has rational coefficients.  The conversion rescales each definition
-to integer coefficients, multiplies the proof through by a running integer
-factor, and certifies itself: the output checks under the integer-only
+to integer coefficients, multiplies each line by the least integer factor
+that clears it, and certifies itself: the output checks under the integer-only
 system, and the final constants relate by an exact positive integer.
 """
 
@@ -51,4 +51,4 @@ print(f"  definition denominators M = {state['M']}")
 print(f"  rescale factors        T = {state['T']}")
 print(f"  scalar denominators    deltas = {state['deltas']}")
 print(f"  input lines            {state['line_count']}")
-print(f"  final running factor   F = {state['F_final']}")
+print(f"  constant ratio         F = {state['F_final']}")

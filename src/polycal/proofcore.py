@@ -217,6 +217,21 @@ def _scalar_ok(value: Scalar, kind: SystemKind) -> bool:
     )
 
 
+def _first_difference(claimed: Polynomial, expected: Polynomial) -> str:
+    """The first monomial, in graded order, where two unequal polynomials
+    differ, with both coefficients; only a rejection pays for it."""
+    mono = max(
+        m
+        for m in claimed.term_map.keys() | expected.term_map.keys()
+        if claimed.coefficient(m) != expected.coefficient(m)
+    )
+    return (
+        f"first differing monomial {mono!r}: claimed "
+        f"{scalar_to_str(claimed.coefficient(mono))}, "
+        f"expected {scalar_to_str(expected.coefficient(mono))}"
+    )
+
+
 def _verify_line(
     prefix: Sequence[ProofLine],
     index: int,
@@ -269,7 +284,8 @@ def _verify_line(
         if line.poly != expected:
             return fail(
                 "RuleMismatch",
-                f"line {index} is not the claimed linear combination",
+                f"line {index} is not the claimed linear combination; "
+                + _first_difference(line.poly, expected),
             )
         return None
     if isinstance(rule, MulVar):
@@ -277,10 +293,12 @@ def _verify_line(
             return fail(
                 "BadIndex", f"multiplication cites line {int_to_str(rule.k)}"
             )
-        if line.poly != prefix[rule.k].poly.mul_var(rule.var):
+        expected = prefix[rule.k].poly.mul_var(rule.var)
+        if line.poly != expected:
             return fail(
                 "RuleMismatch",
-                f"line {index} is not line {rule.k} times {rule.var.name}",
+                f"line {index} is not line {rule.k} times {rule.var.name}; "
+                + _first_difference(line.poly, expected),
             )
         return None
     if isinstance(rule, Sqrt):
@@ -290,10 +308,12 @@ def _verify_line(
             )
         if not 0 <= rule.k < index:
             return fail("BadIndex", f"square root cites line {int_to_str(rule.k)}")
-        if line.poly.square() != prefix[rule.k].poly:
+        squared = line.poly.square()
+        if squared != prefix[rule.k].poly:
             return fail(
                 "SqrtMismatch",
-                f"line {index} squared does not equal line {rule.k}",
+                f"line {index} squared does not equal line {rule.k}; "
+                + _first_difference(squared, prefix[rule.k].poly),
             )
         return None
     raise TypeError(f"unknown rule {rule!r}")

@@ -25,23 +25,30 @@ integers.  It is organized in phases:
             earlier y_j it mentions; the map from each y_i to T_i is what
             later phases read, so y's may be numbered with gaps and a y
             that no extension defines is left alone, as an x is.  The
-            per-line clearing constants L_k = (prod deltas)^(k+1) follow
-            from the linear-combination denominators (deltas).
+            faithful per-line clearing constants L_k = (prod deltas)^(k+1)
+            follow from the linear-combination denominators (deltas).
   phase 1   substitutes y_i -> y_i / T_i throughout; each line is its
             scale s (1 or some T_j) times the substituted polynomial.  A
             rule that needs scale 1 cites the one 1/s copy of a line, made
             at its first use; a line of scale 1 is never copied.
-  phase 2   keeps a running integer factor F that grows whenever a
-            rational scalar or a rational square root needs clearing.
-            Each integer line is g times its phase-1 line, for a divisor
-            g of F fixed at emission: 1 for an axiom, the premise's g for
-            a variable multiplication, and F for a rule that folds F/g of
-            its premises into integer scalars or a square root's one
-            rescaling.  Only the last line may be rescaled to F.
+  phase 2   makes each integer line g times its phase-1 line, with g
+            fixed at emission: 1 for an axiom and the premise's g for a
+            variable multiplication.  A linear combination of lines j and
+            k with scalars a and b takes the least g for which a*g/g_j and
+            b*g/g_k are integers, and those are its scalars; a square root
+            takes the lcm of its root's denominators and g_k, and rescales
+            its source once, by g^2/g_k.  With faithful constants, g is
+            instead a running factor F that every denominator and every
+            L_k multiplies, and only the last line is rescaled to F.
 
-The final integer constant is the original one times F and the scale of
-the last line, so the ratio between output and input constants is a
-positive integer.
+The last integer line is g times c, the last phase-1 constant.  Without
+faithful constants, and when c is an integer, g is then halved until it is
+squarefree: with h = prod p^ceil(e/2) over the prime powers p^e of g, the
+line is rescaled to h^2 * c^2 and its square root h * c is the new last
+line.  On the splitting refutation of BVP_n the per-line g ends in
+lcm(1..2^n) and the halvings leave the primorial of 2^n, the least
+constant the paper's divisibility law allows.  Either way the ratio
+between output and input constants is a positive integer.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .polyring import (
     Monomial,
@@ -88,6 +95,10 @@ from .reslin import (
     is_refutation,
     product_monomial,
 )
+
+
+# _halvings factors the last line's g by trial division up to this bound.
+_TRIAL_DIVISION_BOUND = 1 << 16
 
 
 class InvalidInputProof(Exception):
@@ -328,10 +339,13 @@ class PhaseOneLine:
 class RationalizeState:
     """What rationalize computed; the line clearers L_k follow from deltas.
 
-    L_k = (prod deltas)^(k+1) for each of the line_count input lines.  It is
-    neither stored nor written out: the clearers together hold
-    quadratically many digits, and only the faithful square-root branch of
-    _phase_two computes one, for the line it clears.
+    L_k = (prod deltas)^(k+1) for each of the line_count input lines; they
+    are the faithful mode's clearers only.  L_k is neither stored nor
+    written out: the clearers together hold quadratically many digits, and
+    only the faithful square-root branch of _phase_two computes one, for
+    the line it clears.  final_factor (F_final) is the output's final
+    constant divided by the input's; with faithful constants it is the
+    running factor F.
     """
 
     denominator_products: tuple[int, ...]
@@ -404,11 +418,15 @@ def rationalize(
 
     The output shares the base axioms, rescales each extension definition
     to integer coefficients, and multiplies the refutation through by a
-    positive integer, so its final constant is the original times that
-    integer.  faithful_constants switches the square-root clearing factor
-    from the least common denominator to the precomputed per-line product,
-    which is larger but independent of the actual polynomial.  Phase 1 and
-    the output are both verified; a failure raises InternalCheckFailure.
+    positive integer, the state's final_factor, so its final constant is
+    the original times that integer.  By default each integer line is
+    cleared by its own least factor and the last one is halved to a
+    squarefree factor.  faithful_constants instead multiplies one running
+    factor by every scalar denominator and by each square root's
+    precomputed per-line clearer L_k, which is larger but independent of
+    the actual polynomial; deltas and line_count fix those clearers.
+    Phase 1 and the output are both verified; a failure raises
+    InternalCheckFailure.
     """
     for base in axioms.base:
         if not base.is_integral():
@@ -431,7 +449,7 @@ def rationalize(
             f"phase 1 fails at line {middle.error.line}: {middle.error.code}"
         )
 
-    z_proof, final_factor = _phase_two(
+    z_proof = _phase_two(
         new_axioms, phase_one, proof, math.prod(deltas), scale, faithful_constants
     )
     final = check_refutation(new_axioms, z_proof, SystemKind.EXTPCSQRT_Z)
@@ -453,7 +471,7 @@ def rationalize(
             scale_factors=factors,
             deltas=deltas,
             line_count=len(proof),
-            final_factor=final_factor,
+            final_factor=int(ratio),
             final_constant=final.final_constant,
         ),
     )
@@ -527,6 +545,37 @@ def _phase_one(
     return new_axioms, lines, prime_of
 
 
+def _over(scalar: Scalar, g: int) -> tuple[int, int]:
+    """scalar / g as its numerator and denominator in lowest terms."""
+    common = math.gcd(scalar.numerator, g)
+    return scalar.numerator // common, scalar.denominator * (g // common)
+
+
+def _halvings(value: int) -> Iterator[int]:
+    """The factors h that halve value down to squarefree: each is
+    prod p^ceil(e/2) over the prime powers p^e of the one before it.
+
+    value is factored by trial division up to _TRIAL_DIVISION_BOUND.  A
+    cofactor left above the bound is kept whole, as one factor to the first
+    power; it still divides its square, so value divides every h^2.
+    """
+    powers: list[tuple[int, int]] = []
+    p = 2
+    while p <= _TRIAL_DIVISION_BOUND and p * p <= value:
+        e = 0
+        while value % p == 0:
+            value //= p
+            e += 1
+        if e:
+            powers.append((p, e))
+        p += 1 if p == 2 else 2
+    if value > 1:
+        powers.append((value, 1))
+    while any(e > 1 for _, e in powers):
+        powers = [(p, (e + 1) // 2) for p, e in powers]
+        yield math.prod(p**e for p, e in powers)
+
+
 def _phase_two(
     new_axioms: AxiomSet,
     phase_one: Sequence[PhaseOneLine],
@@ -534,8 +583,9 @@ def _phase_two(
     spread: int,
     scale: Mapping[VarId, int],
     faithful_constants: bool,
-) -> tuple[list[ProofLine], int]:
+) -> list[ProofLine]:
     builder = ProofBuilder(new_axioms, SystemKind.EXTPCSQRT_Z)
+    # The faithful running factor F: every faithful g divides it.
     factor = 1
     # located[p] = (line, g): integer line `line` is g times phase-1 line p.
     located: list[tuple[int, int]] = []
@@ -548,15 +598,20 @@ def _phase_two(
             premise, held = located[rule.k]
             emitted = builder.mul_var(premise, rule.var)
         elif isinstance(rule, LinComb):
-            alpha, beta = as_scalar(rule.alpha), as_scalar(rule.beta)
-            factor *= _scalar_denominator(alpha) * _scalar_denominator(beta)
             (left, g_left), (right, g_right) = located[rule.j], located[rule.k]
+            alpha, alpha_den = _over(rule.alpha, g_left)
+            beta, beta_den = _over(rule.beta, g_right)
+            if faithful_constants:
+                factor *= _scalar_denominator(rule.alpha) * _scalar_denominator(rule.beta)
+                held = factor
+            else:
+                held = math.lcm(alpha_den, beta_den)
             emitted = builder.lincomb(
-                left, right, alpha * (factor // g_left), beta * (factor // g_right)
+                left, right, alpha * (held // alpha_den), beta * (held // beta_den)
             )
-            held = factor
         else:
             root = line.poly
+            source, g_source = located[rule.k]
             if faithful_constants:
                 origin = original[line.provenance].poly
                 clearing = spread ** (line.provenance + 1) * math.prod(
@@ -566,18 +621,27 @@ def _phase_two(
                     raise InternalCheckFailure(
                         "the per-line clearing constant misses a denominator"
                     )
+                factor *= clearing
+                held = factor
             else:
-                clearing = root.denominator_lcm()
-            source, g_source = located[rule.k]
-            factor *= clearing
-            squared = builder.scale_line(source, factor**2 // g_source)
-            emitted, held = builder.sqrt_of(squared, root.scale(factor)), factor
+                held = math.lcm(root.denominator_lcm(), g_source)
+            squared = builder.scale_line(source, held**2 // g_source)
+            emitted = builder.sqrt_of(squared, root.scale(held))
         located.append((emitted, held))
 
     last, held = located[-1]
-    if held != factor or last != len(builder.lines) - 1:
-        builder.scale_line(last, factor // held)
-    return builder.lines, factor
+    constant = phase_one[-1].poly.constant_value()
+    if not faithful_constants and isinstance(constant, int):
+        # The last line is held * constant: scaled to (h * constant)^2 it
+        # has the square root h * constant, for each h of _halvings(held).
+        for root_factor in _halvings(held):
+            squared = builder.scale_line(last, root_factor**2 * constant // held)
+            last = builder.sqrt_of(squared, Polynomial.constant(root_factor * constant))
+            held = root_factor
+    goal = factor if faithful_constants else held
+    if held != goal or last != len(builder.lines) - 1:
+        builder.scale_line(last, goal // held)
+    return builder.lines
 
 
 def verify_phase_one(

@@ -8,6 +8,7 @@ construction; the tests still run every proof through check_reslin.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Sequence
 
 from polycal.polyring import VarId, xvar
 from polycal.reslin import (
@@ -201,14 +202,20 @@ def rests_of_one_degree() -> tuple[list[Disjunction], list[RlLine]]:
     return axioms, run(axioms, rules)
 
 
-def bvp_splitting(n: int) -> tuple[list[Disjunction], list[RlLine]]:
-    """Refutation of 1 + x1 + 2 x2 + ... + 2^(n-1) xn = 0 by splitting on x1..xn.
+def bvp_splitting(
+    n: int, order: Sequence[int] | None = None, alpha: int = 1
+) -> tuple[list[Disjunction], list[RlLine]]:
+    """Refutation of 1 + x1 + 2 x2 + ... + 2^(n-1) xn = 0 by splitting.
 
-    Each node's last equation is resolved with the next boolean axiom on
-    both sides; at depth n it is a false constant and is simplified away.
+    The split takes x_i for each i of order, by default 1..n.  Each node's
+    last equation is resolved, scaled by alpha, with the next boolean axiom
+    on both sides; at depth n it is a false constant and is simplified away.
     Sibling clauses then resolve on the split variable into 0 = 1, and
     contractions plus a simplification leave the parent's prefix.
     """
+    order = list(range(1, n + 1)) if order is None else list(order)
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError("order must be a permutation of 1..n")
     weights = {xvar(i): 1 << (i - 1) for i in range(1, n + 1)}
     axioms = [Disjunction.of(eq(weights, -1))]
     lines: list[RlLine] = []
@@ -221,13 +228,15 @@ def bvp_splitting(n: int) -> tuple[list[Disjunction], list[RlLine]]:
     def refute(node: int, depth: int) -> int:
         if depth == n:
             return push(RlSimplification(node, depth))
-        var = xvar(depth + 1)
+        var = xvar(order[depth])
         if var not in booleans:
             booleans[var] = push(RlBooleanAxiom(var))
         coef = dict(lines[node].disjunction.disjuncts[depth].coeffs)[var]
         sides = []
         for d in (0, 1):
-            child = push(RlResolution(node, booleans[var], depth, d, 1, -coef))
+            child = push(
+                RlResolution(node, booleans[var], depth, d, alpha, -alpha * coef)
+            )
             sides.append(refute(child, depth + 1))
         line = push(RlResolution(sides[0], sides[1], depth, depth, 1, -1))
         for position in range(depth):

@@ -471,7 +471,8 @@ def test_rationalize_without_state_prints_no_line_clearers(tmp_path, capsys):
     assert len(out.encode()) < 10**6
     state = json.loads(out)
     assert "L" not in state
-    assert state["F_final"] == state["final_constant"] == str(math.factorial(64))
+    primorial = math.prod(bvp.primes_below(65))
+    assert state["F_final"] == state["final_constant"] == str(primorial)
 
 
 def test_an_unwritable_state_leaves_out_as_it_was(tmp_path, capsys):

@@ -179,6 +179,60 @@ def test_sqrt_mismatch_and_sign_agnosticism():
     assert err is not None and err.code == "SqrtMismatch" and err.line == 1
 
 
+def _rejection(axioms, lines, kind=Z):
+    report = check_refutation(axioms, lines, kind)
+    assert not report.valid
+    return report.error
+
+
+def test_lincomb_mismatch_names_the_first_differing_monomial():
+    # 3*x1 is expected; x2^2 leads 1 and x1 in graded order.
+    error = _rejection(
+        AxiomSet((P("x1"),)),
+        [ProofLine(P("x1"), Axiom(0)), ProofLine(P("3*x1 + x2^2 + 1"), LinComb(0, 0, 1, 2))],
+    )
+    assert (error.line, error.code) == (1, "RuleMismatch")
+    assert error.message == (
+        "line 1 is not the claimed linear combination; "
+        "first differing monomial x2^2: claimed 1, expected 0"
+    )
+
+
+def test_mulvar_mismatch_names_the_first_differing_monomial():
+    error = _rejection(
+        AxiomSet((P("x1*x2 - 1"),)),
+        [ProofLine(P("x1*x2 - 1"), Axiom(0)), ProofLine(P("x1^2*x2 - 1/2*x1"), MulVar(0, x1))],
+        Q,
+    )
+    assert (error.line, error.code) == (1, "RuleMismatch")
+    assert error.message == (
+        "line 1 is not line 0 times x1; "
+        "first differing monomial x1: claimed -1/2, expected -1"
+    )
+
+
+def test_sqrt_mismatch_names_the_first_differing_monomial():
+    # (x1 + 1)^2 = x1^2 + 2*x1 + 1 first leaves x1^2 at x1.
+    error = _rejection(
+        AxiomSet((P("x1^2"),)),
+        [ProofLine(P("x1^2"), Axiom(0)), ProofLine(P("x1 + 1"), Sqrt(0))],
+    )
+    assert (error.line, error.code) == (1, "SqrtMismatch")
+    assert error.message == (
+        "line 1 squared does not equal line 0; "
+        "first differing monomial x1: claimed 2, expected 0"
+    )
+
+
+def test_a_mismatch_writes_a_coefficient_past_the_digit_limit():
+    lines = [ProofLine(P("x1"), Axiom(0)), ProofLine(P("x1"), LinComb(0, 0, 10**5000, 0))]
+    report = check_refutation(AxiomSet((P("x1"),)), lines, Z)
+    assert (report.error.line, report.error.code) == (1, "RuleMismatch")
+    assert report.error.message.endswith("x1: claimed 1, expected 1" + "0" * 5000)
+    written = json.loads(canonical_json(report_to_obj(report)))
+    assert written["error"]["message"] == report.error.message
+
+
 def test_sqrt_forbidden():
     axioms = AxiomSet((P("x1^2"),))
     lines = [ProofLine(P("x1^2"), Axiom(0)), ProofLine(P("x1"), Sqrt(0))]

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycal.bvp import audit_divisibility
-from polycal.polyring import Polynomial, poly_parse, xvar, yvar
+from polycal import xlate
+from polycal.bvp import audit_divisibility, is_prime, primes_below
+from polycal.polyring import Polynomial, ceil_log2, poly_parse, xvar, yvar
 from polycal.proofcore import (
     Axiom,
     AxiomSet,
@@ -62,6 +64,11 @@ from reslin_corpus import (
 )
 
 X1 = xvar(1)
+
+
+def primorial(m):
+    """The product of the primes up to m: the least Z constant of BVP_n at m = 2^n."""
+    return math.prod(primes_below(m + 1))
 
 
 # -- linear resolution simulation ------------------------------------------------
@@ -156,7 +163,7 @@ def test_splitting_takes_one_square_root_per_run_of_contractions(n):
     result = rationalize(out.axioms, list(proof))
     report = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
     assert report.valid
-    assert report.final_constant == math.factorial(2**n)
+    assert report.final_constant == primorial(2**n)
     assert audit_divisibility(report.final_constant, n).all_divide
 
 
@@ -265,7 +272,7 @@ CORPUS_CONSTANTS = {
     "unused_extension": ((2, 1), (32, 16)),
     "nested_extensions": ((2, 1), (32, 16)),
     "third_delta": ((2, -2), (32, -32)),
-    "working_extension": ((32, -32), (1024, -1024)),
+    "working_extension": ((1, -1), (1024, -1024)),
     "affine_definition": ((2, 1), (128, 64)),
     "two_thirds_definition": ((2, -2), (128, -128)),
 }
@@ -273,12 +280,16 @@ CORPUS_CONSTANTS = {
 
 def test_phase_two_adds_one_line_per_square_root():
     # Each integer line is g times its phase-1 line with g fixed at
-    # emission, so phase 2 adds only one rescaling per square root and at
-    # most one for the last line, and F and the constant are unchanged.
+    # emission, so phase 2 adds one rescaling per square root, at most one
+    # for the last line, and a rescaling and a square root per halving of
+    # the last line's g.  No corpus proof ends in an integer constant whose
+    # g is not squarefree, so none halves; the splitting chain's g is
+    # lcm(1..2^n), whose largest exponent, n of the prime 2, takes
+    # ceil(log2 n) halvings down to the primorial.
     cases = []
     for name, axioms, proof in rational_corpus():
         for faithful, result in run_both_modes(axioms, proof):
-            cases.append(((name, faithful), result, CORPUS_CONSTANTS[name][faithful]))
+            cases.append(((name, faithful), result, CORPUS_CONSTANTS[name][faithful], 0))
     for n in range(2, 7):
         out = simulate_reslin_b(*bvp_splitting(n))
         for faithful in (False, True) if n <= 3 else (False,):
@@ -287,14 +298,73 @@ def test_phase_two_adds_one_line_per_square_root():
             if faithful:
                 assert factor.bit_length() == {2: 688, 3: 15_346}[n]
             else:
-                assert factor == math.factorial(2**n)
+                assert factor == primorial(2**n)
                 assert audit_divisibility(factor, n).all_divide
-            cases.append(((n, faithful), result, (factor, factor)))
-    for label, result, constants in cases:
+            halvings = 0 if faithful else ceil_log2(n)
+            cases.append(((n, faithful), result, (factor, factor), halvings))
+    for label, result, constants, halvings in cases:
         roots = sum(isinstance(line.rule, Sqrt) for line in result.phase_one)
-        assert len(result.proof) - len(result.phase_one) - roots in (0, 1), label
+        z_roots = sum(isinstance(line.rule, Sqrt) for line in result.proof)
+        assert z_roots - roots == halvings, label
+        added = len(result.proof) - len(result.phase_one) - roots - 2 * halvings
+        assert added in (0, 1), label
         state = result.state
         assert (state.final_factor, state.final_constant) == constants, label
+
+
+def _splitting_z(n, order=None, alpha=1):
+    out = simulate_reslin_b(*bvp_splitting(n, order, alpha))
+    result = rationalize(out.axioms, list(out.proof))
+    report = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
+    assert report.valid, report.error
+    assert report.final_constant == result.state.final_factor
+    return result
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_seeded_split_orders_end_in_the_primorial(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        order = rng.sample(range(1, n + 1), n)
+        result = _splitting_z(n, order)
+        roots = sum(isinstance(line.rule, Sqrt) for line in result.phase_one)
+        halvings = sum(isinstance(line.rule, Sqrt) for line in result.proof) - roots
+        assert result.state.final_constant == primorial(2**n), order
+        assert halvings == ceil_log2(n), order
+        assert len(result.proof) == len(result.phase_one) + roots + 2 * halvings, order
+
+
+# A resolution scale is a prime factor the chain cannot clear: one at or
+# below 2^n is already in the primorial, one above it stays in the constant.
+@pytest.mark.parametrize(
+    "n, alpha, constant",
+    [(3, 3, 210), (4, 5, 30_030), (3, 11, 11 * 210), (4, 17, 17 * 30_030)],
+)
+def test_a_resolution_scale_above_2_to_the_n_stays_in_the_constant(n, alpha, constant):
+    result = _splitting_z(n, alpha=alpha)
+    assert result.state.final_constant == constant
+    assert audit_divisibility(constant, n).all_divide
+
+
+def _fourth_root_of_one_over(prime):
+    """4 -> 1/p^4 -> its roots 1/p^2 and 1/p -> 1: the last line's g is 4 p^3."""
+    axioms = AxiomSet(base=(Polynomial.constant(4),))
+    polys = [4, Fraction(1, prime**4), Fraction(1, prime**2), Fraction(1, prime), 1]
+    rules = [Axiom(0), LinComb(0, 0, Fraction(1, 4 * prime**4), 0), Sqrt(1), Sqrt(2),
+             LinComb(3, 3, prime, 0)]
+    return axioms, [ProofLine(Polynomial.constant(c), r) for c, r in zip(polys, rules)]
+
+
+def test_halving_keeps_a_cofactor_above_the_trial_division_bound_whole():
+    # Below the bound 4 p^3 halves to 2 p^2 and then 2 p.  Above it p^3 is
+    # one unfactored cofactor, so only 4 halves, and the proof still checks.
+    big = next(p for p in range(xlate._TRIAL_DIVISION_BOUND + 1, 1 << 20) if is_prime(p))
+    for prime, constant, halvings in ((3, 2 * 3, 2), (big, 2 * big**3, 1)):
+        result = rationalize(*_fourth_root_of_one_over(prime))
+        report = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
+        assert report.valid and report.final_constant == constant, prime
+        z_roots = sum(isinstance(line.rule, Sqrt) for line in result.proof)
+        assert z_roots == 2 + halvings, prime
 
 
 def test_phase_one_is_a_valid_rational_proof():
@@ -355,7 +425,7 @@ def test_simulation_output_feeds_rationalization():
     # The splitting refutation of BVP_3 ends in 1, so F alone is the Z constant.
     out = simulate_reslin_b(*bvp_splitting(3))
     state = rationalize(out.axioms, list(out.proof)).state
-    assert state.final_factor == state.final_constant == math.factorial(8)
+    assert state.final_factor == state.final_constant == primorial(8) == 210
 
 
 def test_rationalize_state_holds_no_per_line_integers():
@@ -369,7 +439,7 @@ def test_rationalize_state_holds_no_per_line_integers():
     for field in dataclasses.fields(state):
         value = getattr(state, field.name)
         assert isinstance(value, int) or len(value) < state.line_count, field.name
-    assert state.final_factor == state.final_constant == math.factorial(64)
+    assert state.final_factor == state.final_constant == primorial(64)
 
     small = rationalize(*nested_extensions()).state
     spread = math.prod(small.deltas)
@@ -464,7 +534,7 @@ def test_phase_one_copies_each_line_at_most_once():
         assert len(result.phase_one) == len(out.proof), n
         assert not any(line.provenance is None for line in result.phase_one), n
         if n == 4:
-            assert result.state.final_constant == math.factorial(16)
+            assert result.state.final_constant == primorial(16) == 30_030
 
     from q_corpus import working_extension
 
@@ -475,8 +545,9 @@ def test_phase_one_copies_each_line_at_most_once():
         if isinstance(line.rule, LinComb) and line.provenance is None
     ]
     assert cited and len(cited) == len(set(cited))
-    # Each 1/2 copy doubles F; with the repeated copy F was 64.
-    assert result.state.final_factor == 32
+    # Each 1/2 copy doubles the faithful F, so a repeated copy would show.
+    faithful = rationalize(*working_extension(), faithful_constants=True)
+    assert faithful.state.final_factor == 1024
 
 
 # -- extension numbering ---------------------------------------------------------
@@ -484,7 +555,7 @@ def test_phase_one_copies_each_line_at_most_once():
 # Documents whose y-variables are not y1..ym, each with its counterpart
 # numbered y1..ym (a free y multiplies as an x does), and the default F.
 NUMBERING_CASES = {
-    "y1, y3 and a y3 multiplication": (gapped_extensions(Y3), gapped_extensions(Y2, Y2), 4),
+    "y1, y3 and a y3 multiplication": (gapped_extensions(Y3), gapped_extensions(Y2, Y2), 2),
     "y1, y3 and no y multiplication": (gapped_extensions(X1), gapped_extensions(X1, Y2), 2),
     "a free y5 multiplication": (free_variable(), free_variable(X1), 2),
 }
