@@ -41,9 +41,9 @@ ratio = Fraction(z_report.final_constant) / Fraction(q_report.final_constant)
 assert ratio.denominator == 1 and ratio > 0
 print(f"\nfinal-constant ratio: {ratio} (always a positive integer)")
 
-# rationalize has already re-derived the substitution identity line by
-# line; the Z checker above cannot see it.
-print("phase-one verification: substitution identities hold on every line")
+# rationalize has already checked each integer line against its input line
+# under the substitution; the Z checker above cannot see that identity.
+print("lift verification: substitution identities hold on every line")
 
 state = state_to_obj(result.state)
 print("\nconversion state:")

@@ -18,37 +18,38 @@ coefficients, and when both rests are one monomial the two hats are added
 before a single lift.
 
 rationalize turns a refutation over the rationals into one over the
-integers.  It is organized in phases:
+integers.  It first picks integer multipliers: T_i rescales extension y_i
+so its definition clears every denominator, from the T_j of the earlier
+y_j it mentions.  The lift reads the map from each y_i to T_i, so y's may
+be numbered with gaps and a y that no extension defines is left alone, as
+an x is.  The faithful per-line clearing constants
+L_k = (prod deltas)^(k+1) follow from the linear-combination denominators
+(deltas).
 
-  phase 0   picks integer multipliers: T_i rescales extension y_i so its
-            definition clears every denominator, from the T_j of the
-            earlier y_j it mentions; the map from each y_i to T_i is what
-            later phases read, so y's may be numbered with gaps and a y
-            that no extension defines is left alone, as an x is.  The
-            faithful per-line clearing constants L_k = (prod deltas)^(k+1)
-            follow from the linear-combination denominators (deltas).
-  phase 1   substitutes y_i -> y_i / T_i throughout; each line is its
-            scale s (1 or some T_j) times the substituted polynomial.  A
-            rule that needs scale 1 cites the one 1/s copy of a line, made
-            at its first use; a line of scale 1 is never copied.
-  phase 2   makes each integer line g times its phase-1 line, with g
-            fixed at emission: 1 for an axiom and the premise's g for a
-            variable multiplication.  A linear combination of lines j and
-            k with scalars a and b takes the least g for which a*g/g_j and
-            b*g/g_k are integers, and those are its scalars; a square root
-            takes the lcm of its root's denominators and g_k, and rescales
-            its source once, by g^2/g_k.  With faithful constants, g is
-            instead a running factor F that every denominator and every
-            L_k multiplies, and only the last line is rescaled to F.
+It then lifts the input in one pass.  Under the substitution
+y_i -> y_i / T_i, the integer line of input line k is g * s times line k.
+The scale s is T_i for the definition of y_i and for a multiplication by
+y_i, the premise's s for a multiplication by an x, and 1 for a square
+root; a linear combination keeps the s its two premises share and
+otherwise takes 1.  A rule that needs a premise at scale 1 reads the same
+integer line with the factor g * s and emits nothing for it.  g is fixed
+at emission: 1 for an axiom and the premise's g for a variable
+multiplication.  A linear combination of lines j and k with scalars a and
+b takes the least g for which a*g/g_j and b*g/g_k are integers, and those
+are its scalars; a square root takes the lcm of its root's denominators
+and g_k, and rescales its source once, by g^2/g_k.  With faithful
+constants, g is instead a running factor F that every denominator, every
+L_k and, once per line, the s of each line read at scale 1 multiply, and
+only the last line is rescaled to F.
 
-The last integer line is g times c, the last phase-1 constant.  Without
-faithful constants, and when c is an integer, g is then halved until it is
-squarefree: with h = prod p^ceil(e/2) over the prime powers p^e of g, the
-line is rescaled to h^2 * c^2 and its square root h * c is the new last
-line.  On the splitting refutation of BVP_n the per-line g ends in
-lcm(1..2^n) and the halvings leave the primorial of 2^n, the least
-constant the paper's divisibility law allows.  Either way the ratio
-between output and input constants is a positive integer.
+The last integer line is g times c, its scale times the input's final
+constant.  Without faithful constants, and when c is an integer, g is then
+halved until it is squarefree: with h = prod p^ceil(e/2) over the prime
+powers p^e of g, the line is rescaled to h^2 * c^2 and its square root
+h * c is the new last line.  On the splitting refutation of BVP_n the
+per-line g ends in lcm(1..2^n) and the halvings leave the primorial of
+2^n, the least constant the paper's divisibility law allows.  Either way
+the ratio between output and input constants is a positive integer.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .polyring import (
     Monomial,
@@ -75,8 +76,6 @@ from .proofcore import (
     MulVar,
     ProofBuilder,
     ProofLine,
-    Sqrt,
-    StepRule,
     SystemKind,
     check_refutation,
 )
@@ -322,28 +321,14 @@ def _simulate_contraction(
 
 
 @dataclass(frozen=True)
-class PhaseOneLine:
-    """poly == scale * (input line provenance with y_i -> y_i / T_i).
-
-    A line without provenance is the 1/s copy of the line it cites, whose
-    scale is s, and has scale 1 itself.
-    """
-
-    poly: Polynomial
-    rule: StepRule
-    provenance: Optional[int]
-    scale: int
-
-
-@dataclass(frozen=True)
 class RationalizeState:
     """What rationalize computed; the line clearers L_k follow from deltas.
 
     L_k = (prod deltas)^(k+1) for each of the line_count input lines; they
     are the faithful mode's clearers only.  L_k is neither stored nor
     written out: the clearers together hold quadratically many digits, and
-    only the faithful square-root branch of _phase_two computes one, for
-    the line it clears.  final_factor (F_final) is the output's final
+    only the faithful square-root branch of _lift computes one, for the
+    line it clears.  final_factor (F_final) is the output's final
     constant divided by the input's; with faithful constants it is the
     running factor F.
     """
@@ -358,10 +343,15 @@ class RationalizeState:
 
 @dataclass(frozen=True)
 class RationalizeResult:
+    """The integer refutation and where each input line landed in it.
+
+    lifted[k] = (z, c): integer line z is c times input line k under the
+    substitution y_i -> y_i / T_i.
+    """
+
     axioms: AxiomSet
     proof: tuple[ProofLine, ...]
-    phase_one: tuple[PhaseOneLine, ...]
-    prime_of: tuple[int, ...]
+    lifted: tuple[tuple[int, int], ...]
     state: RationalizeState
 
 
@@ -375,7 +365,7 @@ def _scalar_denominator(value: Scalar) -> int:
 
 
 def compute_scale_factors(axioms: AxiomSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Phase 0 for extensions: (M_i, T_i) per extension, in order.
+    """The integer multipliers: (M_i, T_i) per extension, in order.
 
     M_i is the product of the denominators in definition i, and
     T_i = M_i * prod T_j^(max degree of y_j in definition i) over its y_j.
@@ -394,7 +384,7 @@ def compute_scale_factors(axioms: AxiomSet) -> tuple[tuple[int, ...], tuple[int,
 
 
 def _descaling(scale: Mapping[VarId, int]) -> dict[VarId, Polynomial]:
-    """The phase-1 substitution y_i -> y_i / T_i, for each T_i other than 1."""
+    """The substitution y_i -> y_i / T_i, for each T_i other than 1."""
     return {
         v: Polynomial.variable(v).scale(Fraction(1, t)) for v, t in scale.items() if t != 1
     }
@@ -425,8 +415,8 @@ def rationalize(
     factor by every scalar denominator and by each square root's
     precomputed per-line clearer L_k, which is larger but independent of
     the actual polynomial; deltas and line_count fix those clearers.
-    Phase 1 and the output are both verified; a failure raises
-    InternalCheckFailure.
+    The output and its lift of every input line are both verified; a
+    failure raises InternalCheckFailure.
     """
     for base in axioms.base:
         if not base.is_integral():
@@ -440,22 +430,24 @@ def rationalize(
     products, factors = compute_scale_factors(axioms)
     scale = dict(zip((ext.var for ext in axioms.extensions), factors))
     deltas = _collect_deltas(proof)
+    substitution = _descaling(scale)
+    new_axioms = AxiomSet(
+        base=axioms.base,
+        extensions=tuple(
+            ExtensionAxiom(
+                ext.var, ext.definition.substitute(substitution).scale(scale[ext.var])
+            )
+            for ext in axioms.extensions
+        ),
+    )
 
-    new_axioms, phase_one, prime_of = _phase_one(axioms, proof, scale)
-    phase_proof = [ProofLine(line.poly, line.rule) for line in phase_one]
-    middle = check_refutation(new_axioms, phase_proof, SystemKind.EXTPCSQRT_Q)
-    if not middle.valid:
-        raise InternalCheckFailure(
-            f"phase 1 fails at line {middle.error.line}: {middle.error.code}"
-        )
-
-    z_proof = _phase_two(
-        new_axioms, phase_one, proof, math.prod(deltas), scale, faithful_constants
+    z_proof, lifted = _lift(
+        new_axioms, proof, substitution, math.prod(deltas), scale, faithful_constants
     )
     final = check_refutation(new_axioms, z_proof, SystemKind.EXTPCSQRT_Z)
     if not final.valid:
         raise InternalCheckFailure(
-            f"phase 2 fails at line {final.error.line}: {final.error.code}"
+            f"the integer proof fails at line {final.error.line}: {final.error.code}"
         )
     ratio = Fraction(final.final_constant) / Fraction(report.final_constant)
     if ratio <= 0 or ratio.denominator != 1:
@@ -464,8 +456,7 @@ def rationalize(
     result = RationalizeResult(
         axioms=new_axioms,
         proof=tuple(z_proof),
-        phase_one=tuple(phase_one),
-        prime_of=tuple(prime_of),
+        lifted=tuple(lifted),
         state=RationalizeState(
             denominator_products=products,
             scale_factors=factors,
@@ -476,73 +467,8 @@ def rationalize(
         ),
     )
     # The Z checker cannot see the substitution identity, so check it here.
-    verify_phase_one(axioms, proof, result)
+    verify_lift(axioms, proof, result)
     return result
-
-
-def _phase_one(
-    axioms: AxiomSet, proof: Sequence[ProofLine], scale: Mapping[VarId, int]
-) -> tuple[AxiomSet, list[PhaseOneLine], list[int]]:
-    substitution = _descaling(scale)
-    new_extensions = tuple(
-        ExtensionAxiom(
-            extension.var,
-            extension.definition.substitute(substitution).scale(scale[extension.var]),
-        )
-        for extension in axioms.extensions
-    )
-    new_axioms = AxiomSet(base=axioms.base, extensions=new_extensions)
-
-    lines: list[PhaseOneLine] = []
-    prime_of: list[int] = []
-    copies: dict[int, int] = {}
-
-    def push(
-        poly: Polynomial, rule: StepRule, provenance: Optional[int], scale: int
-    ) -> int:
-        lines.append(PhaseOneLine(poly, rule, provenance, scale))
-        return len(lines) - 1
-
-    def unscaled(index: int) -> int:
-        """Phase-1 line index at scale 1, copied at most once."""
-        s = lines[index].scale
-        if s != 1 and index not in copies:
-            reciprocal = Fraction(1, s)
-            copy = LinComb(index, index, reciprocal, 0)
-            copies[index] = push(lines[index].poly.scale(reciprocal), copy, None, 1)
-        return copies.get(index, index)
-
-    for k, line in enumerate(proof):
-        rule = line.rule
-        if isinstance(rule, Axiom):
-            if rule.index < len(axioms.base):
-                target = push(line.poly, rule, k, 1)
-            else:
-                extension = new_extensions[rule.index - len(axioms.base)]
-                target = push(extension.polynomial, rule, k, scale[extension.var])
-        elif isinstance(rule, MulVar):
-            premise = prime_of[rule.k]
-            if rule.var in scale:
-                premise, s = unscaled(premise), scale[rule.var]
-            else:
-                s = lines[premise].scale
-            product = lines[premise].poly.mul_var(rule.var)
-            target = push(product, MulVar(premise, rule.var), k, s)
-        elif isinstance(rule, LinComb):
-            left, right = prime_of[rule.j], prime_of[rule.k]
-            if lines[left].scale != lines[right].scale:
-                left, right = unscaled(left), unscaled(right)
-            combined = lines[left].poly.scale(rule.alpha).add(
-                lines[right].poly.scale(rule.beta)
-            )
-            step = LinComb(left, right, rule.alpha, rule.beta)
-            target = push(combined, step, k, lines[left].scale)
-        else:
-            source = unscaled(prime_of[rule.k])
-            root = line.poly.substitute(substitution)
-            target = push(root, Sqrt(source), k, 1)
-        prime_of.append(target)
-    return new_axioms, lines, prime_of
 
 
 def _over(scalar: Scalar, g: int) -> tuple[int, int]:
@@ -576,29 +502,54 @@ def _halvings(value: int) -> Iterator[int]:
         yield math.prod(p**e for p, e in powers)
 
 
-def _phase_two(
+def _lift(
     new_axioms: AxiomSet,
-    phase_one: Sequence[PhaseOneLine],
-    original: Sequence[ProofLine],
+    proof: Sequence[ProofLine],
+    substitution: Mapping[VarId, Polynomial],
     spread: int,
     scale: Mapping[VarId, int],
     faithful_constants: bool,
-) -> list[ProofLine]:
+) -> tuple[list[ProofLine], list[tuple[int, int]]]:
+    """The integer proof, one pass over the input lines, and lifted[k]."""
     builder = ProofBuilder(new_axioms, SystemKind.EXTPCSQRT_Z)
     # The faithful running factor F: every faithful g divides it.
     factor = 1
-    # located[p] = (line, g): integer line `line` is g times phase-1 line p.
-    located: list[tuple[int, int]] = []
+    # located[k] = (line, g, s): integer line `line` is g * s times input
+    # line k under the substitution; s is 1 or the T of a y.
+    located: list[tuple[int, int, int]] = []
+    unscaled_lines: set[int] = set()
 
-    for line in phase_one:
-        rule = line.rule
+    def unscaled(k: int) -> tuple[int, int]:
+        """Input line k at scale 1: its own integer line, with factor g * s.
+
+        Faithful F takes s once per line, at its first use at scale 1.
+        """
+        nonlocal factor
+        line, held, s = located[k]
+        if s == 1:
+            return line, held
+        if faithful_constants and k not in unscaled_lines:
+            unscaled_lines.add(k)
+            factor *= s
+        return line, held * s
+
+    base_count = len(new_axioms.base)
+    for k, input_line in enumerate(proof):
+        rule = input_line.rule
         if isinstance(rule, Axiom):
-            emitted, held = builder.axiom_line(rule.index), 1
+            emitted, held, s = builder.axiom_line(rule.index), 1, 1
+            if rule.index >= base_count:
+                s = scale[new_axioms.extensions[rule.index - base_count].var]
         elif isinstance(rule, MulVar):
-            premise, held = located[rule.k]
+            if rule.var in scale:
+                (premise, held), s = unscaled(rule.k), scale[rule.var]
+            else:
+                premise, held, s = located[rule.k]
             emitted = builder.mul_var(premise, rule.var)
         elif isinstance(rule, LinComb):
-            (left, g_left), (right, g_right) = located[rule.j], located[rule.k]
+            (left, g_left, s), (right, g_right, s_right) = located[rule.j], located[rule.k]
+            if s != s_right:
+                (left, g_left), (right, g_right), s = unscaled(rule.j), unscaled(rule.k), 1
             alpha, alpha_den = _over(rule.alpha, g_left)
             beta, beta_den = _over(rule.beta, g_right)
             if faithful_constants:
@@ -610,12 +561,11 @@ def _phase_two(
                 left, right, alpha * (held // alpha_den), beta * (held // beta_den)
             )
         else:
-            root = line.poly
-            source, g_source = located[rule.k]
+            root = input_line.poly.substitute(substitution)
+            source, g_source = unscaled(rule.k)
             if faithful_constants:
-                origin = original[line.provenance].poly
-                clearing = spread ** (line.provenance + 1) * math.prod(
-                    t ** _max_degree_of(origin, v) for v, t in scale.items()
+                clearing = spread ** (k + 1) * math.prod(
+                    t ** _max_degree_of(input_line.poly, v) for v, t in scale.items()
                 )
                 if clearing % root.denominator_lcm() != 0:
                     raise InternalCheckFailure(
@@ -626,11 +576,11 @@ def _phase_two(
             else:
                 held = math.lcm(root.denominator_lcm(), g_source)
             squared = builder.scale_line(source, held**2 // g_source)
-            emitted = builder.sqrt_of(squared, root.scale(held))
-        located.append((emitted, held))
+            emitted, s = builder.sqrt_of(squared, root.scale(held)), 1
+        located.append((emitted, held, s))
 
-    last, held = located[-1]
-    constant = phase_one[-1].poly.constant_value()
+    last, held, s = located[-1]
+    constant = as_scalar(s * proof[-1].poly.constant_value())
     if not faithful_constants and isinstance(constant, int):
         # The last line is held * constant: scaled to (h * constant)^2 it
         # has the square root h * constant, for each h of _halvings(held).
@@ -641,46 +591,43 @@ def _phase_two(
     goal = factor if faithful_constants else held
     if held != goal or last != len(builder.lines) - 1:
         builder.scale_line(last, goal // held)
-    return builder.lines
+    # held * s would copy every held factor, and faithful ones are F-sized.
+    return builder.lines, [(line, held * s if s != 1 else held) for line, held, s in located]
 
 
-def verify_phase_one(
+def verify_lift(
     axioms: AxiomSet, proof: Sequence[ProofLine], result: RationalizeResult
 ) -> None:
-    """Re-derive phase 1 from first principles and compare.
+    """Check what the integer checker cannot see: each line's substitution.
 
-    Checks the substitution identity for every line that realizes an input
-    line, and that every linear combination either reuses the original
-    scalars or is the 1/s rescaling of the line it cites, whose scale is s.
-    Raises InternalCheckFailure on the first violation.
+    For every input line k with lifted[k] = (z, c), integer line z must be
+    c times line k with y_i -> y_i / T_i, and every input linear
+    combination of lines j and k with scalars alpha and beta must be an
+    integer combination of lifted[j] and lifted[k] whose scalars a and b
+    satisfy a * c_j == c * alpha and b * c_k == c * beta.  Raises
+    InternalCheckFailure on the first violation.
     """
     variables = (ext.var for ext in axioms.extensions)
     substitution = _descaling(dict(zip(variables, result.state.scale_factors)))
-    phase = result.phase_one
+    lifted = result.lifted
 
     for k, line in enumerate(proof):
-        image = phase[result.prime_of[k]]
-        if image.poly != line.poly.substitute(substitution).scale(image.scale):
+        z, c = lifted[k]
+        image = result.proof[z]
+        if image.poly != line.poly.substitute(substitution).scale(c):
             raise InternalCheckFailure(f"line {k} breaks the substitution identity")
-
-    for index, line in enumerate(phase):
-        if not isinstance(line.rule, LinComb):
+        rule = line.rule
+        if not isinstance(rule, LinComb):
             continue
-        alpha, beta = as_scalar(line.rule.alpha), as_scalar(line.rule.beta)
-        if line.provenance is None:
-            if beta != 0 or alpha != Fraction(1, phase[line.rule.j].scale):
-                raise InternalCheckFailure(
-                    f"auxiliary line {index} is not the 1/s copy of its premise"
-                )
-        else:
-            origin = proof[line.provenance].rule
-            if not isinstance(origin, LinComb) or (
-                as_scalar(origin.alpha),
-                as_scalar(origin.beta),
-            ) != (alpha, beta):
-                raise InternalCheckFailure(
-                    f"line {index} does not reuse the original scalars"
-                )
+        (left, c_left), (right, c_right) = lifted[rule.j], lifted[rule.k]
+        step = image.rule
+        if not (
+            isinstance(step, LinComb)
+            and (step.j, step.k) == (left, right)
+            and step.alpha * c_left == c * rule.alpha
+            and step.beta * c_right == c * rule.beta
+        ):
+            raise InternalCheckFailure(f"line {k} does not reuse the original scalars")
 
 
 def state_to_obj(state: RationalizeState) -> dict[str, object]:

@@ -63,7 +63,7 @@ from polycal.reslin import (
     check_reslin,
     size_binary,
 )
-from polycal.xlate import rationalize, simulate_reslin_b, verify_phase_one
+from polycal.xlate import rationalize, simulate_reslin_b, verify_lift
 
 from q_corpus import rational_corpus
 from reslin_corpus import refutation_corpus
@@ -198,20 +198,20 @@ def test_a5_rationalization():
                 result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z
             )
             assert z_report.valid, f"{name}: {z_report.error}"
-            verify_phase_one(axioms, proof, result)
+            verify_lift(axioms, proof, result)
             ratio = Fraction(z_report.final_constant) / Fraction(
                 q_report.final_constant
             )
             assert ratio.denominator == 1 and ratio > 0, name
-            t_prime = len(result.phase_one)
-            assert len(result.proof) <= 2 * t_prime**2 + t_prime, name
+            t = len(proof)
+            assert len(result.proof) <= 2 * t**2 + t, name
         elapsed = time.monotonic() - start
         assert fully_featured >= 5, f"only {fully_featured} members carry all features"
         assert elapsed < 10.0, f"{elapsed:.2f}s over the 10s budget"
         c["detail"] = (
             f"{len(corpus)} refutations lift ({fully_featured} with rational "
-            f"definitions and a square root), integral ratios, phase-two "
-            f"within 2t'^2+t', {elapsed:.2f}s < 10s"
+            f"definitions and a square root), integral ratios, integer proofs "
+            f"within 2t^2+t, {elapsed:.2f}s < 10s"
         )
 
 

@@ -41,7 +41,7 @@ from polycal.xlate import (
     rationalize,
     simulate_reslin_b,
     state_to_obj,
-    verify_phase_one,
+    verify_lift,
 )
 from q_corpus import (
     Y2,
@@ -53,6 +53,7 @@ from q_corpus import (
     rational_corpus,
     renumber,
     unused_extensions,
+    working_extension,
     y_variables,
 )
 from reslin_corpus import (
@@ -249,7 +250,7 @@ def test_rational_corpus_lifts_to_integers():
             assert final.valid, (name, faithful, final.error)
             ratio = Fraction(final.final_constant) / Fraction(original.final_constant)
             assert ratio > 0 and ratio.denominator == 1, (name, faithful, ratio)
-            verify_phase_one(axioms, proof, result)
+            verify_lift(axioms, proof, result)
 
 
 def test_phase_two_line_budget():
@@ -258,10 +259,10 @@ def test_phase_two_line_budget():
     inputs.append(("bvp_splitting(3)", splitting.axioms, list(splitting.proof)))
     for name, axioms, proof in inputs:
         for faithful, result in run_both_modes(axioms, proof):
-            t = len(result.phase_one)
+            t = len(proof)
             assert len(result.proof) <= 2 * t * t + t, (name, faithful)
-            # Each phase-1 line adds its own lines plus one rescale per cited
-            # premise, and the final line adds at most one more.
+            # Each input line adds its own line, a square root one rescale
+            # more, and the final line adds at most one more.
             assert len(result.proof) <= 3 * t + 1, (name, faithful, len(result.proof))
 
 
@@ -279,17 +280,19 @@ CORPUS_CONSTANTS = {
 
 
 def test_phase_two_adds_one_line_per_square_root():
-    # Each integer line is g times its phase-1 line with g fixed at
-    # emission, so phase 2 adds one rescaling per square root, at most one
-    # for the last line, and a rescaling and a square root per halving of
-    # the last line's g.  No corpus proof ends in an integer constant whose
-    # g is not squarefree, so none halves; the splitting chain's g is
-    # lcm(1..2^n), whose largest exponent, n of the prime 2, takes
-    # ceil(log2 n) halvings down to the primorial.
+    # Each input line becomes one integer line, g times its substituted
+    # polynomial with g fixed at emission, so the lift adds one rescaling
+    # per square root, at most one for the last line, and a rescaling and a
+    # square root per halving of the last line's g.  No corpus proof ends
+    # in an integer constant whose g is not squarefree, so none halves; the
+    # splitting chain's g is lcm(1..2^n), whose largest exponent, n of the
+    # prime 2, takes ceil(log2 n) halvings down to the primorial.
     cases = []
     for name, axioms, proof in rational_corpus():
         for faithful, result in run_both_modes(axioms, proof):
-            cases.append(((name, faithful), result, CORPUS_CONSTANTS[name][faithful], 0))
+            cases.append(
+                ((name, faithful), proof, result, CORPUS_CONSTANTS[name][faithful], 0)
+            )
     for n in range(2, 7):
         out = simulate_reslin_b(*bvp_splitting(n))
         for faithful in (False, True) if n <= 3 else (False,):
@@ -301,12 +304,12 @@ def test_phase_two_adds_one_line_per_square_root():
                 assert factor == primorial(2**n)
                 assert audit_divisibility(factor, n).all_divide
             halvings = 0 if faithful else ceil_log2(n)
-            cases.append(((n, faithful), result, (factor, factor), halvings))
-    for label, result, constants, halvings in cases:
-        roots = sum(isinstance(line.rule, Sqrt) for line in result.phase_one)
+            cases.append(((n, faithful), out.proof, result, (factor, factor), halvings))
+    for label, proof, result, constants, halvings in cases:
+        roots = sum(isinstance(line.rule, Sqrt) for line in proof)
         z_roots = sum(isinstance(line.rule, Sqrt) for line in result.proof)
         assert z_roots - roots == halvings, label
-        added = len(result.proof) - len(result.phase_one) - roots - 2 * halvings
+        added = len(result.proof) - len(proof) - roots - 2 * halvings
         assert added in (0, 1), label
         state = result.state
         assert (state.final_factor, state.final_constant) == constants, label
@@ -318,7 +321,7 @@ def _splitting_z(n, order=None, alpha=1):
     report = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
     assert report.valid, report.error
     assert report.final_constant == result.state.final_factor
-    return result
+    return out.proof, result
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -326,12 +329,12 @@ def test_seeded_split_orders_end_in_the_primorial(n):
     rng = random.Random(n)
     for _ in range(3):
         order = rng.sample(range(1, n + 1), n)
-        result = _splitting_z(n, order)
-        roots = sum(isinstance(line.rule, Sqrt) for line in result.phase_one)
+        proof, result = _splitting_z(n, order)
+        roots = sum(isinstance(line.rule, Sqrt) for line in proof)
         halvings = sum(isinstance(line.rule, Sqrt) for line in result.proof) - roots
         assert result.state.final_constant == primorial(2**n), order
         assert halvings == ceil_log2(n), order
-        assert len(result.proof) == len(result.phase_one) + roots + 2 * halvings, order
+        assert len(result.proof) == len(proof) + roots + 2 * halvings, order
 
 
 # A resolution scale is a prime factor the chain cannot clear: one at or
@@ -341,7 +344,7 @@ def test_seeded_split_orders_end_in_the_primorial(n):
     [(3, 3, 210), (4, 5, 30_030), (3, 11, 11 * 210), (4, 17, 17 * 30_030)],
 )
 def test_a_resolution_scale_above_2_to_the_n_stays_in_the_constant(n, alpha, constant):
-    result = _splitting_z(n, alpha=alpha)
+    _, result = _splitting_z(n, alpha=alpha)
     assert result.state.final_constant == constant
     assert audit_divisibility(constant, n).all_divide
 
@@ -365,14 +368,6 @@ def test_halving_keeps_a_cofactor_above_the_trial_division_bound_whole():
         assert report.valid and report.final_constant == constant, prime
         z_roots = sum(isinstance(line.rule, Sqrt) for line in result.proof)
         assert z_roots == 2 + halvings, prime
-
-
-def test_phase_one_is_a_valid_rational_proof():
-    for name, axioms, proof in rational_corpus():
-        result = rationalize(axioms, proof)
-        replay = [ProofLine(p.poly, p.rule) for p in result.phase_one]
-        report = check_refutation(result.axioms, replay, SystemKind.EXTPCSQRT_Q)
-        assert report.valid, (name, report.error)
 
 
 def test_nested_extension_factors_frozen():
@@ -412,7 +407,7 @@ def test_integer_input_passes_through():
     assert result.state.final_factor == 1
     assert result.state.final_constant == 2
     assert result.state.deltas == (1,)
-    assert len(result.proof) == len(result.phase_one)
+    assert len(result.proof) == len(builder.lines)
 
 
 def test_simulation_output_feeds_rationalization():
@@ -463,91 +458,109 @@ def test_invalid_input_rejected():
 def test_verify_phase_one_catches_tampering():
     axioms, proof = negative_root()
     result = rationalize(axioms, proof)
-    phase = list(result.phase_one)
-    index = result.prime_of[-1]
-    phase[index] = dataclasses.replace(phase[index], poly=Polynomial.constant(9))
-    tampered = dataclasses.replace(result, phase_one=tuple(phase))
-    with pytest.raises(InternalCheckFailure):
-        verify_phase_one(axioms, proof, tampered)
+    z_proof = list(result.proof)
+    index = result.lifted[-1][0]
+    z_proof[index] = dataclasses.replace(z_proof[index], poly=Polynomial.constant(9))
+    tampered = dataclasses.replace(result, proof=tuple(z_proof))
+    with pytest.raises(InternalCheckFailure, match="substitution identity"):
+        verify_lift(axioms, proof, tampered)
 
 
 def test_verify_phase_one_catches_foreign_scalars():
-    from q_corpus import working_extension
-
     axioms, proof = working_extension()
     result = rationalize(axioms, proof)
-    phase = list(result.phase_one)
-    auxiliary = [
-        i
-        for i, line in enumerate(phase)
-        if isinstance(line.rule, LinComb) and line.provenance is None
-    ]
-    assert auxiliary, "the corpus member is expected to carry rescaling lines"
-    i = auxiliary[0]
-    phase[i] = dataclasses.replace(
-        phase[i], rule=dataclasses.replace(phase[i].rule, alpha=Fraction(1, 3))
+    z_proof = list(result.proof)
+    # The integer line keeps its polynomial; only its cited scalar changes.
+    k = next(k for k, line in enumerate(proof) if isinstance(line.rule, LinComb))
+    z = result.lifted[k][0]
+    step = z_proof[z].rule
+    z_proof[z] = dataclasses.replace(
+        z_proof[z], rule=dataclasses.replace(step, alpha=step.alpha + 1)
     )
-    tampered = dataclasses.replace(result, phase_one=tuple(phase))
-    with pytest.raises(InternalCheckFailure):
-        verify_phase_one(axioms, proof, tampered)
+    tampered = dataclasses.replace(result, proof=tuple(z_proof))
+    with pytest.raises(InternalCheckFailure, match="original scalars"):
+        verify_lift(axioms, proof, tampered)
 
 
 def test_verify_phase_one_ties_a_copy_to_the_scale_of_its_premise():
-    from q_corpus import working_extension
-
     axioms, proof = working_extension()
     result = rationalize(axioms, proof)
-    phase = list(result.phase_one)
-    copy = next(
-        i
-        for i, line in enumerate(phase)
-        if line.provenance is None and line.rule.alpha == Fraction(1, 2)
-    )
-    base_line = next(
-        i
-        for i, line in enumerate(phase)
-        if isinstance(line.rule, Axiom) and line.rule.index < len(axioms.base)
-    )
-    # 1/2 undoes the scale T_1 = 2, not the scale 1 of a base axiom line.
-    phase[copy] = dataclasses.replace(
-        phase[copy], rule=dataclasses.replace(phase[copy].rule, j=base_line, k=base_line)
-    )
-    tampered = dataclasses.replace(result, phase_one=tuple(phase))
+    lifted = list(result.lifted)
+    # Line 0 is the definition of y1, whose scale is T_1 = 2: its factor
+    # must carry that 2.
+    assert isinstance(proof[0].rule, Axiom) and lifted[0][1] == 2
+    lifted[0] = (lifted[0][0], 1)
+    tampered = dataclasses.replace(result, lifted=tuple(lifted))
     with pytest.raises(InternalCheckFailure):
-        verify_phase_one(axioms, proof, tampered)
+        verify_lift(axioms, proof, tampered)
 
 
 def test_rationalize_runs_verify_phase_one(monkeypatch):
     def refuse(axioms, proof, result):
-        raise InternalCheckFailure("phase 1 refused")
+        raise InternalCheckFailure("lift refused")
 
-    monkeypatch.setattr("polycal.xlate.verify_phase_one", refuse)
-    with pytest.raises(InternalCheckFailure, match="phase 1 refused"):
+    monkeypatch.setattr("polycal.xlate.verify_lift", refuse)
+    with pytest.raises(InternalCheckFailure, match="lift refused"):
         rationalize(*nested_extensions())
 
 
+def test_rationalize_checks_only_its_input_and_output(monkeypatch):
+    calls = []
+
+    def counting(axioms, proof, kind):
+        calls.append(kind)
+        return check_refutation(axioms, proof, kind)
+
+    monkeypatch.setattr("polycal.xlate.check_refutation", counting)
+    for axioms, proof in (working_extension(), nested_extensions()):
+        for faithful in (False, True):
+            calls.clear()
+            rationalize(axioms, proof, faithful_constants=faithful)
+            assert calls == [SystemKind.EXTPCSQRT_Q, SystemKind.EXTPCSQRT_Z], faithful
+
+
 def test_phase_one_copies_each_line_at_most_once():
-    # Every T_j is 1 on the splitting chain, so phase 1 copies no line.
+    # Every T_j is 1 on the splitting chain, so each input line is lifted
+    # at scale 1 to an integer line of its own.
     for n in (3, 4, 5):
         out = simulate_reslin_b(*bvp_splitting(n))
         result = rationalize(out.axioms, list(out.proof))
-        assert len(result.phase_one) == len(out.proof), n
-        assert not any(line.provenance is None for line in result.phase_one), n
+        assert set(result.state.scale_factors) == {1}, n
+        z_lines = [z for z, _ in result.lifted]
+        assert len(z_lines) == len(set(z_lines)) == len(out.proof), n
         if n == 4:
             assert result.state.final_constant == primorial(16) == 30_030
 
-    from q_corpus import working_extension
-
-    result = rationalize(*working_extension())
-    cited = [
-        line.rule.j
-        for line in result.phase_one
-        if isinstance(line.rule, LinComb) and line.provenance is None
+    # The definition of y1 (T_1 = 2) is read at scale 1 by two lines, a y1
+    # multiplication and a combination with a line of scale 1; faithful F
+    # takes its 2 once, so taking it twice would show as 2048.
+    axioms, proof = working_extension()
+    definition = [
+        k
+        for k, line in enumerate(proof)
+        if (isinstance(line.rule, MulVar) and line.rule.k == 0 and line.rule.var == yvar(1))
+        or (isinstance(line.rule, LinComb) and 0 in (line.rule.j, line.rule.k))
     ]
-    assert cited and len(cited) == len(set(cited))
-    # Each 1/2 copy doubles the faithful F, so a repeated copy would show.
-    faithful = rationalize(*working_extension(), faithful_constants=True)
+    assert len(definition) == 2
+    faithful = rationalize(axioms, proof, faithful_constants=True)
     assert faithful.state.final_factor == 1024
+
+
+def test_working_extension_lifts_each_line_to_one_integer_line():
+    # 12 input lines, one square root and no halving: 13 integer lines.
+    # Reading the y1 definition (T_1 = 2) at scale 1 adds no line.
+    axioms, proof = working_extension()
+    for faithful, (factor, constant) in ((False, (1, -1)), (True, (1024, -1024))):
+        result = rationalize(axioms, proof, faithful_constants=faithful)
+        assert len(result.proof) == 13, faithful
+        assert result.state == xlate.RationalizeState(
+            denominator_products=(2,),
+            scale_factors=(2,),
+            deltas=(1, 2),
+            line_count=12,
+            final_factor=factor,
+            final_constant=constant,
+        ), faithful
 
 
 # -- extension numbering ---------------------------------------------------------
