@@ -120,11 +120,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> object:
+    """The JSON document at path.
+
+    Integers are parsed by json's C parser, which raises a plain ValueError
+    on one past the interpreter's int-str digit limit (4300 digits).  Only
+    then is the text parsed again with `int_from_str` as the integer hook,
+    which reads any length up to `NUMERAL_DIGIT_LIMIT` digits and refuses
+    longer numerals with a FormatError.  A JSONDecodeError from the first
+    parse is raised as it is.
+    """
     with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
         try:
-            return json.load(handle, parse_int=int_from_str)
-        except RecursionError:
-            raise FormatError(f"{path}: JSON nested too deeply") from None
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            pass
+        return json.loads(text, parse_int=int_from_str)
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 @contextlib.contextmanager

@@ -21,6 +21,7 @@ fixes serialization and display, and makes reduction deterministic.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import re
@@ -118,8 +119,25 @@ def int_to_str(value: int) -> str:
         return str(Decimal(value))
 
 
+# The most digits a numeral read from a document may have.  The Decimal
+# fallback past the int-str digit limit takes quadratic time (10^6 digits:
+# 34 s); the longest numeral a generator writes, a --faithful-constants
+# rationalize of the n=4 splitting chain, has 132,141 digits.
+NUMERAL_DIGIT_LIMIT = 200_000
+
+
 def int_from_str(text: str) -> int:
-    """Inverse of int_to_str on decimal integer text; also a JSON parse_int hook."""
+    """Inverse of int_to_str on decimal integer text; also a JSON parse_int hook.
+
+    Text of more than NUMERAL_DIGIT_LIMIT digits is refused before any
+    conversion.
+    """
+    if len(text) > NUMERAL_DIGIT_LIMIT:
+        digits = len(text) - text.startswith("-")
+        if digits > NUMERAL_DIGIT_LIMIT:
+            raise FormatError(
+                f"numeral of {digits} digits exceeds the limit {NUMERAL_DIGIT_LIMIT}"
+            )
     try:
         return int(text)
     except ValueError:
@@ -231,7 +249,8 @@ class Monomial:
     __slots__ = ("_pairs", "_degree", "_hash", "_products", "_json", "__weakref__")
 
     def __new__(cls, pairs: Iterable[tuple[VarId, int]] = ()) -> Monomial:
-        return _intern(_canonical(pairs))
+        pairs = _canonical(pairs)
+        return _intern(pairs, sum(e for _, e in pairs))
 
     def __init__(self, pairs: Iterable[tuple[VarId, int]] = ()) -> None:
         """Does nothing: __new__ returns an interned, fully built monomial.
@@ -251,7 +270,7 @@ class Monomial:
     def of(var: VarId, exp: int = 1) -> Monomial:
         if exp < 0:
             raise ValueError(f"negative exponent for {var.name}")
-        return _intern(((var, exp),) if exp else ())
+        return _intern(((var, exp),) if exp else (), exp)
 
     @property
     def pairs(self) -> tuple[tuple[VarId, int], ...]:
@@ -283,7 +302,11 @@ class Monomial:
             return other
         product = self._products.get(other._pairs)
         if product is None:
-            product = _intern(_canonical(self._pairs + other._pairs))
+            degree = self._degree + other._degree
+            if len(other._pairs) == 1:
+                product = _intern(_inserted(self._pairs, other._pairs[0]), degree)
+            else:
+                product = _intern(_canonical(self._pairs + other._pairs), degree)
             self._products[other._pairs] = product
         return product
 
@@ -298,7 +321,7 @@ class Monomial:
         return _intern(tuple(
             (v, e - exp if v == var else e)
             for v, e in self._pairs if v != var or e != exp
-        ))
+        ), self._degree - exp)
 
     def __hash__(self) -> int:
         return self._hash
@@ -341,6 +364,20 @@ def _canonical(pairs: Iterable[tuple[VarId, int]]) -> tuple[tuple[VarId, int], .
     return tuple(sorted(merged.items()))
 
 
+def _inserted(
+    pairs: tuple[tuple[VarId, int], ...], pair: tuple[VarId, int]
+) -> tuple[tuple[VarId, int], ...]:
+    """Canonical pairs times one more (var, exp): no merge, no sort.
+
+    The slices share the other (var, exp) tuples with the given pairs.
+    """
+    var = pair[0]
+    i = bisect.bisect_left(pairs, (var,))  # (var,) sorts before every (var, e)
+    if i < len(pairs) and pairs[i][0] == var:
+        return pairs[:i] + ((var, pairs[i][1] + pair[1]),) + pairs[i + 1 :]
+    return pairs[:i] + (pair,) + pairs[i:]
+
+
 # Every live monomial, keyed by its canonical pairs.  Weak values: an entry
 # goes when the last holder of its monomial lets go.
 _INTERNED: weakref.WeakValueDictionary[
@@ -348,14 +385,14 @@ _INTERNED: weakref.WeakValueDictionary[
 ] = weakref.WeakValueDictionary()
 
 
-def _intern(pairs: tuple[tuple[VarId, int], ...]) -> Monomial:
-    """The one monomial with these canonical pairs (see _canonical)."""
+def _intern(pairs: tuple[tuple[VarId, int], ...], degree: int) -> Monomial:
+    """The one monomial with these canonical pairs (see _canonical) and degree."""
     mono = _INTERNED.get(pairs)
     if mono is None:
         mono = object.__new__(Monomial)
         put = object.__setattr__
         put(mono, "_pairs", pairs)
-        put(mono, "_degree", sum(e for _, e in pairs))
+        put(mono, "_degree", degree)
         put(mono, "_hash", hash(pairs))
         put(mono, "_products", {})
         put(mono, "_json", None)
@@ -722,8 +759,8 @@ def mono_to_json(mono: Monomial) -> str:
     """
     text = mono._json
     if text is None:
-        named = sorted((var.name, exp) for var, exp in mono.pairs)
-        text = "{" + ",".join(f'"{name}":{int_to_str(exp)}' for name, exp in named) + "}"
+        named = sorted([(f"{kind}{index}", exp) for (kind, index), exp in mono._pairs])
+        text = "{" + ",".join([f'"{name}":{exp}' for name, exp in named]) + "}"
         object.__setattr__(mono, "_json", text)
     return text
 
@@ -733,6 +770,7 @@ def _mono_from_obj(obj: object) -> Monomial:
     if not isinstance(obj, dict):
         raise FormatError(f"monomial must be an object, got {shown(obj)}")
     pairs: list[tuple[VarId, int]] = []
+    degree = 0
     for name, exp in obj.items():
         var = parse_var(name)
         if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
@@ -740,8 +778,9 @@ def _mono_from_obj(obj: object) -> Monomial:
         if exp > EXPONENT_LIMIT:
             raise FormatError(f"exponent of {name} exceeds the limit {EXPONENT_LIMIT}")
         pairs.append((var, exp))
+        degree += exp
     # Distinct keys are distinct canonical names, hence distinct variables.
-    return _intern(tuple(sorted(pairs)))
+    return _intern(tuple(sorted(pairs)), degree)
 
 
 _POLY_FIELDS = frozenset({"terms"})

@@ -22,17 +22,22 @@ A refutation ends in the empty disjunction.  The size measures count only
 variable coefficients, never the constant terms: unary size sums |a_i|,
 binary size sums ceil(log2 |a_i|).
 
+Equations are interned as monomials are: while anything holds an equation,
+every way of building it returns that one object, so ``==`` and hash are
+identity and cost no walk over the coefficients.  The checker compares
+disjunctions as multisets of object ids.
+
 The registry maps each distinct affine form ``a . x - a0`` seen anywhere in
 the axioms or the proof to a fresh y-variable, in first-occurrence order;
 `product_monomial` rewrites a disjunction as the product of its disjuncts'
 y-variables, its "hat" (the empty disjunction becomes the monomial 1).
-Keys are the exact coefficient tuples: no gcd or sign normalization, so
-(x=0) and (2x=0) get distinct variables.
+The registry is keyed by the equation itself.  Keys are still exact: no
+gcd or sign normalization, so (x=0) and (2x=0) get distinct variables.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -57,12 +62,28 @@ from .proofcore import CheckError, CheckReport, ExtensionAxiom
 AffineKey = tuple[tuple[tuple[VarId, int], ...], int]
 
 
-@dataclass(frozen=True)
 class LinEq:
-    """An equation sum(coeffs) = constant over x-variables; zero coeffs dropped."""
+    """An equation sum(coeffs) = constant over x-variables; zero coeffs dropped.
+
+    Immutable and interned, so equality and hash are identity (inherited
+    from object).  copy, deepcopy and pickle give back the same object.
+    """
+
+    __slots__ = ("coeffs", "constant", "__weakref__")
 
     coeffs: tuple[tuple[VarId, int], ...]
     constant: int
+
+    def __new__(
+        cls, coeffs: Mapping[VarId, int] | Iterable[tuple[VarId, int]], constant: int
+    ) -> LinEq:
+        return LinEq.of(coeffs, constant)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("LinEq is immutable")
+
+    def __reduce__(self) -> tuple:
+        return _equation, (self.coeffs, self.constant)
 
     @staticmethod
     def of(coeffs: Mapping[VarId, int] | Iterable[tuple[VarId, int]], constant: int) -> LinEq:
@@ -76,7 +97,7 @@ class LinEq:
             merged[var] = merged.get(var, 0) + value
         if not isinstance(constant, int) or isinstance(constant, bool):
             raise ValueError("constant term must be an integer")
-        return LinEq(
+        return _equation(
             tuple(sorted((v, c) for v, c in merged.items() if c != 0)), constant
         )
 
@@ -111,6 +132,25 @@ class LinEq:
         return f"({body} = {self.constant})"
 
 
+# Every live equation, keyed by (coeffs, constant).  Weak values: an entry
+# goes when the last holder of its equation lets go.
+_EQUATIONS: weakref.WeakValueDictionary[
+    tuple[tuple[tuple[VarId, int], ...], int], LinEq
+] = weakref.WeakValueDictionary()
+
+
+def _equation(coeffs: tuple[tuple[VarId, int], ...], constant: int) -> LinEq:
+    """The one equation with these sorted nonzero coefficients and constant."""
+    key = (coeffs, constant)
+    eq = _EQUATIONS.get(key)
+    if eq is None:
+        eq = object.__new__(LinEq)
+        object.__setattr__(eq, "coeffs", coeffs)
+        object.__setattr__(eq, "constant", constant)
+        _EQUATIONS[key] = eq
+    return eq
+
+
 @dataclass(frozen=True)
 class Disjunction:
     disjuncts: tuple[LinEq, ...]
@@ -129,14 +169,8 @@ class Disjunction:
     def __len__(self) -> int:
         return len(self.disjuncts)
 
-    def multiset(self) -> Counter:
-        return Counter(self.disjuncts)
-
-    def without(self, *positions: int) -> Disjunction:
-        drop = set(positions)
-        return Disjunction(
-            tuple(eq for i, eq in enumerate(self.disjuncts) if i not in drop)
-        )
+    def without(self, position: int) -> Disjunction:
+        return Disjunction(self.disjuncts[:position] + self.disjuncts[position + 1 :])
 
     def appended(self, eq: LinEq) -> Disjunction:
         return Disjunction(self.disjuncts + (eq,))
@@ -204,6 +238,15 @@ def boolean_disjunction(var: VarId) -> Disjunction:
     return Disjunction.of(LinEq.of({var: 1}, 0), LinEq.of({var: 1}, 1))
 
 
+def _same_multiset(claimed: Sequence[LinEq], expected: Sequence[LinEq]) -> bool:
+    """Whether two lists hold the same equations, counted, in any order.
+
+    Equations are interned and both lists hold theirs alive, so equal
+    equations have equal ids: sorting ids compares in C, with no hashing.
+    """
+    return sorted(map(id, claimed)) == sorted(map(id, expected))
+
+
 def _verify_rl_line(
     axioms: Sequence[Disjunction],
     lines: Sequence[RlLine],
@@ -217,17 +260,17 @@ def _verify_rl_line(
         return lines[j].disjunction if 0 <= j < index else None
 
     rule = line.rule
-    claimed = line.disjunction.multiset()
+    claimed = line.disjunction.disjuncts
     if isinstance(rule, RlAxiom):
         if not 0 <= rule.index < len(axioms):
             return fail(
                 "BadIndex", f"axiom index {int_to_str(rule.index)} out of range"
             )
-        if claimed != axioms[rule.index].multiset():
+        if not _same_multiset(claimed, axioms[rule.index].disjuncts):
             return fail("RuleMismatch", f"line {index} does not match axiom {rule.index}")
         return None
     if isinstance(rule, RlBooleanAxiom):
-        if claimed != boolean_disjunction(rule.var).multiset():
+        if not _same_multiset(claimed, boolean_disjunction(rule.var).disjuncts):
             return fail(
                 "RuleMismatch",
                 f"line {index} is not the boolean axiom for {rule.var.name}",
@@ -249,18 +292,18 @@ def _verify_rl_line(
             dk_prem.disjuncts[rule.dk], alpha, beta
         )
         expected = (
-            dj_prem.without(rule.dj).multiset()
-            + dk_prem.without(rule.dk).multiset()
-            + Counter([combined])
+            dj_prem.without(rule.dj).disjuncts
+            + dk_prem.without(rule.dk).disjuncts
+            + (combined,)
         )
-        if claimed != expected:
+        if not _same_multiset(claimed, expected):
             return fail("RuleMismatch", f"line {index} is not the stated resolvent")
         return None
     if isinstance(rule, RlWeakening):
         prem = premise(rule.j)
         if prem is None:
             return fail("BadIndex", f"weakening cites line {int_to_str(rule.j)}")
-        if claimed != prem.multiset() + Counter([rule.eq]):
+        if not _same_multiset(claimed, prem.disjuncts + (rule.eq,)):
             return fail("RuleMismatch", f"line {index} is not the stated weakening")
         return None
     if isinstance(rule, RlSimplification):
@@ -280,7 +323,7 @@ def _verify_rl_line(
             return fail(
                 "SimplificationOnZero", "cannot simplify the true equation 0 = 0"
             )
-        if claimed != prem.without(rule.d).multiset():
+        if not _same_multiset(claimed, prem.without(rule.d).disjuncts):
             return fail("RuleMismatch", f"line {index} is not the simplified premise")
         return None
     if isinstance(rule, RlContraction):
@@ -295,7 +338,7 @@ def _verify_rl_line(
             return fail("BadPosition", "contraction needs two distinct positions")
         if prem.disjuncts[rule.d1] != prem.disjuncts[rule.d2]:
             return fail("ContractionUnequal", "contraction targets differ")
-        if claimed != prem.without(rule.d2).multiset():
+        if not _same_multiset(claimed, prem.without(rule.d2).disjuncts):
             return fail("RuleMismatch", f"line {index} is not the contracted premise")
         return None
     raise TypeError(f"unknown rule {rule!r}")
@@ -356,26 +399,24 @@ class UnregisteredForm(KeyError):
 
 
 class Registry:
-    """First-occurrence numbering of affine forms by exact canonical key."""
+    """First-occurrence numbering of affine forms, keyed by the interned equation."""
 
     def __init__(self) -> None:
-        self._by_key: dict[AffineKey, VarId] = {}
+        self._by_key: dict[LinEq, VarId] = {}
         self._defs: list[ExtensionAxiom] = []
 
     def intern(self, eq: LinEq) -> VarId:
-        key = eq.canonical_form()
-        got = self._by_key.get(key)
+        got = self._by_key.get(eq)
         if got is None:
             got = yvar(len(self._by_key) + 1)
-            self._by_key[key] = got
+            self._by_key[eq] = got
             self._defs.append(ExtensionAxiom(got, eq.affine_polynomial()))
         return got
 
     def lookup(self, eq: LinEq) -> VarId:
-        key = eq.canonical_form()
-        got = self._by_key.get(key)
+        got = self._by_key.get(eq)
         if got is None:
-            raise UnregisteredForm(f"form {key!r} is not registered")
+            raise UnregisteredForm(f"form {eq.canonical_form()!r} is not registered")
         return got
 
     def definitions(self) -> tuple[ExtensionAxiom, ...]:

@@ -43,7 +43,13 @@ from polycal.proofcore import (
     proof_to_obj,
     report_from_obj,
 )
-from polycal.polyring import EXPONENT_LIMIT, int_from_str, int_to_str, xvar
+from polycal.polyring import (
+    EXPONENT_LIMIT,
+    NUMERAL_DIGIT_LIMIT,
+    int_from_str,
+    int_to_str,
+    xvar,
+)
 from polycal.reslin import (
     Disjunction,
     RlAxiom,
@@ -205,6 +211,79 @@ def test_check_names_the_field_of_a_bare_number_past_the_int_digit_limit(
     error = json.loads(err)
     assert error["error"] == "FormatError"
     assert error["message"] == f"{complaint}, got an integer of 16610 bits"
+
+
+def _clausal_with(path, numeral):
+    """The axiom C x1 = 0, C written once as numeral, and one boolean line."""
+    c = 77777
+    axioms = [Disjunction.of(eq({xvar(1): c}, 0))]
+    text = json.dumps(reslin_to_obj(axioms, run_rules(axioms, [RlBooleanAxiom(xvar(1))])))
+    path.write_text(text.replace(str(c), numeral), encoding="utf-8")
+    return str(path)
+
+
+def _oracle_with(path, capsys, numeral):
+    """The n=1 oracle proof with its first coefficient string replaced."""
+    assert run(capsys, "oracle-refute", "--n", "1", "--out", str(path))[0] == 0
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r'"coef":"[^"]*"', f'"coef":"{numeral}"', text, count=1),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_numerals_at_the_digit_limit_are_read(tmp_path, capsys):
+    # A raw JSON integer in a clausal document, its sign not counted as a
+    # digit, and a coefficient string in an algebraic one.
+    at_limit = "9" * NUMERAL_DIGIT_LIMIT
+    clausal = _clausal_with(tmp_path / "c.json", "-" + at_limit)
+    code, out, err = run(capsys, "check", "--proof", clausal)
+    assert code == 0, err
+    assert json.loads(out)["valid"] is True
+    algebraic = _oracle_with(tmp_path / "z.json", capsys, at_limit)
+    code, out, err = run(capsys, "measure", "--proof", algebraic)
+    assert code == 0, err
+
+
+def test_numerals_a_digit_past_the_limit_are_refused(tmp_path, capsys):
+    past = "9" * (NUMERAL_DIGIT_LIMIT + 1)
+    documents = [
+        ("check", _clausal_with(tmp_path / "c.json", "-" + past)),
+        ("measure", _oracle_with(tmp_path / "z.json", capsys, past)),
+    ]
+    for command, path in documents:
+        code, out, err = run(capsys, command, "--proof", path)
+        assert (code, out) == (2, ""), command
+        assert json.loads(err) == {
+            "error": "FormatError",
+            "message": f"numeral of {NUMERAL_DIGIT_LIMIT + 1} digits exceeds the limit "
+            f"{NUMERAL_DIGIT_LIMIT}",
+        }
+
+
+def test_a_truncated_document_past_the_int_digit_limit_is_a_decode_error(
+    tmp_path, capsys
+):
+    # The C parser stops at the long numeral first; the re-parse with the
+    # integer hook then meets the cut and raises what json.load with the
+    # hook raises.
+    path = tmp_path / "cut.json"
+    text = Path(_clausal_with(path, "9" * 5000)).read_text(encoding="utf-8")[:-3]
+    assert text.index("9" * 5000) < len(text) - 5000
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text, parse_int=int_from_str)
+    code, out, err = run(capsys, "check", "--proof", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "JSONDecodeError", "message": str(expected.value)}
+
+
+@pytest.mark.parametrize(
+    "numeral", ["9" * 4301, "-" + "1" * 5000, "123"], ids=["4301", "-5000", "3"]
+)
+def test_load_json_decodes_as_the_integer_hook_does(tmp_path, numeral):
+    path = _clausal_with(tmp_path / "c.json", numeral)
+    text = Path(path).read_text(encoding="utf-8")
+    assert cli._load_json(path) == json.loads(text, parse_int=int_from_str)
 
 
 def test_check_refuses_a_variable_name_with_a_trailing_newline(tmp_path, capsys):

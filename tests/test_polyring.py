@@ -12,6 +12,7 @@ from polycal import polyring
 from polycal.proofcore import proof_from_obj
 from polycal.polyring import (
     EXPONENT_LIMIT,
+    NUMERAL_DIGIT_LIMIT,
     FormatError,
     Monomial,
     Polynomial,
@@ -19,6 +20,7 @@ from polycal.polyring import (
     as_scalar,
     boolean_axiom,
     ceil_log2,
+    int_from_str,
     mono_from_obj,
     multilinear_reduce,
     parse_var,
@@ -104,6 +106,18 @@ def test_scalar_strings_past_the_int_digit_limit():
         assert scalar_to_str(scalar) == text
     with pytest.raises(FormatError):
         scalar_from_str("0" + digits)
+
+
+def test_numerals_past_the_digit_limit_are_refused_before_conversion():
+    # Each would take seconds to convert; the length check refuses it at once.
+    past = "9" * (NUMERAL_DIGIT_LIMIT + 1)
+    message = f"numeral of {NUMERAL_DIGIT_LIMIT + 1} digits exceeds the limit"
+    for text in (past, "-" + past):
+        with pytest.raises(FormatError, match=message):
+            int_from_str(text)
+    for text in (past, "-" + past, "1/" + past, past + "/2"):
+        with pytest.raises(FormatError, match=message):
+            scalar_from_str(text)
 
 
 def test_shown_is_repr_unless_repr_hits_the_int_digit_limit():
@@ -216,6 +230,23 @@ def test_products_are_shared_and_invertible(a, b, var, exp):
     assert a.times(b) is a.times(b)
     assert a.times_var(var, exp).without(var, exp) is a
     assert a.times_var(var) is a.times(Monomial.of(var))
+
+
+# Besides KERNEL_VARS: x3 and y2 fall in its gaps, y7 after all of them.
+INSERTED_VARS = (*KERNEL_VARS, xvar(3), yvar(2), yvar(7))
+
+
+@given(monomials, st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_one_variable_products_match_a_sort_and_merge(m, exp):
+    # Every variable is tried against every drawn m, the unit included:
+    # present in m, absent between its variables, before and after them all.
+    for var in INSERTED_VARS:
+        product = m.times(Monomial.of(var, exp))
+        assert product is Monomial(m.pairs + ((var, exp),)), (m, var)
+        assert product.pairs == reference_pairs(m.pairs + ((var, exp),))
+        assert product.degree == m.degree + exp == sum(e for _, e in product.pairs)
+        assert m.times_var(var, exp) is product
 
 
 def test_memoized_products_leave_no_cycle():

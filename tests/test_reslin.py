@@ -1,12 +1,18 @@
 """Tests for resolution over linear equations: checker, sizes, registry, hat."""
 
+import copy
+import gc
 import json
+import pickle
+import weakref
 
 import pytest
 
+from polycal import reslin
 from polycal.polyring import Monomial, Polynomial, xvar, yvar, FormatError, poly_parse
 from polycal.reslin import (
     Disjunction,
+    EquationDecoder,
     LinEq,
     Registry,
     RlAxiom,
@@ -33,7 +39,7 @@ from polycal.reslin import (
     size_binary,
     size_unary,
 )
-from reslin_corpus import all_rules, refutation_corpus, zero_one
+from reslin_corpus import all_rules, bvp_splitting, refutation_corpus, zero_one
 
 X1, X2 = xvar(1), xvar(2)
 
@@ -68,6 +74,38 @@ def test_lineq_combine():
     b = LinEq.of({X1: 1}, 0)
     assert a.combine(b, 1, -1) == LinEq.of({X2: 1}, 3)
     assert a.combine(b, 2, 3) == LinEq.of({X1: 5, X2: 2}, 6)
+
+
+def test_equations_are_interned():
+    built = LinEq.of({X1: 2, X2: -1}, 3)
+    assert LinEq.of([(X2, -1), (X1, 1), (X1, 1)], 3) is built
+    assert LinEq(((X1, 2), (X2, -1)), 3) is built
+    assert LinEq.of({X1: 1}, 0).combine(LinEq.of({X1: 1, X2: -1}, 3), 1, 1) is built
+    decoder = EquationDecoder()
+    assert decoder.lineq({"coeffs": {"x2": -1, "x1": 2}, "const": 3}) is built
+    assert decoder.lineq(lineq_to_obj(built)) is built
+    assert copy.copy(built) is built
+    assert copy.deepcopy(built) is built
+    assert copy.deepcopy([built, built]) == [built, built]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(built, protocol)) is built
+    assert built != LinEq.of({X1: 2, X2: -1}, 4)
+    with pytest.raises(AttributeError):
+        built.constant = 4
+    assert built.constant == 3
+
+
+def test_equations_are_held_weakly():
+    eq = LinEq.of({xvar(9101): 1}, 0)
+    ref = weakref.ref(eq)
+    gc.disable()  # reference counting alone must free it
+    try:
+        del eq
+        alive = ref()
+    finally:
+        gc.enable()
+    assert alive is None
+    assert (((xvar(9101), 1),), 0) not in reslin._EQUATIONS
 
 
 def test_canonical_form_is_exact():
@@ -145,6 +183,22 @@ def test_conclusion_order_is_irrelevant():
                 Disjunction(tuple(reversed(line.disjunction.disjuncts))), line.rule
             )
             assert check_rl_step(axioms, lines[:i], flipped) is None, (name, i)
+
+
+def test_disjunct_order_is_free_but_each_disjunct_counts():
+    axioms, lines = bvp_splitting(3)
+    for i, line in enumerate(lines):
+        ds = line.disjunction.disjuncts
+        for shift in range(len(ds)):
+            rotated = RlLine(Disjunction(ds[shift:] + ds[:shift]), line.rule)
+            assert check_rl_step(axioms, lines[:i], rotated) is None, (i, shift)
+        changed = [ds[:k] + (LinEq.of(d.coeffs, d.constant + 1),) + ds[k + 1 :]
+                   for k, d in enumerate(ds)]
+        if len(ds) > 1 and ds[0] is not ds[1]:
+            changed.append((ds[1],) + ds[1:])  # the same set, other counts
+        for disjuncts in changed:
+            error = check_rl_step(axioms, lines[:i], RlLine(Disjunction(disjuncts), line.rule))
+            assert error is not None and error.code == "RuleMismatch", (i, disjuncts)
 
 
 def test_size_measures_skip_constants():
@@ -317,6 +371,24 @@ def test_registry_axioms_scanned_first():
     assert registry.intern(LinEq.of({X1: 1}, 0)) == yvar(2)
     assert registry.intern(LinEq.of({X2: 1}, 0)) == yvar(1)
     assert len(registry) == 2
+
+
+def test_registry_answers_equal_equations_built_separately():
+    registry = Registry()
+    first = registry.intern(LinEq.of({X1: 2, X2: -1}, 3))
+    decoded = reslin_from_obj(
+        {"axioms": [[{"coeffs": {"x2": -1, "x1": 2}, "const": 3}]], "lines": []}
+    )[0][0].disjuncts[0]
+    for eq in (
+        LinEq.of([(X2, -1), (X1, 2)], 3),
+        LinEq.of({X1: 1}, 0).combine(LinEq.of({X1: 1, X2: -1}, 3), 1, 1),
+        decoded,
+    ):
+        assert registry.lookup(eq) == registry.intern(eq) == first
+    assert len(registry) == 1
+    # Keys are exact: a multiple of a registered form is another form.
+    with pytest.raises(UnregisteredForm, match=r"form \(\(\(x1, 4\), \(x2, -2\)\), -6\)"):
+        registry.lookup(LinEq.of({X1: 4, X2: -2}, 6))
 
 
 def test_registry_lookup_unseen():

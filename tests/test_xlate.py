@@ -253,7 +253,7 @@ def test_rational_corpus_lifts_to_integers():
             verify_lift(axioms, proof, result)
 
 
-def test_phase_two_line_budget():
+def test_lift_line_budget():
     splitting = simulate_reslin_b(*bvp_splitting(3))
     inputs = list(rational_corpus())
     inputs.append(("bvp_splitting(3)", splitting.axioms, list(splitting.proof)))
@@ -279,7 +279,7 @@ CORPUS_CONSTANTS = {
 }
 
 
-def test_phase_two_adds_one_line_per_square_root():
+def test_lift_adds_one_line_per_square_root():
     # Each input line becomes one integer line, g times its substituted
     # polynomial with g fixed at emission, so the lift adds one rescaling
     # per square root, at most one for the last line, and a rescaling and a
@@ -455,7 +455,7 @@ def test_invalid_input_rejected():
         rationalize(axioms, broken)
 
 
-def test_verify_phase_one_catches_tampering():
+def test_verify_lift_catches_tampering():
     axioms, proof = negative_root()
     result = rationalize(axioms, proof)
     z_proof = list(result.proof)
@@ -466,7 +466,7 @@ def test_verify_phase_one_catches_tampering():
         verify_lift(axioms, proof, tampered)
 
 
-def test_verify_phase_one_catches_foreign_scalars():
+def test_verify_lift_catches_foreign_scalars():
     axioms, proof = working_extension()
     result = rationalize(axioms, proof)
     z_proof = list(result.proof)
@@ -482,7 +482,7 @@ def test_verify_phase_one_catches_foreign_scalars():
         verify_lift(axioms, proof, tampered)
 
 
-def test_verify_phase_one_ties_a_copy_to_the_scale_of_its_premise():
+def test_verify_lift_ties_a_line_to_the_scale_of_its_premise():
     axioms, proof = working_extension()
     result = rationalize(axioms, proof)
     lifted = list(result.lifted)
@@ -495,7 +495,7 @@ def test_verify_phase_one_ties_a_copy_to_the_scale_of_its_premise():
         verify_lift(axioms, proof, tampered)
 
 
-def test_rationalize_runs_verify_phase_one(monkeypatch):
+def test_rationalize_runs_verify_lift(monkeypatch):
     def refuse(axioms, proof, result):
         raise InternalCheckFailure("lift refused")
 
@@ -519,7 +519,7 @@ def test_rationalize_checks_only_its_input_and_output(monkeypatch):
             assert calls == [SystemKind.EXTPCSQRT_Q, SystemKind.EXTPCSQRT_Z], faithful
 
 
-def test_phase_one_copies_each_line_at_most_once():
+def test_lift_emits_each_input_line_once():
     # Every T_j is 1 on the splitting chain, so each input line is lifted
     # at scale 1 to an integer line of its own.
     for n in (3, 4, 5):
