@@ -272,6 +272,14 @@ class Monomial:
             raise ValueError(f"negative exponent for {var.name}")
         return _intern(((var, exp),) if exp else (), exp)
 
+    @staticmethod
+    def product(variables: Iterable[VarId]) -> Monomial:
+        """The product of variables: sorted, and merged only if one repeats."""
+        ordered = sorted(variables)
+        if len(set(ordered)) < len(ordered):
+            return Monomial((v, 1) for v in ordered)
+        return _intern(tuple((v, 1) for v in ordered), len(ordered))
+
     @property
     def pairs(self) -> tuple[tuple[VarId, int], ...]:
         return self._pairs

@@ -443,9 +443,7 @@ def build_registry(
 
 def product_monomial(disjunction: Disjunction, registry: Registry) -> Monomial:
     """The product of the disjuncts' y-variables; empty gives the monomial 1."""
-    return Monomial(
-        [(registry.lookup(eq), 1) for eq in disjunction.disjuncts]
-    )
+    return Monomial.product([registry.lookup(eq) for eq in disjunction.disjuncts])
 
 
 # -- serialization ------------------------------------------------------------

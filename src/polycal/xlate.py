@@ -15,7 +15,10 @@ stripping first the variables the rest of its run removes, so each later
 contraction of the run finds its line already made.  A resolution's swap
 line y_new - alpha*y_a - beta*y_b is derived once per pair of forms and
 coefficients, and when both rests are one monomial the two hats are added
-before a single lift.
+before a single lift.  A resolution into a false constant 0 = c derives the
+product of its two rests first and multiplies it by y_new, so the
+simplification that drops the constant reuses that product and emits
+nothing.
 
 rationalize turns a refutation over the rationals into one over the
 integers.  It first picks integer multipliers: T_i rescales extension y_i
@@ -130,7 +133,9 @@ def simulate_reslin_b(
     The output refutes the hat products of the input axioms together with
     one boolean axiom per mentioned x-variable, over the rational extended
     square-root system, and ends in the constant 1.  line_map[i] is the
-    output line whose polynomial is the hat of input line i.
+    output line whose polynomial is the hat of input line i.  A line that
+    reuses an earlier one maps to it, so line_map[i] may name a line before
+    line_map[i - 1]; the last entry is always the last output line.
     """
     report = check_reslin(axioms, proof)
     if not report.valid:
@@ -165,6 +170,11 @@ def simulate_reslin_b(
     hat_lines: list[int] = []
     roots: dict[Monomial, int] = {}
     swaps: dict[tuple, int] = {}
+    sums: dict[tuple, int] = {}
+    # Lines that hold a bare monomial, for a simplification to reuse: the
+    # rests' products of resolutions into false constants, and every
+    # simplification's conclusion.
+    products: dict[Monomial, int] = {}
     for i, line in enumerate(proof):
         rule = line.rule
         if isinstance(rule, RlAxiom):
@@ -173,7 +183,7 @@ def simulate_reslin_b(
             emitted = _simulate_boolean(builder, registry, boolean_index, rule)
         elif isinstance(rule, RlResolution):
             emitted = _simulate_resolution(
-                builder, registry, proof, hat_lines, rule, swaps
+                builder, registry, proof, hat_lines, rule, swaps, sums, products
             )
         elif isinstance(rule, RlWeakening):
             emitted = builder.mul_var(
@@ -181,7 +191,7 @@ def simulate_reslin_b(
             )
         elif isinstance(rule, RlSimplification):
             emitted = _simulate_simplification(
-                builder, registry, proof, hat_lines, rule
+                builder, registry, proof, hat_lines, rule, products
             )
         else:
             emitted = _simulate_contraction(
@@ -195,6 +205,9 @@ def simulate_reslin_b(
             )
         hat_lines.append(emitted)
 
+    if hat_lines[-1] != len(builder.lines) - 1:
+        # A reused hat comes before later lines: the refutation ends in a copy.
+        hat_lines[-1] = builder.scale_line(hat_lines[-1], 1)
     final = check_refutation(out_axioms, builder.lines, SystemKind.EXTPCSQRT_Q)
     if not final.valid or final.final_constant != 1:
         raise InternalCheckFailure("the simulated refutation fails to check")
@@ -220,7 +233,9 @@ def _simulate_boolean(builder, registry, boolean_index, rule) -> int:
     return builder.lincomb(partial, cross, 1, 1)
 
 
-def _simulate_resolution(builder, registry, proof, hat_lines, rule, swaps) -> int:
+def _simulate_resolution(
+    builder, registry, proof, hat_lines, rule, swaps, sums, products
+) -> int:
     """Combine two product lines through the resolved forms' definitions.
 
     The swap line y_new - alpha*y_a - beta*y_b is derived once per
@@ -228,10 +243,15 @@ def _simulate_resolution(builder, registry, proof, hat_lines, rule, swaps) -> in
     pair of forms lifts the same line and shares its partial products.
     When both rests are one monomial A, alpha*hat_a + beta*hat_b plus
     A*swap is A*y_new, and one lift by A gives the conclusion: |A| + 2
-    lines besides the shared lift of the swap.  Otherwise, with A the
-    shorter rest and B the longer, A*swap plus the hat whose rest is A is
-    lifted by B, and the other hat lifted by A is added: 2|A| + |B|
-    variable multiplications.
+    lines besides the shared lift of the swap.  Otherwise the swap is
+    lifted through the two rests to the conclusion.
+
+    A resolvent 0 = c with c != 0 and rests A and B that differ takes A*B
+    first, kept in products for the simplification that drops the
+    constant, and the conclusion is A*B*y_new.  The line
+    alpha*def_a + beta*def_b is alpha*y_a + beta*y_b + c; it is derived
+    once per (a, b, alpha, beta) and kept in sums, and lifted through the
+    rests it is c*A*B.
     """
     prem_a = proof[rule.j].disjunction
     prem_b = proof[rule.k].disjunction
@@ -239,8 +259,28 @@ def _simulate_resolution(builder, registry, proof, hat_lines, rule, swaps) -> in
     eq_b = prem_b.disjuncts[rule.dk]
     rest_a = product_monomial(prem_a.without(rule.dj), registry)
     rest_b = product_monomial(prem_b.without(rule.dk), registry)
-    var_new = registry.lookup(eq_a.combine(eq_b, rule.alpha, rule.beta))
+    resolvent = eq_a.combine(eq_b, rule.alpha, rule.beta)
+    var_new = registry.lookup(resolvent)
     var_a, var_b = registry.lookup(eq_a), registry.lookup(eq_b)
+    sides = (
+        (rest_a, hat_lines[rule.j], rule.alpha),
+        (rest_b, hat_lines[rule.k], rule.beta),
+    )
+    if rest_a != rest_b and resolvent.is_constant() and resolvent.constant:
+        product = rest_a.times(rest_b)
+        line = products.get(product)
+        if line is None:
+            key = (var_a, var_b, rule.alpha, rule.beta)
+            total = sums.get(key)
+            if total is None:
+                total = sums[key] = builder.lincomb(
+                    builder.extension_line(var_a), builder.extension_line(var_b),
+                    rule.alpha, rule.beta,
+                )
+            line = products[product] = _lift_through_rests(
+                builder, total, sides, -1, resolvent.constant
+            )
+        return builder.monomial_multiple(line, Monomial.of(var_new))
     key = (var_new, var_a, var_b, rule.alpha, rule.beta)
     swap = swaps.get(key)
     if swap is None:
@@ -257,37 +297,51 @@ def _simulate_resolution(builder, registry, proof, hat_lines, rule, swaps) -> in
         )
         lifted = builder.lincomb(builder.monomial_multiple(swap, rest_a), hats, 1, 1)
         return builder.monomial_multiple(lifted, rest_a)
+    return _lift_through_rests(builder, swap, sides, 1)
+
+
+def _lift_through_rests(builder, line, sides, sign, divisor=1) -> int:
+    """(B*(A*line + sign*a*hat_A) + sign*b*A*hat_B) / divisor.
+
+    sides holds (rest, hat, coefficient) for both premises; A is the
+    shorter rest, with coefficient a, and B the longer, with b: 2|A| + |B|
+    variable multiplications and two combinations.
+    """
     (short_rest, short_hat, short_coef), (long_rest, long_hat, long_coef) = sorted(
-        (
-            (rest_a, hat_lines[rule.j], rule.alpha),
-            (rest_b, hat_lines[rule.k], rule.beta),
-        ),
-        key=lambda side: side[0].degree,
+        sides, key=lambda side: side[0].degree
     )
     lifted = builder.lincomb(
-        builder.monomial_multiple(swap, short_rest), short_hat, 1, short_coef
+        builder.monomial_multiple(line, short_rest), short_hat, 1, sign * short_coef
     )
     return builder.lincomb(
         builder.monomial_multiple(lifted, long_rest),
         builder.monomial_multiple(long_hat, short_rest),
-        1,
-        long_coef,
+        Fraction(1, divisor),
+        Fraction(sign * long_coef, divisor),
     )
 
 
-def _simulate_simplification(builder, registry, proof, hat_lines, rule) -> int:
-    """Strip a false constant disjunct by dividing its definition out."""
+def _simulate_simplification(builder, registry, proof, hat_lines, rule, products) -> int:
+    """Strip a false constant disjunct by dividing its definition out.
+
+    A rest that products already holds costs no line; a rest derived here
+    is added to it.
+    """
     premise = proof[rule.j].disjunction
-    constant = premise.disjuncts[rule.d].constant
     rest = product_monomial(premise.without(rule.d), registry)
+    line = products.get(rest)
+    if line is not None:
+        return line
+    constant = premise.disjuncts[rule.d].constant
     def_line = builder.extension_line(
         registry.lookup(premise.disjuncts[rule.d])
     )
     lifted = builder.monomial_multiple(def_line, rest)
-    difference = builder.lincomb(lifted, hat_lines[rule.j], 1, -1)
-    if constant == 1:
-        return difference
-    return builder.scale_line(difference, Fraction(1, constant))
+    line = builder.lincomb(lifted, hat_lines[rule.j], 1, -1)
+    if constant != 1:
+        line = builder.scale_line(line, Fraction(1, constant))
+    products[rest] = line
+    return line
 
 
 def _simulate_contraction(

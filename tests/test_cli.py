@@ -463,8 +463,9 @@ def test_rationalize_takes_y_variables_numbered_with_gaps(tmp_path, capsys, name
 
 
 def test_rationalize_state_past_the_int_digit_limit(tmp_path, capsys):
-    # In faithful mode F at n = 3 runs past 4300 decimal digits.
-    rl = write_json(tmp_path / "rl.json", reslin_to_obj(*bvp_splitting(3)))
+    # In faithful mode F at n = 3 with resolution scale 3 runs past 4300
+    # decimal digits: 67,719 bits.
+    rl = write_json(tmp_path / "rl.json", reslin_to_obj(*bvp_splitting(3, alpha=3)))
     q, z, state = (str(tmp_path / name) for name in ("q.json", "z.json", "s.json"))
     assert main(["translate", "--reslin", rl, "--out", q]) == 0
     capsys.readouterr()

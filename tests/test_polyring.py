@@ -249,6 +249,15 @@ def test_one_variable_products_match_a_sort_and_merge(m, exp):
         assert m.times_var(var, exp) is product
 
 
+@given(st.lists(st.sampled_from(INSERTED_VARS), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_products_of_variables_match_a_sort_and_merge(variables):
+    # Distinct variables only sort; a repeated one merges into its power.
+    product = Monomial.product(variables)
+    assert product is Monomial([(var, 1) for var in variables])
+    assert product.degree == len(variables)
+
+
 def test_memoized_products_leave_no_cycle():
     a, b = Monomial.of(xvar(9011)), Monomial.of(xvar(9012))
     assert a.times(b) is b.times(a)

@@ -30,8 +30,12 @@ from polycal.reslin import (
     RlAxiom,
     RlContraction,
     RlLine,
-    product_monomial,
+    RlResolution,
+    RlSimplification,
+    RlWeakening,
     build_registry,
+    check_reslin,
+    product_monomial,
 )
 from polycal.xlate import (
     InternalCheckFailure,
@@ -58,8 +62,10 @@ from q_corpus import (
 )
 from reslin_corpus import (
     bvp_splitting,
+    clause_pair,
     refutation_corpus,
     rests_of_one_degree,
+    run as run_rules,
     thirds,
     zero_one,
 )
@@ -128,8 +134,11 @@ def test_simulation_zero_one_frozen():
 
 
 # Q lines of the splitting refutation of BVP_n, as upper bounds: each run of
-# contractions takes one square root, and a resolution lifts its shorter rest.
-SPLITTING_Q_LINES = {3: 275, 4: 667, 5: 1587, 6: 3739}
+# contractions takes one square root and lifts it in the order the run
+# removes disjuncts, resolutions share their swap line and lift their shorter
+# rest, and a resolution into a false constant derives its rests' product,
+# which the simplification that drops the constant reuses.
+SPLITTING_Q_LINES = {3: 200, 4: 464, 5: 1048, 6: 2336}
 
 
 def _emitting_lines(out):
@@ -168,11 +177,6 @@ def test_splitting_takes_one_square_root_per_run_of_contractions(n):
     assert audit_divisibility(report.final_constant, n).all_divide
 
 
-# The same bounds once a run of contractions lifts its root line in the
-# order the run removes disjuncts and resolutions share their swap line.
-SHARED_SPLITTING_Q_LINES = {3: 255, 4: 591, 5: 1335, 6: 2975}
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_splitting_runs_and_resolutions_share_their_lines(n):
     axioms, lines = bvp_splitting(n)
@@ -190,8 +194,6 @@ def test_splitting_runs_and_resolutions_share_their_lines(n):
         if isinstance(line.rule, LinComb)
     ]
     assert len(set(lincombs)) == len(lincombs)
-    if n in SHARED_SPLITTING_Q_LINES:
-        assert len(proof) <= SHARED_SPLITTING_Q_LINES[n]
 
 
 def test_resolution_with_equal_rests_adds_the_hats_first():
@@ -201,6 +203,115 @@ def test_resolution_with_equal_rests_adds_the_hats_first():
     assert [line.rule for line in out.proof].count(hats) == 1
     report = check_refutation(out.axioms, list(out.proof), SystemKind.EXTPCSQRT_Q)
     assert report.valid and report.final_constant == 1
+
+
+# Q lines, square roots and Z constant of each proof before a resolution into
+# a false constant derived its rests' product first: no proof may grow, and
+# each keeps its roots and its constant.
+Q_LINES_BEFORE = {
+    "zero_one": (11, 0, 1),
+    "all_rules": (78, 2, 6),
+    "half_half": (32, 0, 1),
+    "sum_to_one": (18, 0, 1),
+    "thirds": (25, 0, 2),
+    "clause_pair": (22, 0, 1),
+    "bvp_splitting(4, order)": (576, 14, primorial(16)),
+    "bvp_splitting(5, order)": (1304, 30, primorial(32)),
+    "bvp_splitting(6, order)": (2912, 62, primorial(64)),
+    "bvp_splitting(3, alpha=3)": (248, 6, 210),
+    "bvp_splitting(4, alpha=5)": (576, 14, 30_030),
+    "bvp_splitting(3, alpha=11)": (248, 6, 11 * 210),
+    "bvp_splitting(4, alpha=17)": (576, 14, 17 * 30_030),
+}
+
+
+def _q_line_cases():
+    for name, axioms, lines in refutation_corpus():
+        yield name, axioms, lines
+    for n in (4, 5, 6):
+        rng = random.Random(n)
+        for _ in range(3):
+            order = rng.sample(range(1, n + 1), n)
+            yield f"bvp_splitting({n}, order)", *bvp_splitting(n, order)
+    for n, alpha in ((3, 3), (4, 5), (3, 11), (4, 17)):
+        yield f"bvp_splitting({n}, alpha={alpha})", *bvp_splitting(n, alpha=alpha)
+
+
+def test_no_proof_grows_and_each_keeps_its_roots_and_constant():
+    seen = set()
+    for name, axioms, lines in _q_line_cases():
+        out = simulate_reslin_b(axioms, lines)
+        before, roots, constant = Q_LINES_BEFORE[name]
+        assert len(out.proof) <= before, name
+        assert sum(isinstance(line.rule, Sqrt) for line in out.proof) == roots, name
+        result = rationalize(out.axioms, list(out.proof))
+        assert result.state.final_constant == constant, name
+        seen.add(name)
+    assert seen == set(Q_LINES_BEFORE)
+
+
+def _false_constant_detours():
+    """clause_pair's false constant 0 = -1, first weakened by 0 = 2 and
+    simplified, then resolved back into x1 = 0 and derived again."""
+    axioms, _ = clause_pair()
+    rules = [
+        RlAxiom(0),                         # 0: (x1=0) v (x2=0)
+        RlAxiom(1),                         # 1: (x1=1)
+        RlAxiom(2),                         # 2: (x2=1)
+        RlResolution(0, 1, 0, 0, 1, -1),    # 3: (x2=0) v (0=-1)
+        RlWeakening(3, LinEq.of({}, 2)),    # 4: (x2=0) v (0=-1) v (0=2)
+        RlSimplification(4, 1),             # 5: (x2=0) v (0=2)
+        RlSimplification(5, 1),             # 6: (x2=0)
+        RlResolution(3, 1, 1, 0, 1, 1),     # 7: (x2=0) v (x1=0)
+        RlResolution(7, 1, 1, 0, 1, -1),    # 8: (x2=0) v (0=-1)
+        RlSimplification(8, 1),             # 9: (x2=0)
+        RlResolution(9, 2, 0, 0, 1, -1),    # 10: (0=-1)
+        RlSimplification(10, 0),            # 11: empty
+    ]
+    return axioms, run_rules(axioms, rules)
+
+
+def _checks_and_ends_in_one(out):
+    report = check_refutation(out.axioms, list(out.proof), SystemKind.EXTPCSQRT_Q)
+    assert report.valid and report.final_constant == 1, report.error
+    assert out.line_map[-1] == len(out.proof) - 1
+
+
+def test_a_false_constant_weakened_or_resolved_before_its_simplification():
+    axioms, lines = _false_constant_detours()
+    assert check_reslin(axioms, lines).valid
+    out = simulate_reslin_b(axioms, lines)
+    _checks_and_ends_in_one(out)
+    # Line 3's rests' product is (x2=0)'s hat; lines 6 and 9 reuse it, and
+    # line 8, the same resolution again, reuses line 3's hat.
+    product = out.proof[out.line_map[3]].rule.k
+    assert out.line_map[6] == out.line_map[9] == product
+    assert out.line_map[8] == out.line_map[3]
+
+
+def test_a_last_simplification_that_reuses_a_line_ends_in_a_copy_of_it():
+    axioms, lines = zero_one()
+    rules = [line.rule for line in lines] + [
+        RlAxiom(0),
+        RlAxiom(1),
+        RlResolution(4, 5, 0, 0, 1, -1),
+        RlSimplification(6, 0),             # empty again, as line 3 is
+    ]
+    out = simulate_reslin_b(axioms, run_rules(axioms, rules))
+    _checks_and_ends_in_one(out)
+    first = out.line_map[3]
+    assert out.proof[-1].rule == LinComb(first, first, 1, 0)
+
+
+def test_a_simplified_false_constant_maps_before_its_resolution():
+    # clause_pair's line 3 resolves into (x2=0) v (0=-1): the rests' product,
+    # which line 4 keeps, comes first, and line 3's hat is it times y_new.
+    axioms, lines = clause_pair()
+    out = simulate_reslin_b(axioms, lines)
+    resolution, simplified = out.line_map[3], out.line_map[4]
+    assert simplified < resolution
+    assert out.proof[resolution].rule.k == simplified
+    _checks_and_ends_in_one(out)
 
 
 def test_simulation_size_bound():
@@ -299,7 +410,7 @@ def test_lift_adds_one_line_per_square_root():
             result = rationalize(out.axioms, list(out.proof), faithful_constants=faithful)
             factor = result.state.final_factor
             if faithful:
-                assert factor.bit_length() == {2: 688, 3: 15_346}[n]
+                assert factor.bit_length() == {2: 553, 3: 12_423}[n]
             else:
                 assert factor == primorial(2**n)
                 assert audit_divisibility(factor, n).all_divide
