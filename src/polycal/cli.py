@@ -261,7 +261,7 @@ def _cmd_rationalize(args: argparse.Namespace) -> int:
     if args.state is not None and _one_file(args.out, args.state):
         raise UsageError("--out and --state name the same file")
     _kind, axioms, lines = proof_from_obj(_load_json(args.proof))
-    result = rationalize(axioms, lines, faithful_constants=args.faithful_constants)
+    result = rationalize(axioms, lines)
     # Both files open before either is written, so an unwritable --state
     # leaves --out as it was.
     with _output(args.out) as out, _output(args.state) as state_out:
@@ -377,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proof", required=True, help="proof document over the rationals")
     p.add_argument("--out", required=True, help="file for the integral proof document")
     p.add_argument("--state", help="also write the conversion state to this file")
-    p.add_argument(
-        "--faithful-constants",
-        action="store_true",
-        help="use precomputed clearing factors instead of least denominators",
-    )
 
     p = sub.add_parser("audit", help="divide the final constant by small primes")
     p.add_argument("--proof", required=True, help="proof document to audit")

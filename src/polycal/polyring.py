@@ -121,8 +121,8 @@ def int_to_str(value: int) -> str:
 
 # The most digits a numeral read from a document may have.  The Decimal
 # fallback past the int-str digit limit takes quadratic time (10^6 digits:
-# 34 s); the longest numeral a generator writes, a --faithful-constants
-# rationalize of the n=4 splitting chain, has 132,141 digits.
+# 34 s; 2 * 10^5: about 1.6 s).  Generators write numerals this long only
+# from input numerals this long: the n=9 chain's constant has 212 digits.
 NUMERAL_DIGIT_LIMIT = 200_000
 
 

@@ -419,6 +419,10 @@ class Registry:
             raise UnregisteredForm(f"form {eq.canonical_form()!r} is not registered")
         return got
 
+    def equations(self) -> Iterable[LinEq]:
+        """The distinct forms, in registry order."""
+        return self._by_key.keys()
+
     def definitions(self) -> tuple[ExtensionAxiom, ...]:
         """Extension axioms y_i - (a.x - a0), in registry order."""
         return tuple(self._defs)

@@ -25,9 +25,7 @@ integers.  It first picks integer multipliers: T_i rescales extension y_i
 so its definition clears every denominator, from the T_j of the earlier
 y_j it mentions.  The lift reads the map from each y_i to T_i, so y's may
 be numbered with gaps and a y that no extension defines is left alone, as
-an x is.  The faithful per-line clearing constants
-L_k = (prod deltas)^(k+1) follow from the linear-combination denominators
-(deltas).
+an x is.
 
 It then lifts the input in one pass.  Under the substitution
 y_i -> y_i / T_i, the integer line of input line k is g * s times line k.
@@ -40,19 +38,16 @@ at emission: 1 for an axiom and the premise's g for a variable
 multiplication.  A linear combination of lines j and k with scalars a and
 b takes the least g for which a*g/g_j and b*g/g_k are integers, and those
 are its scalars; a square root takes the lcm of its root's denominators
-and g_k, and rescales its source once, by g^2/g_k.  With faithful
-constants, g is instead a running factor F that every denominator, every
-L_k and, once per line, the s of each line read at scale 1 multiply, and
-only the last line is rescaled to F.
+and g_k, and rescales its source once, by g^2/g_k.
 
 The last integer line is g times c, its scale times the input's final
-constant.  Without faithful constants, and when c is an integer, g is then
-halved until it is squarefree: with h = prod p^ceil(e/2) over the prime
-powers p^e of g, the line is rescaled to h^2 * c^2 and its square root
-h * c is the new last line.  On the splitting refutation of BVP_n the
-per-line g ends in lcm(1..2^n) and the halvings leave the primorial of
-2^n, the least constant the paper's divisibility law allows.  Either way
-the ratio between output and input constants is a positive integer.
+constant.  When c is an integer, g is then halved until it is squarefree:
+with h = prod p^ceil(e/2) over the prime powers p^e of g, the line is
+rescaled to h^2 * c^2 and its square root h * c is the new last line.  On
+the splitting refutation of BVP_n the per-line g ends in lcm(1..2^n) and
+the halvings leave the primorial of 2^n, the least constant the paper's
+divisibility law allows.  Either way the ratio between output and input
+constants is a positive integer.
 """
 
 from __future__ import annotations
@@ -145,11 +140,7 @@ def simulate_reslin_b(
         raise InvalidInputProof("input does not end in the empty disjunction")
 
     registry = build_registry(axioms, proof)
-    mentioned: set[VarId] = set()
-    for disjunction in list(axioms) + [line.disjunction for line in proof]:
-        for eq in disjunction.disjuncts:
-            mentioned.update(v for v, _ in eq.coeffs)
-    xvars = sorted(mentioned)
+    xvars = sorted({v for eq in registry.equations() for v, _ in eq.coeffs})
 
     base = tuple(
         Polynomial(((product_monomial(d, registry), 1),)) for d in axioms
@@ -376,15 +367,14 @@ def _simulate_contraction(
 
 @dataclass(frozen=True)
 class RationalizeState:
-    """What rationalize computed; the line clearers L_k follow from deltas.
+    """What rationalize computed.
 
-    L_k = (prod deltas)^(k+1) for each of the line_count input lines; they
-    are the faithful mode's clearers only.  L_k is neither stored nor
-    written out: the clearers together hold quadratically many digits, and
-    only the faithful square-root branch of _lift computes one, for the
-    line it clears.  final_factor (F_final) is the output's final
-    constant divided by the input's; with faithful constants it is the
-    running factor F.
+    deltas (the linear-combination denominators) and line_count are the
+    inputs of the paper's per-line clearers L_k = (prod deltas)^(k+1), one
+    for each of the line_count input lines.  The lift clears each line by
+    its own least factor instead, so no L_k is built: together they would
+    hold quadratically many digits.  final_factor (F_final) is the
+    output's final constant divided by the input's.
     """
 
     denominator_products: tuple[int, ...]
@@ -445,6 +435,7 @@ def _descaling(scale: Mapping[VarId, int]) -> dict[VarId, Polynomial]:
 
 
 def _collect_deltas(proof: Sequence[ProofLine]) -> tuple[int, ...]:
+    """1 and every linear-combination denominator: the deltas of L_k."""
     deltas = {1}
     for line in proof:
         if isinstance(line.rule, LinComb):
@@ -453,22 +444,14 @@ def _collect_deltas(proof: Sequence[ProofLine]) -> tuple[int, ...]:
     return tuple(sorted(deltas))
 
 
-def rationalize(
-    axioms: AxiomSet,
-    proof: Sequence[ProofLine],
-    faithful_constants: bool = False,
-) -> RationalizeResult:
+def rationalize(axioms: AxiomSet, proof: Sequence[ProofLine]) -> RationalizeResult:
     """Lift a rational refutation of integer base axioms to the integers.
 
     The output shares the base axioms, rescales each extension definition
     to integer coefficients, and multiplies the refutation through by a
     positive integer, the state's final_factor, so its final constant is
-    the original times that integer.  By default each integer line is
-    cleared by its own least factor and the last one is halved to a
-    squarefree factor.  faithful_constants instead multiplies one running
-    factor by every scalar denominator and by each square root's
-    precomputed per-line clearer L_k, which is larger but independent of
-    the actual polynomial; deltas and line_count fix those clearers.
+    the original times that integer.  Each integer line is cleared by its
+    own least factor and the last one is halved to a squarefree factor.
     The output and its lift of every input line are both verified; a
     failure raises InternalCheckFailure.
     """
@@ -495,9 +478,7 @@ def rationalize(
         ),
     )
 
-    z_proof, lifted = _lift(
-        new_axioms, proof, substitution, math.prod(deltas), scale, faithful_constants
-    )
+    z_proof, lifted = _lift(new_axioms, proof, substitution, scale)
     final = check_refutation(new_axioms, z_proof, SystemKind.EXTPCSQRT_Z)
     if not final.valid:
         raise InternalCheckFailure(
@@ -560,35 +541,21 @@ def _lift(
     new_axioms: AxiomSet,
     proof: Sequence[ProofLine],
     substitution: Mapping[VarId, Polynomial],
-    spread: int,
     scale: Mapping[VarId, int],
-    faithful_constants: bool,
 ) -> tuple[list[ProofLine], list[tuple[int, int]]]:
     """The integer proof, one pass over the input lines, and lifted[k]."""
     builder = ProofBuilder(new_axioms, SystemKind.EXTPCSQRT_Z)
-    # The faithful running factor F: every faithful g divides it.
-    factor = 1
     # located[k] = (line, g, s): integer line `line` is g * s times input
     # line k under the substitution; s is 1 or the T of a y.
     located: list[tuple[int, int, int]] = []
-    unscaled_lines: set[int] = set()
 
     def unscaled(k: int) -> tuple[int, int]:
-        """Input line k at scale 1: its own integer line, with factor g * s.
-
-        Faithful F takes s once per line, at its first use at scale 1.
-        """
-        nonlocal factor
+        """Input line k at scale 1: its own integer line, with factor g * s."""
         line, held, s = located[k]
-        if s == 1:
-            return line, held
-        if faithful_constants and k not in unscaled_lines:
-            unscaled_lines.add(k)
-            factor *= s
         return line, held * s
 
     base_count = len(new_axioms.base)
-    for k, input_line in enumerate(proof):
+    for input_line in proof:
         rule = input_line.rule
         if isinstance(rule, Axiom):
             emitted, held, s = builder.axiom_line(rule.index), 1, 1
@@ -606,47 +573,30 @@ def _lift(
                 (left, g_left), (right, g_right), s = unscaled(rule.j), unscaled(rule.k), 1
             alpha, alpha_den = _over(rule.alpha, g_left)
             beta, beta_den = _over(rule.beta, g_right)
-            if faithful_constants:
-                factor *= _scalar_denominator(rule.alpha) * _scalar_denominator(rule.beta)
-                held = factor
-            else:
-                held = math.lcm(alpha_den, beta_den)
+            held = math.lcm(alpha_den, beta_den)
             emitted = builder.lincomb(
                 left, right, alpha * (held // alpha_den), beta * (held // beta_den)
             )
         else:
             root = input_line.poly.substitute(substitution)
             source, g_source = unscaled(rule.k)
-            if faithful_constants:
-                clearing = spread ** (k + 1) * math.prod(
-                    t ** _max_degree_of(input_line.poly, v) for v, t in scale.items()
-                )
-                if clearing % root.denominator_lcm() != 0:
-                    raise InternalCheckFailure(
-                        "the per-line clearing constant misses a denominator"
-                    )
-                factor *= clearing
-                held = factor
-            else:
-                held = math.lcm(root.denominator_lcm(), g_source)
+            held = math.lcm(root.denominator_lcm(), g_source)
             squared = builder.scale_line(source, held**2 // g_source)
             emitted, s = builder.sqrt_of(squared, root.scale(held)), 1
         located.append((emitted, held, s))
 
     last, held, s = located[-1]
     constant = as_scalar(s * proof[-1].poly.constant_value())
-    if not faithful_constants and isinstance(constant, int):
+    if isinstance(constant, int):
         # The last line is held * constant: scaled to (h * constant)^2 it
         # has the square root h * constant, for each h of _halvings(held).
         for root_factor in _halvings(held):
             squared = builder.scale_line(last, root_factor**2 * constant // held)
             last = builder.sqrt_of(squared, Polynomial.constant(root_factor * constant))
             held = root_factor
-    goal = factor if faithful_constants else held
-    if held != goal or last != len(builder.lines) - 1:
-        builder.scale_line(last, goal // held)
-    # held * s would copy every held factor, and faithful ones are F-sized.
-    return builder.lines, [(line, held * s if s != 1 else held) for line, held, s in located]
+    if last != len(builder.lines) - 1:
+        builder.scale_line(last, 1)
+    return builder.lines, [(line, held * s) for line, held, s in located]
 
 
 def verify_lift(

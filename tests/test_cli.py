@@ -428,21 +428,6 @@ def test_rationalize_outputs_integral_proof_and_state(tmp_path, capsys):
     assert check_refutation(axioms, lines, kind).valid
 
 
-def test_rationalize_faithful_flag_changes_the_factor(tmp_path, capsys):
-    doc = make_rational_doc(tmp_path)
-    code, out, _ = run(
-        capsys,
-        "rationalize",
-        "--proof",
-        doc,
-        "--out",
-        str(tmp_path / "z.json"),
-        "--faithful-constants",
-    )
-    assert code == 0
-    assert json.loads(out)["F_final"] == "32"
-
-
 GAPPED_DOCUMENTS = {
     "y1, y3 and a y3 multiplication": lambda: gapped_extensions(Y3),
     "y1, y3 and no y multiplication": lambda: gapped_extensions(xvar(1)),
@@ -454,25 +439,29 @@ GAPPED_DOCUMENTS = {
 def test_rationalize_takes_y_variables_numbered_with_gaps(tmp_path, capsys, name):
     obj = proof_to_obj(SystemKind.EXTPCSQRT_Q, *GAPPED_DOCUMENTS[name]())
     doc, z = write_json(tmp_path / "q.json", obj), str(tmp_path / "z.json")
-    for flags in ([], ["--faithful-constants"]):
-        code, _, err = run(capsys, "rationalize", "--proof", doc, "--out", z, *flags)
-        assert code == 0, (flags, err)
-        code, out, err = run(capsys, "check", "--proof", z)
-        assert code == 0, (flags, err)
-        assert json.loads(out)["valid"] is True
+    code, _, err = run(capsys, "rationalize", "--proof", doc, "--out", z)
+    assert code == 0, err
+    code, out, err = run(capsys, "check", "--proof", z)
+    assert code == 0, err
+    assert json.loads(out)["valid"] is True
 
 
 def test_rationalize_state_past_the_int_digit_limit(tmp_path, capsys):
-    # In faithful mode F at n = 3 with resolution scale 3 runs past 4300
-    # decimal digits: 67,719 bits.
-    rl = write_json(tmp_path / "rl.json", reslin_to_obj(*bvp_splitting(3, alpha=3)))
+    # A resolution scale above 2^n stays in the Z constant, so at n = 3 a
+    # 1501-digit scale carries F past 4300 decimal digits.  The clausal
+    # document's own coefficients pass that limit too, so json.dumps writes
+    # them only with the interpreter's limit lifted.
+    obj = reslin_to_obj(*bvp_splitting(3, alpha=10**1500 + 1))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rl = write_json(tmp_path / "rl.json", obj)
+    finally:
+        sys.set_int_max_str_digits(limit)
     q, z, state = (str(tmp_path / name) for name in ("q.json", "z.json", "s.json"))
     assert main(["translate", "--reslin", rl, "--out", q]) == 0
     capsys.readouterr()
-    code, out, err = run(
-        capsys, "rationalize", "--proof", q, "--out", z, "--state", state,
-        "--faithful-constants",
-    )
+    code, out, err = run(capsys, "rationalize", "--proof", q, "--out", z, "--state", state)
     assert code == 0, err
     state_obj = json.loads(out)
     assert len(state_obj["F_final"]) > 4300
@@ -827,16 +816,15 @@ def test_clausal_chain_past_the_int_digit_limit(tmp_path, capsys):
     text = text.replace(str(c - 1), int_to_str(big))  # the constant 1 - C
     rl = tmp_path / "rl.json"
     rl.write_text(text, encoding="utf-8")
-    q, z, zf = (str(tmp_path / name) for name in ("q.json", "z.json", "zf.json"))
+    q, z = str(tmp_path / "q.json"), str(tmp_path / "z.json")
     commands = [
         ["check", "--proof", str(rl)],
         ["measure", "--proof", str(rl)],
         ["translate", "--reslin", str(rl), "--out", q],
         ["check", "--proof", q],
         ["rationalize", "--proof", q, "--out", z],
-        ["rationalize", "--proof", q, "--out", zf, "--faithful-constants"],
-        ["check", "--proof", zf],
-        ["measure", "--proof", zf],
+        ["check", "--proof", z],
+        ["measure", "--proof", z],
     ]
     outs = []
     for argv in commands:
@@ -844,7 +832,7 @@ def test_clausal_chain_past_the_int_digit_limit(tmp_path, capsys):
         assert code == 0, (argv, err)
         outs.append(json.loads(out, parse_int=int_from_str))
     assert outs[1]["size_unary"] == big + 4  # C, then 1 + 1 + 1 after it
-    assert outs[6]["valid"] is True
+    assert outs[5]["valid"] is True
 
 
 CHAIN_INPUTS = [("rests_of_one_degree", *rests_of_one_degree())] + refutation_corpus()
@@ -856,14 +844,12 @@ CHAIN_INPUTS = [("rests_of_one_degree", *rests_of_one_degree())] + refutation_co
 )
 def test_clausal_refutations_pass_the_whole_chain(axioms, lines, tmp_path, capsys):
     rl = write_json(tmp_path / "rl.json", reslin_to_obj(axioms, lines))
-    q, z, zf = (str(tmp_path / name) for name in ("q.json", "z.json", "zf.json"))
+    q, z = str(tmp_path / "q.json"), str(tmp_path / "z.json")
     commands = [
         ["translate", "--reslin", rl, "--out", q],
         ["check", "--proof", q],
         ["rationalize", "--proof", q, "--out", z],
-        ["rationalize", "--proof", q, "--out", zf, "--faithful-constants"],
         ["check", "--proof", z],
-        ["check", "--proof", zf],
     ]
     for argv in commands:
         code, out, err = run(capsys, *argv)
@@ -1025,8 +1011,6 @@ def _pipeline(work):
         (["translate", "--reslin", clausal, "--out", q], 0),
         (["check", "--proof", q], 0),
         (["rationalize", "--proof", q, "--out", z, "--state", str(work / "s.json")], 0),
-        (["rationalize", "--proof", q, "--out", str(work / "zf.json"),
-          "--faithful-constants"], 0),
         (["check", "--proof", z], 0),
         (["audit", "--proof", z, "--n", "2"], 0),
         (["trace", "--proof", oracle, "--n", "2", "--k", "2"], 0),
@@ -1036,6 +1020,8 @@ def _pipeline(work):
         (["audit", "--proof", oracle, "--n", "3"], 1),
         (["check", "--proof", malformed], 2),
         (["trace", "--proof", oracle, "--n", "2"], 2),
+        (["rationalize", "--proof", q, "--out", str(work / "zf.json"),
+          "--faithful-constants"], 2),
     ]
 
 

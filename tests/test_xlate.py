@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import random
 import time
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from polycal import xlate
 from polycal.bvp import audit_divisibility, is_prime, primes_below
+from polycal.cli import canonical_json
 from polycal.polyring import Polynomial, ceil_log2, poly_parse, xvar, yvar
 from polycal.proofcore import (
     Axiom,
@@ -23,6 +25,7 @@ from polycal.proofcore import (
     Sqrt,
     SystemKind,
     check_refutation,
+    proof_chunks,
 )
 from polycal.reslin import (
     Disjunction,
@@ -345,23 +348,16 @@ def test_simulation_rejects_non_refutation():
 # -- rationalization -------------------------------------------------------------
 
 
-def run_both_modes(axioms, proof):
-    for faithful in (False, True):
-        yield faithful, rationalize(axioms, proof, faithful_constants=faithful)
-
-
 def test_rational_corpus_lifts_to_integers():
     for name, axioms, proof in rational_corpus():
         original = check_refutation(axioms, proof, SystemKind.EXTPCSQRT_Q)
         assert original.valid, (name, original.error)
-        for faithful, result in run_both_modes(axioms, proof):
-            final = check_refutation(
-                result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z
-            )
-            assert final.valid, (name, faithful, final.error)
-            ratio = Fraction(final.final_constant) / Fraction(original.final_constant)
-            assert ratio > 0 and ratio.denominator == 1, (name, faithful, ratio)
-            verify_lift(axioms, proof, result)
+        result = rationalize(axioms, proof)
+        final = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
+        assert final.valid, (name, final.error)
+        ratio = Fraction(final.final_constant) / Fraction(original.final_constant)
+        assert ratio > 0 and ratio.denominator == 1, (name, ratio)
+        verify_lift(axioms, proof, result)
 
 
 def test_lift_line_budget():
@@ -369,24 +365,24 @@ def test_lift_line_budget():
     inputs = list(rational_corpus())
     inputs.append(("bvp_splitting(3)", splitting.axioms, list(splitting.proof)))
     for name, axioms, proof in inputs:
-        for faithful, result in run_both_modes(axioms, proof):
-            t = len(proof)
-            assert len(result.proof) <= 2 * t * t + t, (name, faithful)
-            # Each input line adds its own line, a square root one rescale
-            # more, and the final line adds at most one more.
-            assert len(result.proof) <= 3 * t + 1, (name, faithful, len(result.proof))
+        result = rationalize(axioms, proof)
+        t = len(proof)
+        assert len(result.proof) <= 2 * t * t + t, name
+        # Each input line adds its own line, a square root one rescale
+        # more, and the final line adds at most one more.
+        assert len(result.proof) <= 3 * t + 1, (name, len(result.proof))
 
 
-# (F_final, final constant) of each corpus proof, in default and faithful mode.
+# (F_final, final constant) of each corpus proof.
 CORPUS_CONSTANTS = {
-    "negative_root": ((2, 1), (32, 16)),
-    "negative_scalar": ((2, 1), (32, 16)),
-    "unused_extension": ((2, 1), (32, 16)),
-    "nested_extensions": ((2, 1), (32, 16)),
-    "third_delta": ((2, -2), (32, -32)),
-    "working_extension": ((1, -1), (1024, -1024)),
-    "affine_definition": ((2, 1), (128, 64)),
-    "two_thirds_definition": ((2, -2), (128, -128)),
+    "negative_root": (2, 1),
+    "negative_scalar": (2, 1),
+    "unused_extension": (2, 1),
+    "nested_extensions": (2, 1),
+    "third_delta": (2, -2),
+    "working_extension": (1, -1),
+    "affine_definition": (2, 1),
+    "two_thirds_definition": (2, -2),
 }
 
 
@@ -400,22 +396,14 @@ def test_lift_adds_one_line_per_square_root():
     # prime 2, takes ceil(log2 n) halvings down to the primorial.
     cases = []
     for name, axioms, proof in rational_corpus():
-        for faithful, result in run_both_modes(axioms, proof):
-            cases.append(
-                ((name, faithful), proof, result, CORPUS_CONSTANTS[name][faithful], 0)
-            )
+        cases.append((name, proof, rationalize(axioms, proof), CORPUS_CONSTANTS[name], 0))
     for n in range(2, 7):
         out = simulate_reslin_b(*bvp_splitting(n))
-        for faithful in (False, True) if n <= 3 else (False,):
-            result = rationalize(out.axioms, list(out.proof), faithful_constants=faithful)
-            factor = result.state.final_factor
-            if faithful:
-                assert factor.bit_length() == {2: 553, 3: 12_423}[n]
-            else:
-                assert factor == primorial(2**n)
-                assert audit_divisibility(factor, n).all_divide
-            halvings = 0 if faithful else ceil_log2(n)
-            cases.append(((n, faithful), out.proof, result, (factor, factor), halvings))
+        result = rationalize(out.axioms, list(out.proof))
+        factor = result.state.final_factor
+        assert factor == primorial(2**n)
+        assert audit_divisibility(factor, n).all_divide
+        cases.append((n, out.proof, result, (factor, factor), ceil_log2(n)))
     for label, proof, result, constants, halvings in cases:
         roots = sum(isinstance(line.rule, Sqrt) for line in proof)
         z_roots = sum(isinstance(line.rule, Sqrt) for line in result.proof)
@@ -499,9 +487,6 @@ def test_negative_root_frozen_factors():
     assert result.state.deltas == (1, 2)
     assert result.state.final_factor == 2
     assert result.state.final_constant == 1
-    faithful = rationalize(axioms, proof, faithful_constants=True)
-    assert faithful.state.final_factor == 32
-    assert faithful.state.final_constant == 16
 
 
 def test_integer_input_passes_through():
@@ -624,10 +609,9 @@ def test_rationalize_checks_only_its_input_and_output(monkeypatch):
 
     monkeypatch.setattr("polycal.xlate.check_refutation", counting)
     for axioms, proof in (working_extension(), nested_extensions()):
-        for faithful in (False, True):
-            calls.clear()
-            rationalize(axioms, proof, faithful_constants=faithful)
-            assert calls == [SystemKind.EXTPCSQRT_Q, SystemKind.EXTPCSQRT_Z], faithful
+        calls.clear()
+        rationalize(axioms, proof)
+        assert calls == [SystemKind.EXTPCSQRT_Q, SystemKind.EXTPCSQRT_Z]
 
 
 def test_lift_emits_each_input_line_once():
@@ -642,36 +626,20 @@ def test_lift_emits_each_input_line_once():
         if n == 4:
             assert result.state.final_constant == primorial(16) == 30_030
 
-    # The definition of y1 (T_1 = 2) is read at scale 1 by two lines, a y1
-    # multiplication and a combination with a line of scale 1; faithful F
-    # takes its 2 once, so taking it twice would show as 2048.
-    axioms, proof = working_extension()
-    definition = [
-        k
-        for k, line in enumerate(proof)
-        if (isinstance(line.rule, MulVar) and line.rule.k == 0 and line.rule.var == yvar(1))
-        or (isinstance(line.rule, LinComb) and 0 in (line.rule.j, line.rule.k))
-    ]
-    assert len(definition) == 2
-    faithful = rationalize(axioms, proof, faithful_constants=True)
-    assert faithful.state.final_factor == 1024
-
 
 def test_working_extension_lifts_each_line_to_one_integer_line():
     # 12 input lines, one square root and no halving: 13 integer lines.
     # Reading the y1 definition (T_1 = 2) at scale 1 adds no line.
-    axioms, proof = working_extension()
-    for faithful, (factor, constant) in ((False, (1, -1)), (True, (1024, -1024))):
-        result = rationalize(axioms, proof, faithful_constants=faithful)
-        assert len(result.proof) == 13, faithful
-        assert result.state == xlate.RationalizeState(
-            denominator_products=(2,),
-            scale_factors=(2,),
-            deltas=(1, 2),
-            line_count=12,
-            final_factor=factor,
-            final_constant=constant,
-        ), faithful
+    result = rationalize(*working_extension())
+    assert len(result.proof) == 13
+    assert result.state == xlate.RationalizeState(
+        denominator_products=(2,),
+        scale_factors=(2,),
+        deltas=(1, 2),
+        line_count=12,
+        final_factor=1,
+        final_constant=-1,
+    )
 
 
 # -- extension numbering ---------------------------------------------------------
@@ -688,14 +656,13 @@ NUMBERING_CASES = {
 @pytest.mark.parametrize("name", sorted(NUMBERING_CASES))
 def test_extension_numbering_leaves_the_integer_proof(name):
     document, consecutive, factor = NUMBERING_CASES[name]
-    for faithful, result in run_both_modes(*document):
-        report = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
-        assert report.valid, (name, faithful, report.error)
-        expected = rationalize(*consecutive, faithful_constants=faithful)
-        assert result.state == expected.state, (name, faithful)
-        assert len(result.proof) == len(expected.proof), (name, faithful)
-        if not faithful:
-            assert result.state.final_factor == factor, name
+    result = rationalize(*document)
+    report = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
+    assert report.valid, (name, report.error)
+    expected = rationalize(*consecutive)
+    assert result.state == expected.state, name
+    assert len(result.proof) == len(expected.proof), name
+    assert result.state.final_factor == factor, name
 
 
 @functools.cache
@@ -705,25 +672,23 @@ def _renumbering_cases():
         out = simulate_reslin_b(*bvp_splitting(n))
         inputs.append((f"bvp_splitting({n})", out.axioms, list(out.proof)))
     return [
-        (name, axioms, proof, faithful, result)
-        for name, axioms, proof in inputs
-        for faithful, result in run_both_modes(axioms, proof)
+        (name, axioms, proof, rationalize(axioms, proof)) for name, axioms, proof in inputs
     ]
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_renumbered_y_variables_rationalize_to_the_renamed_proof(rng):
-    for name, axioms, proof, faithful, expected in _renumbering_cases():
+    for name, axioms, proof, expected in _renumbering_cases():
         old = sorted(y_variables(axioms, proof))
         new = sorted(rng.sample(range(1, 3 * len(old) + 2), len(old)))
         mapping = dict(zip(old, map(yvar, new)))
-        result = rationalize(*renumber(axioms, proof, mapping), faithful_constants=faithful)
+        result = rationalize(*renumber(axioms, proof, mapping))
         back = {renamed: y for y, renamed in mapping.items()}
         z_axioms, z_proof = renumber(result.axioms, result.proof, back)
-        assert z_axioms == expected.axioms, (name, faithful)
-        assert z_proof == list(expected.proof), (name, faithful)
-        assert result.state == expected.state, (name, faithful)
+        assert z_axioms == expected.axioms, name
+        assert z_proof == list(expected.proof), name
+        assert result.state == expected.state, name
 
 
 def test_phase_zero_asks_only_about_the_variables_a_definition_mentions():
@@ -744,3 +709,114 @@ def test_state_obj_shape():
     assert obj["M"] == ["2", "5"] and obj["T"] == ["2", "20"]
     assert all(isinstance(v, str) for v in obj["deltas"] + [obj["line_count"]])
     assert isinstance(obj["F_final"], str) and isinstance(obj["final_constant"], str)
+
+
+# -- byte pins -------------------------------------------------------------------
+
+
+def _pinned_refutation(kind, name, alpha):
+    """The rational refutation of a pinned case; a clausal one is simulated."""
+    if kind == "rational":
+        return next(item[1:] for item in rational_corpus() if item[0] == name)
+    if kind == "splitting":
+        clausal = bvp_splitting(name, alpha=alpha)
+    else:
+        clausal = next(item[1:] for item in refutation_corpus() if item[0] == name)
+    out = simulate_reslin_b(*clausal)
+    return out.axioms, list(out.proof)
+
+
+def _z_digest(result):
+    digest = hashlib.sha256()
+    for chunk in proof_chunks(SystemKind.EXTPCSQRT_Z, result.axioms, result.proof):
+        digest.update(chunk.encode())
+    digest.update(canonical_json(state_to_obj(result.state)).encode())
+    digest.update(canonical_json(result.lifted).encode())
+    return digest.hexdigest()
+
+
+# sha256 of the Z document, the state and the lifted map that rationalize
+# gives each (kind, name or n, resolution scale): the splitting refutation
+# of BVP_n, and every clausal and rational corpus proof.
+Z_DIGESTS = {
+    ("splitting", 1, 1): (
+        "6526260597ee179c8482b07a13e6fc8f6570173316891d17c73452728337240e"
+    ),
+    ("splitting", 2, 1): (
+        "0bda0d67b53024b619e7e4c6da8968d29cbeb4efb8a3c75bae165549a9df69b7"
+    ),
+    ("splitting", 3, 1): (
+        "14bd7f55c479df9868054d51d6f18c5f586c1abd56bb9fa2a2d03d7ecdcfcb55"
+    ),
+    ("splitting", 4, 1): (
+        "518066d5fd882bf0b9c618e1086e8828212ac31100ae836d165b58c92c5b734a"
+    ),
+    ("splitting", 5, 1): (
+        "ed1f30683ad63542b422827c50b37665899f8ed8a76d75ee7ef7225e2f61a916"
+    ),
+    ("splitting", 6, 1): (
+        "7509f1da8b30c1afca7f8b3d5afd3de20f85becba1da592d5deb2c067e206bcd"
+    ),
+    ("splitting", 3, 3): (
+        "9fc8df3919d266d9a0966a2606e21d81e888976010f59b901618719bd881c3f6"
+    ),
+    ("splitting", 4, 5): (
+        "5edcf07a7e4c75ba4fb600acf7df8e8334a340276ea8bbada26bb8ae43f2f7bb"
+    ),
+    ("splitting", 3, 11): (
+        "1ab16f770915d61dcf17f8f22e755ea8ed0b40b079cff157b245e1001d5711a3"
+    ),
+    ("splitting", 4, 17): (
+        "b1adb36337cba855abf9686371b98ea6df2618121f8b6b902e1c182c1e7f311d"
+    ),
+    ("clausal", "zero_one", 1): (
+        "c2911fa76cf34e1e1a8e3fdb7454f3c81dc262be69f7146bbf92fa8fc88eb601"
+    ),
+    ("clausal", "all_rules", 1): (
+        "1f401762cafa54be83a2e642d07d554883bfd173c86c6b3ec58d5359afaff31f"
+    ),
+    ("clausal", "half_half", 1): (
+        "b6a7ad7ba979df088384f53996f9ef7d2b36841b53eaabe1fa8b200edb699921"
+    ),
+    ("clausal", "sum_to_one", 1): (
+        "ff946772ed808b86e512fb26fb4514e0d36fee2b262ab362df688f986e604e6e"
+    ),
+    ("clausal", "thirds", 1): (
+        "0f0eda9b1e8b46702778947d21061da3d1e6dd77f3cf51c63b3bea2007a7ee9f"
+    ),
+    ("clausal", "clause_pair", 1): (
+        "aaf2118f1820f48b839890b8580702024f7e38ec9a455dba0bc3f65d403d6b9c"
+    ),
+    ("rational", "negative_root", 1): (
+        "fef9d5d379c615d7fc4865a81a7b2b09ca2429d258891707d699c5cc14e13e8e"
+    ),
+    ("rational", "negative_scalar", 1): (
+        "2206854f73fe45fbd55f861d775baa63d83b19dbe7e8e6aff7198e7e01f14253"
+    ),
+    ("rational", "unused_extension", 1): (
+        "b62e05a56a6ace52d72bb357c52db70a35e8707db5e0402567f663c4671a21a1"
+    ),
+    ("rational", "nested_extensions", 1): (
+        "96572449f6e2159901d903a7adfc6e896e8d0b7a054ac1dfb3eedf7388a626dc"
+    ),
+    ("rational", "third_delta", 1): (
+        "e7feb8a7a943470a40be1abffa1ee1e07afabfb5721edd5c16f6229612f0dcca"
+    ),
+    ("rational", "working_extension", 1): (
+        "2241cd747079704ee510496f8a96432a39091db1afef1834b2ccf5c38cc77d3b"
+    ),
+    ("rational", "affine_definition", 1): (
+        "10fde455e8cc0ca41e0450a75d0e5bf5cde94d5def6f5e20fad94d6600cc6608"
+    ),
+    ("rational", "two_thirds_definition", 1): (
+        "bb88a212c5cd35566d9a54a469d545200e821c353431d15835e50f5bea1686de"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(Z_DIGESTS), ids=lambda case: "-".join(map(str, case))
+)
+def test_rationalize_output_bytes_are_pinned(case):
+    result = rationalize(*_pinned_refutation(*case))
+    assert _z_digest(result) == Z_DIGESTS[case]
