@@ -70,6 +70,11 @@ from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind
 # `check` and `trace` of that document peak at 1,117 MB: n = 7 needs force.
 COST_LIMIT = 6
 SIEVE_LIMIT = 1 << 24
+# The largest bit width gen_bvp builds.  The instance grows as n^2: at this
+# limit it is 3.0 MB and `gen-bvp` writes it in about 0.3 s, while from
+# n = 14,286 each further coefficient 2^(i-1) passes 4,300 digits and is
+# written through the quadratic decimal fallback.
+WIDTH_LIMIT = 4096
 
 
 class CostGuard(Exception):
@@ -106,6 +111,8 @@ def gen_bvp(n: int) -> BvpInstance:
     """The instance for n bits; base axiom order is [G, F1, ..., Fn]."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
+    if n > WIDTH_LIMIT:
+        raise ValueError(f"n = {n} exceeds the width limit {WIDTH_LIMIT}")
     pairs = [(Monomial.one(), 1)]
     pairs.extend((Monomial.of(xvar(i)), 1 << (i - 1)) for i in range(1, n + 1))
     return BvpInstance(

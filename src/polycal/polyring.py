@@ -414,7 +414,7 @@ _MONO_ONE = Monomial()
 class Polynomial:
     """An immutable sparse polynomial: a map from Monomial to nonzero Scalar."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Monomial, Scalar]] = ()):
         acc: dict[Monomial, Scalar] = {}
@@ -428,7 +428,6 @@ class Polynomial:
             else:
                 acc[mono] = as_scalar(new)
         object.__setattr__(self, "_terms", acc)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -438,7 +437,6 @@ class Polynomial:
         """Adopt an already-normalized term dict without copying."""
         poly = Polynomial.__new__(Polynomial)
         object.__setattr__(poly, "_terms", terms)
-        object.__setattr__(poly, "_hash", None)
         return poly
 
     @staticmethod
@@ -650,11 +648,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self._terms.items()))
-            )
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         if not self._terms:

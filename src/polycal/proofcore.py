@@ -514,6 +514,12 @@ class ProofBuilder:
 # -- serialization ------------------------------------------------------------
 
 
+# The most terms a decoded square-root line may hold.  The checker squares
+# every root, and the square of T terms costs T^2 monomial products: about
+# 0.6 s for `check` at this limit, with small coefficients and monomials.
+# No generator emits a root of more than 2 terms.
+SQRT_TERM_LIMIT = 256
+
 _AXIOM_FIELDS = frozenset({"type", "index"})
 _LINCOMB_FIELDS = frozenset({"type", "j", "k", "alpha", "beta"})
 _MULVAR_FIELDS = frozenset({"type", "k", "var"})
@@ -675,9 +681,13 @@ def proof_from_obj(obj: object) -> tuple[SystemKind, AxiomSet, list[ProofLine]]:
     lines = []
     for index, entry in enumerate(raw_lines):
         require_fields(entry, _LINE_FIELDS, "proof line")
-        lines.append(
-            ProofLine(decoder.poly(entry["poly"]), rule_from_obj(entry["rule"]))
-        )
+        line = ProofLine(decoder.poly(entry["poly"]), rule_from_obj(entry["rule"]))
+        if isinstance(line.rule, Sqrt) and len(line.poly) > SQRT_TERM_LIMIT:
+            raise FormatError(
+                f"square root at line {index} of {len(line.poly)} terms exceeds "
+                f"the limit {SQRT_TERM_LIMIT}"
+            )
+        lines.append(line)
         raw_lines[index] = None
     return kind, axioms, lines
 

@@ -158,14 +158,13 @@ def simulate_reslin_b(
             var = registry.lookup(proof[rule.j].disjunction.disjuncts[rule.d1])
             removed_after[rule.j] = (var,) + removed_after.get(i, ())
 
+    hats = [product_monomial(line.disjunction, registry) for line in proof]
     hat_lines: list[int] = []
-    roots: dict[Monomial, int] = {}
-    swaps: dict[tuple, int] = {}
+    # Lines that hold a bare monomial, for a contraction or a simplification
+    # to reuse: each run's square root, the rests' products of resolutions
+    # into false constants, and every simplification's conclusion.
+    held: dict[Monomial, int] = {}
     sums: dict[tuple, int] = {}
-    # Lines that hold a bare monomial, for a simplification to reuse: the
-    # rests' products of resolutions into false constants, and every
-    # simplification's conclusion.
-    products: dict[Monomial, int] = {}
     for i, line in enumerate(proof):
         rule = line.rule
         if isinstance(rule, RlAxiom):
@@ -174,23 +173,24 @@ def simulate_reslin_b(
             emitted = _simulate_boolean(builder, registry, boolean_index, rule)
         elif isinstance(rule, RlResolution):
             emitted = _simulate_resolution(
-                builder, registry, proof, hat_lines, rule, swaps, sums, products
+                builder, registry, proof, hats, hat_lines, rule, held, sums
             )
         elif isinstance(rule, RlWeakening):
             emitted = builder.mul_var(
                 hat_lines[rule.j], registry.lookup(rule.eq)
             )
         elif isinstance(rule, RlSimplification):
+            eq = proof[rule.j].disjunction.disjuncts[rule.d]
             emitted = _simulate_simplification(
-                builder, registry, proof, hat_lines, rule, products
+                builder, registry.lookup(eq), eq.constant, hat_lines[rule.j],
+                hats[i], held,
             )
         else:
             emitted = _simulate_contraction(
-                builder, registry, proof, hat_lines, rule, roots,
+                builder, hats[rule.j], hat_lines[rule.j], hats[i], held,
                 removed_after.get(i, ()),
             )
-        expected = Polynomial(((product_monomial(line.disjunction, registry), 1),))
-        if builder.poly_at(emitted) != expected:
+        if builder.poly_at(emitted) != Polynomial(((hats[i], 1),)):
             raise InternalCheckFailure(
                 f"simulated line does not match its hat product"
             )
@@ -224,69 +224,72 @@ def _simulate_boolean(builder, registry, boolean_index, rule) -> int:
     return builder.lincomb(partial, cross, 1, 1)
 
 
+def _definition_sum(builder, sums, terms) -> int:
+    """The line sum of c * (y - def y) over the (y, c) of terms.
+
+    It is derived once per terms and kept in sums: the first two
+    definitions are combined, then each further one is added.
+    """
+    line = sums.get(terms)
+    if line is None:
+        (first, a), (second, b), *more = terms
+        line = builder.lincomb(
+            builder.extension_line(first), builder.extension_line(second), a, b
+        )
+        for var, c in more:
+            line = builder.lincomb(line, builder.extension_line(var), 1, c)
+        sums[terms] = line
+    return line
+
+
 def _simulate_resolution(
-    builder, registry, proof, hat_lines, rule, swaps, sums, products
+    builder, registry, proof, hats, hat_lines, rule, held, sums
 ) -> int:
     """Combine two product lines through the resolved forms' definitions.
 
-    The swap line y_new - alpha*y_a - beta*y_b is derived once per
-    (new, a, b, alpha, beta) and kept in swaps, so every resolution of that
-    pair of forms lifts the same line and shares its partial products.
-    When both rests are one monomial A, alpha*hat_a + beta*hat_b plus
-    A*swap is A*y_new, and one lift by A gives the conclusion: |A| + 2
-    lines besides the shared lift of the swap.  Otherwise the swap is
-    lifted through the two rests to the conclusion.
+    The swap line y_new - alpha*y_a - beta*y_b is one definition sum, so
+    every resolution of that pair of forms lifts the same line and shares
+    its partial products.  When both rests are one monomial A,
+    alpha*hat_a + beta*hat_b plus A*swap is A*y_new, and one lift by A
+    gives the conclusion: |A| + 2 lines besides the shared lift of the
+    swap.  Otherwise the swap is lifted through the two rests to the
+    conclusion.
 
     A resolvent 0 = c with c != 0 and rests A and B that differ takes A*B
-    first, kept in products for the simplification that drops the
-    constant, and the conclusion is A*B*y_new.  The line
-    alpha*def_a + beta*def_b is alpha*y_a + beta*y_b + c; it is derived
-    once per (a, b, alpha, beta) and kept in sums, and lifted through the
-    rests it is c*A*B.
+    first, kept in held for the simplification that drops the constant,
+    and the conclusion is A*B*y_new.  The definition sum
+    alpha*def_a + beta*def_b is alpha*y_a + beta*y_b + c, and lifted
+    through the rests it is c*A*B.
     """
-    prem_a = proof[rule.j].disjunction
-    prem_b = proof[rule.k].disjunction
-    eq_a = prem_a.disjuncts[rule.dj]
-    eq_b = prem_b.disjuncts[rule.dk]
-    rest_a = product_monomial(prem_a.without(rule.dj), registry)
-    rest_b = product_monomial(prem_b.without(rule.dk), registry)
+    eq_a = proof[rule.j].disjunction.disjuncts[rule.dj]
+    eq_b = proof[rule.k].disjunction.disjuncts[rule.dk]
     resolvent = eq_a.combine(eq_b, rule.alpha, rule.beta)
     var_new = registry.lookup(resolvent)
     var_a, var_b = registry.lookup(eq_a), registry.lookup(eq_b)
+    rest_a, rest_b = hats[rule.j].without(var_a), hats[rule.k].without(var_b)
     sides = (
         (rest_a, hat_lines[rule.j], rule.alpha),
         (rest_b, hat_lines[rule.k], rule.beta),
     )
     if rest_a != rest_b and resolvent.is_constant() and resolvent.constant:
         product = rest_a.times(rest_b)
-        line = products.get(product)
+        line = held.get(product)
         if line is None:
-            key = (var_a, var_b, rule.alpha, rule.beta)
-            total = sums.get(key)
-            if total is None:
-                total = sums[key] = builder.lincomb(
-                    builder.extension_line(var_a), builder.extension_line(var_b),
-                    rule.alpha, rule.beta,
-                )
-            line = products[product] = _lift_through_rests(
+            total = _definition_sum(
+                builder, sums, ((var_a, rule.alpha), (var_b, rule.beta))
+            )
+            line = held[product] = _lift_through_rests(
                 builder, total, sides, -1, resolvent.constant
             )
         return builder.monomial_multiple(line, Monomial.of(var_new))
-    key = (var_new, var_a, var_b, rule.alpha, rule.beta)
-    swap = swaps.get(key)
-    if swap is None:
-        partial = builder.lincomb(
-            builder.extension_line(var_new), builder.extension_line(var_a),
-            1, -rule.alpha,
-        )
-        swap = swaps[key] = builder.lincomb(
-            partial, builder.extension_line(var_b), 1, -rule.beta
-        )
+    swap = _definition_sum(
+        builder, sums, ((var_new, 1), (var_a, -rule.alpha), (var_b, -rule.beta))
+    )
     if rest_a == rest_b:
-        hats = builder.lincomb(
+        hat_sum = builder.lincomb(
             hat_lines[rule.j], hat_lines[rule.k], rule.alpha, rule.beta
         )
-        lifted = builder.lincomb(builder.monomial_multiple(swap, rest_a), hats, 1, 1)
+        lifted = builder.lincomb(builder.monomial_multiple(swap, rest_a), hat_sum, 1, 1)
         return builder.monomial_multiple(lifted, rest_a)
     return _lift_through_rests(builder, swap, sides, 1)
 
@@ -312,36 +315,27 @@ def _lift_through_rests(builder, line, sides, sign, divisor=1) -> int:
     )
 
 
-def _simulate_simplification(builder, registry, proof, hat_lines, rule, products) -> int:
-    """Strip a false constant disjunct by dividing its definition out.
+def _simulate_simplification(builder, var, constant, premise, rest, held) -> int:
+    """Divide the definition of var, a false constant disjunct, out of premise.
 
-    A rest that products already holds costs no line; a rest derived here
-    is added to it.
+    A rest that held already holds costs no line; a rest derived here is
+    added to it.
     """
-    premise = proof[rule.j].disjunction
-    rest = product_monomial(premise.without(rule.d), registry)
-    line = products.get(rest)
-    if line is not None:
-        return line
-    constant = premise.disjuncts[rule.d].constant
-    def_line = builder.extension_line(
-        registry.lookup(premise.disjuncts[rule.d])
-    )
-    lifted = builder.monomial_multiple(def_line, rest)
-    line = builder.lincomb(lifted, hat_lines[rule.j], 1, -1)
-    if constant != 1:
-        line = builder.scale_line(line, Fraction(1, constant))
-    products[rest] = line
+    line = held.get(rest)
+    if line is None:
+        lifted = builder.monomial_multiple(builder.extension_line(var), rest)
+        line = builder.lincomb(lifted, premise, 1, -1)
+        if constant != 1:
+            line = builder.scale_line(line, Fraction(1, constant))
+        held[rest] = line
     return line
 
 
-def _simulate_contraction(
-    builder, registry, proof, hat_lines, rule, roots, removed_after
-) -> int:
-    """Lift the one square root of the premise hat to the conclusion's hat.
+def _simulate_contraction(builder, hat, premise, conclusion, held, removed_after) -> int:
+    """Lift the one square root of the premise line's hat to the conclusion.
 
     The premise hat prod v^e_v has the root s = prod v^ceil(e_v/2); times
-    its odd part prod v^(e_v mod 2) it is s^2.  roots maps each s to the
+    its odd part prod v^(e_v mod 2) it is s^2.  held maps each s to the
     line holding it, so a run of contractions that shares s takes a single
     square root, and each conclusion is s times the remainder.  The lift
     strips first the variables removed_after names, those the rest of the
@@ -349,15 +343,12 @@ def _simulate_contraction(
     product of this one: the lifts of a whole run cost |R| variable
     multiplications for its first remainder R, not one chain each.
     """
-    premise = proof[rule.j].disjunction
-    hat = product_monomial(premise, registry)
     root = Monomial((v, (e + 1) // 2) for v, e in hat.pairs)
-    line = roots.get(root)
+    line = held.get(root)
     if line is None:
         odd = Monomial((v, e % 2) for v, e in hat.pairs)
-        squared = builder.monomial_multiple(hat_lines[rule.j], odd)
-        line = roots[root] = builder.sqrt_of(squared, Polynomial(((root, 1),)))
-    conclusion = hat.without(registry.lookup(premise.disjuncts[rule.d1]))
+        squared = builder.monomial_multiple(premise, odd)
+        line = held[root] = builder.sqrt_of(squared, Polynomial(((root, 1),)))
     remainder = Monomial((v, e - root.exponent(v)) for v, e in conclusion.pairs)
     return builder.monomial_multiple(line, remainder, removed_after)
 

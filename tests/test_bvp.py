@@ -55,7 +55,7 @@ def test_gen_bvp_frozen():
     assert instance.axiom_set().extensions == ()
 
 
-@pytest.mark.parametrize("n", [0, -1, True, "2"])
+@pytest.mark.parametrize("n", [0, -1, True, "2", bvp.WIDTH_LIMIT + 1])
 def test_gen_bvp_rejects(n):
     with pytest.raises(ValueError):
         gen_bvp(n)

@@ -36,6 +36,7 @@ from polycal.bvp import (
 from polycal import bvp, cli
 from polycal.cli import canonical_json, main
 from polycal.proofcore import (
+    SQRT_TERM_LIMIT,
     SystemKind,
     check_refutation,
     proof_chunks,
@@ -127,6 +128,22 @@ def test_gen_bvp_rejects_nonpositive_width(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "n, code", [(bvp.WIDTH_LIMIT, 0), (bvp.WIDTH_LIMIT + 1, 2)]
+)
+def test_gen_bvp_width_limit(capsys, n, code):
+    got, out, err = run(capsys, "gen-bvp", "--n", str(n))
+    assert got == code, err
+    if code == 0:
+        assert len(json.loads(out)["base"]) == n + 1
+        return
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"n = {n} exceeds the width limit {bvp.WIDTH_LIMIT}",
+    }
 
 
 # -- check -----------------------------------------------------------------------
@@ -514,6 +531,35 @@ def test_exponent_limit_guards_rationalize_and_check(
             error = json.loads(err)
             assert error["error"] == "FormatError"
             assert "exponent of y1" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "terms, code", [(SQRT_TERM_LIMIT, 0), (SQRT_TERM_LIMIT + 1, 2)]
+)
+def test_sqrt_term_limit_guards_check(tmp_path, capsys, terms, code):
+    axioms, proof = negative_root()
+    obj = proof_to_obj(SystemKind.EXTPCSQRT_Q, axioms, proof)
+    index = next(
+        i for i, line in enumerate(obj["lines"]) if line["rule"]["type"] == "sqrt"
+    )
+    obj["lines"][index]["poly"]["terms"] = [
+        {"coef": "1", "mono": {f"x{t + 1}": 1}} for t in range(terms)
+    ]
+    if code == 0:
+        # Decoding accepts the root; checking it would square it, which
+        # takes most of a second at the limit.
+        assert len(proof_from_obj(obj)[2][index].poly) == terms
+        return
+    doc = write_json(tmp_path / "q.json", obj)
+    got, out, err = run(capsys, "check", "--proof", doc)
+    assert got == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "FormatError"
+    assert error["message"] == (
+        f"square root at line {index} of {terms} terms exceeds the limit "
+        f"{SQRT_TERM_LIMIT}"
+    )
 
 
 def test_rationalize_invalid_input_proof_exits_one(tmp_path, capsys):

@@ -714,16 +714,29 @@ def test_state_obj_shape():
 # -- byte pins -------------------------------------------------------------------
 
 
-def _pinned_refutation(kind, name, alpha):
-    """The rational refutation of a pinned case; a clausal one is simulated."""
-    if kind == "rational":
-        return next(item[1:] for item in rational_corpus() if item[0] == name)
+def _simulated(kind, name, alpha):
+    """The simulation of a pinned clausal case."""
     if kind == "splitting":
         clausal = bvp_splitting(name, alpha=alpha)
     else:
         clausal = next(item[1:] for item in refutation_corpus() if item[0] == name)
-    out = simulate_reslin_b(*clausal)
+    return simulate_reslin_b(*clausal)
+
+
+def _pinned_refutation(kind, name, alpha):
+    """The rational refutation of a pinned case; a clausal one is simulated."""
+    if kind == "rational":
+        return next(item[1:] for item in rational_corpus() if item[0] == name)
+    out = _simulated(kind, name, alpha)
     return out.axioms, list(out.proof)
+
+
+def _q_digest(out):
+    digest = hashlib.sha256()
+    for chunk in proof_chunks(SystemKind.EXTPCSQRT_Q, out.axioms, out.proof):
+        digest.update(chunk.encode())
+    digest.update(canonical_json(out.line_map).encode())
+    return digest.hexdigest()
 
 
 def _z_digest(result):
@@ -820,3 +833,64 @@ Z_DIGESTS = {
 def test_rationalize_output_bytes_are_pinned(case):
     result = rationalize(*_pinned_refutation(*case))
     assert _z_digest(result) == Z_DIGESTS[case]
+
+
+# sha256 of the Q document and the line map that simulate_reslin_b gives
+# each clausal case of Z_DIGESTS.
+Q_DIGESTS = {
+    ("splitting", 1, 1): (
+        "003146a0530f0b6cac312adb5be5ca75857ca1bc0499ee539172aa9fa9b32bd0"
+    ),
+    ("splitting", 2, 1): (
+        "128cd46c84a416cee0a6bacadf725603f57339a38fd4dae14e06773aa0aed3e5"
+    ),
+    ("splitting", 3, 1): (
+        "adee74a9f9653aac8a7b12f13f67ed2f79f99c67c30d21080712596caed4721f"
+    ),
+    ("splitting", 4, 1): (
+        "6ca53852ecc702b1e281f6c6bed03f728cbe7b0b1ce3b4820b1ed653d7dc58f2"
+    ),
+    ("splitting", 5, 1): (
+        "81bf21c7373084775314538b69f437d7a2eaeb7743b964eba69d4a9fb95f39ec"
+    ),
+    ("splitting", 6, 1): (
+        "c5fde1c4e4f0755d36d65f03ce8e0e2dfbca3d577c235f1be03634f42d923f50"
+    ),
+    ("splitting", 3, 3): (
+        "c382f5c228fc423a109fe94e0a2e4b5b6d9aac6233a372c2258ba64b52270348"
+    ),
+    ("splitting", 4, 5): (
+        "bc181d82ab5d7757677525655655b5aea96090cec83fde51412aca512de8264f"
+    ),
+    ("splitting", 3, 11): (
+        "1e42b0ae501cb65773b90dffd02e313ff9109f3b92f0b0dfeeab4733b4482e57"
+    ),
+    ("splitting", 4, 17): (
+        "3af159f9bed010f09d100d3e770144ecfdb9b25ce5f3bc7de3df165619b9e2f9"
+    ),
+    ("clausal", "zero_one", 1): (
+        "17ea4abf139a9da9360bbb1f81e60db69d2d6bdc5d9ad51b22211451517a1038"
+    ),
+    ("clausal", "all_rules", 1): (
+        "022b52d0007390eaa31f24f12e5fdb3c2ac1d100ec83806616e7c0a7af3bfb5e"
+    ),
+    ("clausal", "half_half", 1): (
+        "e002120760c3ba1bff36ed24c8206779da3c936d34442a2dd036e138bedbe483"
+    ),
+    ("clausal", "sum_to_one", 1): (
+        "e1475c0613b41d68840df1b7e288ebedffe80c797691ed0e057297a615c8a77b"
+    ),
+    ("clausal", "thirds", 1): (
+        "07c4122f0d17ba5e2e7c6e2ba5b8a4cb07602504d676fd4d1dad7eb05351d3b3"
+    ),
+    ("clausal", "clause_pair", 1): (
+        "bb2a66b5078ec7a3532948ed4ea123a0a565e8c238d3e7dc17a9c5f09f94272d"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(Q_DIGESTS), ids=lambda case: "-".join(map(str, case))
+)
+def test_simulation_output_bytes_are_pinned(case):
+    assert _q_digest(_simulated(*case)) == Q_DIGESTS[case]
