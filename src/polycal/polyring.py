@@ -723,12 +723,9 @@ def multilinear_reduce(
     while heap:
         mono = heapq.heappop(heap).mono
         coef = work.pop(mono, 0)
-        if coef == 0:
+        if coef == 0:  # a rewrite cancelled it while it was queued
             continue
         var = offender(mono)
-        if var is None:
-            work[mono] = coef  # stale heap entry for a now-clean monomial
-            continue
         lowered = mono.without(var)
         steps.append(ReductionStep(mono.without(var, 2), coef, var))
         new = work.get(lowered, 0) + coef
@@ -846,10 +843,6 @@ class Decoder:
         # scalar_from_str returns normalized scalars, and zeros and repeated
         # monomials were refused, so the dict is already canonical.
         return Polynomial._wrap(out)
-
-
-def mono_from_obj(obj: object) -> Monomial:
-    return Decoder().mono(obj)
 
 
 def poly_to_obj(poly: Polynomial) -> dict[str, object]:

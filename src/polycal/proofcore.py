@@ -135,9 +135,6 @@ class AxiomSet:
         """Base axioms followed by extension axioms, the Axiom-rule index space."""
         return [*self.base, *(ext.polynomial for ext in self.extensions)]
 
-    def __len__(self) -> int:
-        return len(self.base) + len(self.extensions)
-
 
 @dataclass(frozen=True)
 class CheckError:
@@ -398,7 +395,8 @@ class ProofBuildError(Exception):
 
 class ProofBuilder:
     """Accumulates a derivation, computing rule results so lines check by
-    construction.  Raw `append` re-verifies the line with the checker."""
+    construction.  Raw `append` re-verifies the line with the checker, and
+    square roots go through it: only the checker judges a root."""
 
     def __init__(self, axioms: AxiomSet, kind: SystemKind):
         error = validate_axiom_set(axioms, kind)
@@ -488,13 +486,7 @@ class ProofBuilder:
         return line
 
     def sqrt_of(self, k: int, root: Polynomial) -> int:
-        if not self.kind.allows_sqrt:
-            raise ProofBuildError(f"SqrtForbidden: {self.kind.value}")
-        if root.square() != self.poly_at(k):
-            raise ProofBuildError(f"SqrtMismatch: claimed root of line {k}")
-        if self.kind.requires_integers and not root.is_integral():
-            raise ProofBuildError("NonIntegerCoefficient: non-integral root")
-        return self._push(root, Sqrt(k))
+        return self.append(root, Sqrt(k))
 
     def sum_lines(self, indices: Sequence[int]) -> int:
         """Combine many lines into their sum with pairwise LinComb steps."""
@@ -514,11 +506,18 @@ class ProofBuilder:
 # -- serialization ------------------------------------------------------------
 
 
-# The most terms a decoded square-root line may hold.  The checker squares
-# every root, and the square of T terms costs T^2 monomial products: about
-# 0.6 s for `check` at this limit, with small coefficients and monomials.
-# No generator emits a root of more than 2 terms.
+# Bounds on a decoded square-root line of T terms, which the checker squares
+# with T^2 products of coefficients and of monomials.  A coefficient product
+# costs more the more bits its factors have (a fraction also pays a gcd,
+# quadratic in its bits), and a monomial product the more variables it
+# merges.  So the limits bound T, T times the root's coefficient bits
+# (`Polynomial.bit_size`) and T times its variable occurrences summed over
+# its terms.  `check` of a root at these limits takes at most about 1 s
+# through the CLI (Python 3.11 on a 2-core VM).  No generator emits a root
+# of more than 2 terms.
 SQRT_TERM_LIMIT = 256
+SQRT_BIT_LIMIT = 2**18
+SQRT_WIDTH_LIMIT = 2**18
 
 _AXIOM_FIELDS = frozenset({"type", "index"})
 _LINCOMB_FIELDS = frozenset({"type", "j", "k", "alpha", "beta"})
@@ -564,7 +563,7 @@ def _rule_to_json(rule: StepRule) -> str:
     raise TypeError(f"unknown rule {rule!r}")
 
 
-def rule_from_obj(obj: object) -> StepRule:
+def rule_from_obj(obj: object, decoder: Decoder) -> StepRule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise FormatError(f"rule must be an object with a 'type', got {shown(obj)}")
     kind = obj["type"]
@@ -576,8 +575,8 @@ def rule_from_obj(obj: object) -> StepRule:
         return LinComb(
             require_index(obj["j"], "lincomb j"),
             require_index(obj["k"], "lincomb k"),
-            scalar_from_str(obj["alpha"]),
-            scalar_from_str(obj["beta"]),
+            decoder.scalar(obj["alpha"]),
+            decoder.scalar(obj["beta"]),
         )
     if kind == "mulvar":
         require_fields(obj, _MULVAR_FIELDS, "mulvar rule")
@@ -598,8 +597,7 @@ def axioms_to_obj(axioms: AxiomSet) -> dict[str, object]:
     }
 
 
-def axioms_from_obj(obj: object) -> AxiomSet:
-    decoder = Decoder()
+def axioms_from_obj(obj: object, decoder: Decoder) -> AxiomSet:
     require_fields(obj, _AXIOMS_FIELDS, "axioms")
     base = obj["base"]
     extensions = obj["extensions"]
@@ -660,6 +658,27 @@ def proof_chunks(
     yield f'],"system":"{kind.value}"}}\n'
 
 
+def _bound_root(index: int, root: Polynomial) -> None:
+    """Refuse a decoded square root past SQRT_TERM_LIMIT, SQRT_BIT_LIMIT or
+    SQRT_WIDTH_LIMIT."""
+    terms = len(root)
+    if terms > SQRT_TERM_LIMIT:
+        raise FormatError(
+            f"square root at line {index} of {terms} terms exceeds "
+            f"the limit {SQRT_TERM_LIMIT}"
+        )
+    for amount, what, limit in (
+        (root.bit_size(), "coefficient bits", SQRT_BIT_LIMIT),
+        (sum(len(m.pairs) for m in root.term_map), "variable occurrences",
+         SQRT_WIDTH_LIMIT),
+    ):
+        if terms * amount > limit:
+            raise FormatError(
+                f"square root at line {index} of {terms} terms and {amount} "
+                f"{what} exceeds the limit {limit} on their product"
+            )
+
+
 def proof_from_obj(obj: object) -> tuple[SystemKind, AxiomSet, list[ProofLine]]:
     """Decode a proof document; one Decoder serves all of its lines.
 
@@ -673,20 +692,17 @@ def proof_from_obj(obj: object) -> tuple[SystemKind, AxiomSet, list[ProofLine]]:
         kind = SystemKind(obj["system"])
     except ValueError:
         raise FormatError(f"unknown system {shown(obj['system'])}") from None
-    axioms = axioms_from_obj(obj["axioms"])
     decoder = Decoder()
+    axioms = axioms_from_obj(obj["axioms"], decoder)
     raw_lines = obj["lines"]
     if not isinstance(raw_lines, list):
         raise FormatError("'lines' must be an array")
     lines = []
     for index, entry in enumerate(raw_lines):
         require_fields(entry, _LINE_FIELDS, "proof line")
-        line = ProofLine(decoder.poly(entry["poly"]), rule_from_obj(entry["rule"]))
-        if isinstance(line.rule, Sqrt) and len(line.poly) > SQRT_TERM_LIMIT:
-            raise FormatError(
-                f"square root at line {index} of {len(line.poly)} terms exceeds "
-                f"the limit {SQRT_TERM_LIMIT}"
-            )
+        line = ProofLine(decoder.poly(entry["poly"]), rule_from_obj(entry["rule"], decoder))
+        if isinstance(line.rule, Sqrt):
+            _bound_root(index, line.poly)
         lines.append(line)
         raw_lines[index] = None
     return kind, axioms, lines

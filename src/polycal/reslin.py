@@ -59,8 +59,6 @@ from .polyring import (
 )
 from .proofcore import CheckError, CheckReport, ExtensionAxiom
 
-AffineKey = tuple[tuple[tuple[VarId, int], ...], int]
-
 
 class LinEq:
     """An equation sum(coeffs) = constant over x-variables; zero coeffs dropped.
@@ -109,10 +107,6 @@ class LinEq:
 
     def is_constant(self) -> bool:
         return not self.coeffs
-
-    def canonical_form(self) -> AffineKey:
-        """Exact key of the affine form a.x - a0: (coefficients, -constant)."""
-        return (self.coeffs, -self.constant)
 
     def affine_polynomial(self) -> Polynomial:
         """The affine form a.x - a0 as a polynomial."""
@@ -416,7 +410,7 @@ class Registry:
     def lookup(self, eq: LinEq) -> VarId:
         got = self._by_key.get(eq)
         if got is None:
-            raise UnregisteredForm(f"form {eq.canonical_form()!r} is not registered")
+            raise UnregisteredForm(f"form {(eq.coeffs, -eq.constant)!r} is not registered")
         return got
 
     def equations(self) -> Iterable[LinEq]:
@@ -520,10 +514,6 @@ class EquationDecoder:
         return Disjunction(tuple(self.lineq(entry) for entry in obj))
 
 
-def disjunction_from_obj(obj: object) -> Disjunction:
-    return EquationDecoder().disjunction(obj)
-
-
 def rl_rule_to_obj(rule: RlRule) -> dict[str, object]:
     if isinstance(rule, RlAxiom):
         return {"type": "axiom", "index": rule.index}
@@ -548,7 +538,7 @@ def rl_rule_to_obj(rule: RlRule) -> dict[str, object]:
     raise TypeError(f"unknown rule {rule!r}")
 
 
-def rl_rule_from_obj(obj: object) -> RlRule:
+def rl_rule_from_obj(obj: object, decoder: EquationDecoder) -> RlRule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise FormatError(f"rule must be an object with a 'type', got {shown(obj)}")
     kind = obj["type"]
@@ -574,7 +564,7 @@ def rl_rule_from_obj(obj: object) -> RlRule:
         )
     if kind == "weakening":
         require_fields(obj, {"type", "j", "eq"}, "weakening rule")
-        return RlWeakening(require_int(obj["j"], "j"), lineq_from_obj(obj["eq"]))
+        return RlWeakening(require_int(obj["j"], "j"), decoder.lineq(obj["eq"]))
     if kind == "simplification":
         require_fields(obj, {"type", "j", "d"}, "simplification rule")
         return RlSimplification(require_int(obj["j"], "j"), require_int(obj["d"], "d"))
@@ -621,7 +611,7 @@ def reslin_from_obj(obj: object) -> tuple[list[Disjunction], list[RlLine]]:
         lines.append(
             RlLine(
                 decoder.disjunction(entry["disjunction"]),
-                rl_rule_from_obj(entry["rule"]),
+                rl_rule_from_obj(entry["rule"], decoder),
             )
         )
         raw_lines[index] = None

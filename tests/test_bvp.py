@@ -340,6 +340,28 @@ def test_reports_round_trip_past_the_int_digit_limit():
     assert trace_report_from_obj(obj) == trace
 
 
+@pytest.mark.parametrize(
+    "which, field, value, message",
+    [
+        ("audit", "checks", {}, "'checks' must be a list"),
+        ("trace", "residues", "0", "'residues' must be a list"),
+        ("trace", "assignment", [], "'assignment' must be an object"),
+        ("trace", "extension_values", None, "'extension_values' must be an object"),
+    ],
+)
+def test_report_decoders_name_the_bad_container(which, field, value, message):
+    axioms, proof = oracle2()
+    if which == "audit":
+        obj, decode = audit_report_to_obj(audit_divisibility(2, 1)), audit_report_from_obj
+    else:
+        obj = trace_report_to_obj(trace_mod_check(axioms, proof, 2, 2))
+        decode = trace_report_from_obj
+    obj[field] = value
+    with pytest.raises(FormatError) as info:
+        decode(obj)
+    assert str(info.value) == message
+
+
 def test_trace_report_obj_strings():
     axioms, proof = oracle2()
     obj = trace_report_to_obj(trace_mod_check(axioms, proof, 2, 2))

@@ -36,7 +36,9 @@ from polycal.bvp import (
 from polycal import bvp, cli
 from polycal.cli import canonical_json, main
 from polycal.proofcore import (
+    SQRT_BIT_LIMIT,
     SQRT_TERM_LIMIT,
+    SQRT_WIDTH_LIMIT,
     SystemKind,
     check_refutation,
     proof_chunks,
@@ -562,6 +564,45 @@ def test_sqrt_term_limit_guards_check(tmp_path, capsys, terms, code):
     )
 
 
+@pytest.mark.parametrize("past", [0, 1])
+@pytest.mark.parametrize("quantity", ["coefficient bits", "variable occurrences"])
+def test_sqrt_work_limits_guard_check(tmp_path, capsys, quantity, past):
+    # A root of SQRT_TERM_LIMIT terms, each one coefficient and one monomial
+    # over variables of its own, exactly at a limit or one bit or one
+    # variable occurrence past it.
+    terms = SQRT_TERM_LIMIT
+    limit = SQRT_BIT_LIMIT if quantity == "coefficient bits" else SQRT_WIDTH_LIMIT
+    each = limit // terms**2
+    assert each * terms**2 == limit
+    bits, width = (each, 1) if quantity == "coefficient bits" else (0, each)
+    root = [
+        {"coef": str(2**bits), "mono": {f"x{t * width + v + 1}": 1 for v in range(width)}}
+        for t in range(terms)
+    ]
+    if past and quantity == "coefficient bits":
+        root[0]["coef"] = str(2**bits + 1)  # ceil_log2 of 2^b is b, of 2^b + 1 is b + 1
+    elif past:
+        root[0]["mono"][f"x{terms * width + 1}"] = 1
+    axioms, proof = negative_root()
+    obj = proof_to_obj(SystemKind.EXTPCSQRT_Q, axioms, proof)
+    index = next(
+        i for i, line in enumerate(obj["lines"]) if line["rule"]["type"] == "sqrt"
+    )
+    obj["lines"][index]["poly"]["terms"] = root
+    if not past:
+        assert len(proof_from_obj(obj)[2][index].poly) == terms
+        return
+    doc = write_json(tmp_path / "q.json", obj)
+    got, out, err = run(capsys, "check", "--proof", doc)
+    assert (got, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "FormatError"
+    assert error["message"] == (
+        f"square root at line {index} of {terms} terms and {terms * each + 1} "
+        f"{quantity} exceeds the limit {limit} on their product"
+    )
+
+
 def test_rationalize_invalid_input_proof_exits_one(tmp_path, capsys):
     axioms, proof = negative_root()
     obj = proof_to_obj(SystemKind.EXTPCSQRT_Q, axioms, proof)
@@ -775,6 +816,18 @@ def test_audit_checks_the_proof_before_auditing(oracle_doc, tmp_path, capsys):
     code, out, _ = run(capsys, "audit", "--proof", bad, "--n", "1")
     assert code == 1
     assert json.loads(out)["valid"] is False
+
+
+def test_audit_of_a_fractional_constant_is_a_usage_error(tmp_path, capsys):
+    # A valid Q proof may end in any nonzero constant; audit needs an integer.
+    doc = write_json(
+        tmp_path / "q.json", proof_to_obj(SystemKind.EXTPCSQRT_Q, *negative_root())
+    )
+    code, out, err = run(capsys, "audit", "--proof", doc, "--n", "1")
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "UsageError"
+    assert error["message"] == "final constant 1/2 is not an integer"
 
 
 def test_trace_all_zero_residues(oracle_doc, capsys):

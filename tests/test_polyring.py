@@ -21,7 +21,6 @@ from polycal.polyring import (
     boolean_axiom,
     ceil_log2,
     int_from_str,
-    mono_from_obj,
     multilinear_reduce,
     parse_var,
     poly_from_obj,
@@ -428,6 +427,15 @@ def test_reduce_frozen_examples():
     assert red == P("x1*x2") and steps == []
 
 
+def test_reduce_skips_an_offender_cancelled_while_queued():
+    # Rewriting x1^3 adds x1^2 and cancels the queued x1^2: one step, zero left.
+    p = P("x1^3 - x1^2")
+    red, steps = multilinear_reduce(p, {x1})
+    assert red == Polynomial.zero()
+    assert steps == [(Monomial.of(x1), 1, x1)]
+    assert sum((boolean_axiom(v).mul_term(m, c) for m, c, v in steps), red) == p
+
+
 def test_reduce_respects_variable_set():
     red, steps = multilinear_reduce(P("x1^2 + x2^2"), {x1})
     assert red == P("x1 + x2^2")
@@ -537,7 +545,7 @@ def test_poly_json_rejects_non_canonical(bad):
 
 def test_mono_json_rejects_bool_exponent():
     with pytest.raises(FormatError):
-        mono_from_obj({"x1": True})
+        polyring.Decoder().mono({"x1": True})
 
 
 def test_validators_accept_plain_values():

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polycal import polyring, proofcore
 from polycal.cli import canonical_json
 from polycal.polyring import (
+    Decoder,
     FormatError,
     Monomial,
     Polynomial,
     int_from_str,
     poly_parse,
+    scalar_from_str,
     xvar,
     yvar,
 )
@@ -42,6 +45,9 @@ from polycal.proofcore import (
     rule_to_obj,
     validate_axiom_set,
 )
+from polycal.xlate import simulate_reslin_b
+
+from reslin_corpus import bvp_splitting
 
 P = poly_parse
 x1, x2 = xvar(1), xvar(2)
@@ -143,6 +149,10 @@ def test_bad_index():
         "BadIndex",
         1,
     )
+    for k in (1, 2):  # a square root citing itself or a later line
+        lines = [ProofLine(P("x1"), Axiom(0)), ProofLine(P("1"), Sqrt(k))]
+        error = expect_error(axioms, lines, Z, "BadIndex", 1).error
+        assert error.message == f"square root cites line {k}"
 
 
 def test_axiom_not_in_set():
@@ -290,6 +300,15 @@ def test_axiom_set_errors_report_line_minus_one():
 
     with_exts = AxiomSet((P("x1"),), (ExtensionAxiom(y1, P("x1")),))
     expect_error(with_exts, lines, SystemKind.PC_Q, "ExtensionForbidden", -1)
+
+    rational_base = AxiomSet((P("x1"), P("1/2*x1")))
+    error = expect_error(rational_base, lines, Z, "NonIntegerCoefficient", -1).error
+    assert error.message == "base axiom 1 has a non-integer coefficient"
+
+    # The decoder refuses an x-variable extension; the library reaches the check.
+    x_defined = AxiomSet((P("x1"),), (ExtensionAxiom(x2, P("x1")),))
+    error = expect_error(x_defined, lines, EXT_Q, "ExtensionOrderViolation", -1).error
+    assert error.message == "extension 0 must define a y-variable, got x2"
 
 
 def test_extension_axiom_usable_after_validation():
@@ -466,7 +485,7 @@ def test_rule_json_round_trip():
         Sqrt(3),
     ]
     for rule in rules:
-        assert rule_from_obj(rule_to_obj(rule)) == rule
+        assert rule_from_obj(rule_to_obj(rule), Decoder()) == rule
     assert rule_to_obj(LinComb(0, 1, 1, -2)) == {
         "type": "lincomb",
         "j": 0,
@@ -482,6 +501,62 @@ def test_proof_document_round_trip():
     kind2, axioms2, lines2 = proof_from_obj(doc)
     assert kind2 is Z and axioms2 == axioms and lines2 == lines
     assert doc["system"] == "pcsqrt-z"
+
+
+def test_a_document_decodes_through_one_decoder(monkeypatch):
+    # The n=3 splitting chain's Q document: its LinComb scalars repeat.
+    out = simulate_reslin_b(*bvp_splitting(3))
+    doc = json.loads(canonical_json(proof_to_obj(EXT_Q, out.axioms, out.proof)))
+    rule_scalars = [
+        line["rule"][key]
+        for line in doc["lines"]
+        if line["rule"]["type"] == "lincomb"
+        for key in ("alpha", "beta")
+    ]
+    assert len(set(rule_scalars)) < len(rule_scalars)
+
+    decoders = []
+    parsed = []
+
+    class CountingDecoder(Decoder):
+        def __init__(self):
+            super().__init__()
+            decoders.append(self)
+
+    def counting_scalar_from_str(text):
+        parsed.append(text)
+        return scalar_from_str(text)
+
+    monkeypatch.setattr(proofcore, "Decoder", CountingDecoder)
+    monkeypatch.setattr(proofcore, "scalar_from_str", counting_scalar_from_str)
+    monkeypatch.setattr(polyring, "scalar_from_str", counting_scalar_from_str)
+    kind, axioms, lines = proof_from_obj(doc)
+    assert (kind, axioms, lines) == (EXT_Q, out.axioms, list(out.proof))
+    assert len(decoders) == 1
+    assert set(rule_scalars) <= set(parsed)
+    assert len(parsed) == len(set(parsed))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc["axioms"].update(base={}),
+         "'base' and 'extensions' must be arrays"),
+        (lambda doc: doc["axioms"].update(extensions=None),
+         "'base' and 'extensions' must be arrays"),
+        (lambda doc: doc["axioms"]["extensions"].append(
+            {"var": "x1", "def": {"terms": []}}),
+         "extension variable must be y<k>, got x1"),
+        (lambda doc: doc.update(lines={}), "'lines' must be an array"),
+    ],
+)
+def test_proof_document_shape_errors(mutate, message):
+    axioms, lines = five_line_refutation()
+    doc = proof_to_obj(Z, axioms, lines)
+    mutate(doc)
+    with pytest.raises(FormatError) as info:
+        proof_from_obj(doc)
+    assert str(info.value) == message
 
 
 def test_proof_document_rejects_unknown_system():

@@ -27,7 +27,6 @@ from polycal.reslin import (
     build_registry,
     check_reslin,
     check_rl_step,
-    disjunction_from_obj,
     is_refutation,
     lineq_from_obj,
     lineq_to_obj,
@@ -49,6 +48,7 @@ def expect_error(axioms, lines, code, at_line):
     assert not report.valid
     assert report.error.code == code, report.error
     assert report.error.line == at_line
+    return report
 
 
 # -- equations and disjunctions ------------------------------------------------
@@ -108,15 +108,16 @@ def test_equations_are_held_weakly():
     assert (((xvar(9101), 1),), 0) not in reslin._EQUATIONS
 
 
-def test_canonical_form_is_exact():
-    keys = {
-        LinEq.of({X1: 1}, 0).canonical_form(),
-        LinEq.of({X1: 2}, 0).canonical_form(),
-        LinEq.of({X1: -1}, 0).canonical_form(),
-        LinEq.of({X1: 1}, 1).canonical_form(),
-    }
-    assert len(keys) == 4
-    assert LinEq.of({X1: 1}, 1).canonical_form() == (((X1, 1),), -1)
+def test_registry_keys_are_exact():
+    # No gcd or sign normalization: each form gets its own variable.
+    eqs = [LinEq.of({X1: 1}, 0), LinEq.of({X1: 2}, 0), LinEq.of({X1: -1}, 0),
+           LinEq.of({X1: 1}, 1)]
+    registry = Registry()
+    assert [registry.intern(eq) for eq in eqs] == [yvar(i) for i in range(1, 5)]
+    assert registry.lookup(LinEq.of({X1: 2}, 0)) == yvar(2)
+    with pytest.raises(UnregisteredForm) as info:
+        registry.lookup(LinEq.of({X1: 3}, 1))
+    assert info.value.args[0] == "form (((x1, 3),), -1) is not registered"
 
 
 def test_affine_polynomial():
@@ -323,6 +324,21 @@ def test_simplification_non_constant_target():
     expect_error(axioms, bad, "RuleMismatch", 1)
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (RlSimplification(4, 0), "simplification cites line 4"),
+        (RlSimplification(5, 0), "simplification cites line 5"),
+        (RlContraction(4, 0, 1), "contraction cites line 4"),
+        (RlContraction(5, 0, 1), "contraction cites line 5"),
+    ],
+)
+def test_simplification_and_contraction_forward_reference(rule, message):
+    axioms, lines = base_lines()
+    report = expect_error(axioms, lines + [RlLine(Disjunction.empty(), rule)], "BadIndex", 4)
+    assert report.error.message == message
+
+
 def test_simplification_bad_position():
     axioms, lines = base_lines()
     bad = lines + [RlLine(Disjunction.empty(), RlSimplification(3, 1))]
@@ -483,13 +499,14 @@ def test_lineq_rejections(obj):
 )
 def test_rule_rejections(obj):
     with pytest.raises(FormatError):
-        rl_rule_from_obj(obj)
+        rl_rule_from_obj(obj, EquationDecoder())
 
 
 def test_rule_roundtrip_every_kind():
     _, rules, _ = all_rules()
     for rule in rules:
-        assert rl_rule_from_obj(json.loads(json.dumps(rl_rule_to_obj(rule)))) == rule
+        obj = json.loads(json.dumps(rl_rule_to_obj(rule)))
+        assert rl_rule_from_obj(obj, EquationDecoder()) == rule
 
 
 def test_document_shape_rejections():
@@ -498,4 +515,4 @@ def test_document_shape_rejections():
     with pytest.raises(FormatError):
         reslin_from_obj({"axioms": [], "lines": [{"disjunction": []}]})
     with pytest.raises(FormatError):
-        disjunction_from_obj({"not": "a list"})
+        EquationDecoder().disjunction({"not": "a list"})

@@ -360,6 +360,26 @@ def test_rational_corpus_lifts_to_integers():
         verify_lift(axioms, proof, result)
 
 
+def test_lift_closes_with_a_copy_when_the_last_line_reuses_an_earlier_one():
+    # The last input line is an axiom the lift already holds at line 0, so
+    # the integer proof ends in a copy of that line.
+    axioms = AxiomSet((Polynomial.constant(1),))
+    proof = [
+        ProofLine(poly_parse("1"), Axiom(0)),
+        ProofLine(poly_parse("x1"), MulVar(0, X1)),
+        ProofLine(poly_parse("1"), Axiom(0)),
+    ]
+    assert check_refutation(axioms, proof, SystemKind.EXTPCSQRT_Q).valid
+    result = rationalize(axioms, proof)
+    final = check_refutation(result.axioms, list(result.proof), SystemKind.EXTPCSQRT_Z)
+    assert final.valid and final.final_constant == 1
+    assert [line.rule for line in result.proof] == [
+        Axiom(0), MulVar(0, X1), LinComb(0, 0, 1, 0)
+    ]
+    assert result.proof[-1].poly == poly_parse("1")
+    assert result.lifted == ((0, 1), (1, 1), (0, 1))
+
+
 def test_lift_line_budget():
     splitting = simulate_reslin_b(*bvp_splitting(3))
     inputs = list(rational_corpus())
