@@ -19,13 +19,16 @@ The oracle refutation works over the integers and ends in the constant
   * Right after each multiplication, boolean-axiom multiples cancel the
     squared monomials, so every level ends multilinear.  A multilinear
     polynomial that vanishes on the cube is zero, so the last level is
-    reduce(P(S)) - (2^n)! = -(2^n)!, and one scaling by -1 ends the proof.
+    reduce(P(S)) - (2^n)! = -(2^n)!; its combinations take the opposite
+    signs, so it ends the proof in (2^n)! itself.
 
 Boolean-axiom multiples come from the builder's memoized
-`monomial_multiple`, so levels share them, and each level's are summed
-with the builder's balanced combination tree.  Lines grow about fivefold
-per bit (1,017 at n = 4), so the generator refuses n above a cost limit
-unless forced.
+`monomial_multiple`, so levels share them.  Each level's multiples, with
+their reduction coefficients as weights, are summed with the builder's
+balanced combination tree, which puts every weight into a combination:
+no line only scales another.  The proof still grows exponentially in n
+(585 lines at n = 4, 12,565 at n = 6), so the generator refuses n above a
+cost limit unless forced.
 
 The audit and trace operations document why that final constant must be
 huge: every prime p <= 2^n divides it.  The audit checks the divisibilities
@@ -65,9 +68,10 @@ from .polyring import (
 )
 from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind
 
-# At n = 6 the document is 24,181 lines and 29 MB and the CLI refutes it in
-# about 3 s.  n = 7 writes 265 MB in about 8 s at 180 MB of peak RSS, but
-# `check` and `trace` of that document peak at 1,117 MB: n = 7 needs force.
+# At n = 6 the document is 12,565 lines and 24 MB and the CLI refutes it in
+# about 1.7 s.  n = 7 writes 57,779 lines and 223 MB in about 9 s at 138 MB
+# of peak RSS, but `check` and `trace` of that document peak at 925 MB
+# (Python 3.11 on a 2-core VM): n = 7 needs force.
 COST_LIMIT = 6
 SIEVE_LIMIT = 1 << 24
 # The largest bit width gen_bvp builds.  The instance grows as n^2: at this
@@ -148,7 +152,7 @@ def brute_force_refutation(
 ) -> tuple[AxiomSet, list[ProofLine]]:
     """Refute the n-bit instance over the integers, ending in (2^n)!.
 
-    Line counts grow about fivefold per bit; values past COST_LIMIT need
+    Line counts grow about 4.6-fold per bit; values past COST_LIMIT need
     force=True.
     """
     if n > COST_LIMIT and not force:
@@ -166,26 +170,28 @@ def brute_force_refutation(
 
     equation_line = builder.axiom_line(0)
     acc = equation_line
-    for c in reversed(quotient[:-1]):
+    for i in reversed(range(len(quotient) - 1)):
+        # The last level, i = 0, also negates, so the proof ends in +(2^n)!.
+        sign = 1 if i else -1
         # acc * S: one MulVar per bit, then the weighted sum of those lines.
         sliding = [builder.mul_var(acc, xvar(j)) for j in range(1, n + 1)]
         acc = sliding[0]
         for j in range(1, n):
             acc = builder.lincomb(acc, sliding[j], 1, 1 << j)
-        # Cancel the squared monomials with boolean-axiom multiples.
+        # Cancel the squared monomials with boolean-axiom multiples, ordered
+        # by the monomial m * v each one lowers into, so that the tree sums
+        # neighbours whose lowered terms meet first.
         _, steps = multilinear_reduce(builder.poly_at(acc), boolean_vars)
-        parts = []
+        steps.sort(key=lambda step: step.monomial.times_var(step.variable))
+        leaves = []
         for step in steps:
-            multiple = builder.monomial_multiple(
-                builder.axiom_line(step.variable.index), step.monomial
-            )
-            if step.coefficient != 1:
-                multiple = builder.scale_line(multiple, step.coefficient)
-            parts.append(multiple)
-        acc = builder.lincomb(acc, builder.sum_lines(parts), 1, -1)
-        if c:
-            acc = builder.lincomb(acc, equation_line, 1, c)
-    acc = builder.scale_line(acc, -1)
+            source = builder.axiom_line(step.variable.index)
+            multiple = builder.monomial_multiple(source, step.monomial)
+            leaves.append((multiple, -step.coefficient))
+        tree, weight = builder.sum_lines(leaves)
+        acc = builder.lincomb(acc, tree, sign, sign * weight)
+        if quotient[i]:
+            acc = builder.lincomb(acc, equation_line, 1, sign * quotient[i])
 
     if builder.poly_at(acc) != Polynomial.constant(math.factorial(count)):
         raise ArithmeticError("the Horner lines failed to reduce to (2^n)!")

@@ -214,6 +214,16 @@ def _scalar_ok(value: Scalar, kind: SystemKind) -> bool:
     )
 
 
+def _shown_scalar(value: Scalar) -> str:
+    """scalar_to_str(value) for a rejection message, but a numerator or
+    denominator past the int-str digit limit is shown by its bit length:
+    writing out its digits takes quadratic time."""
+    value = as_scalar(value)
+    if isinstance(value, int):
+        return shown(value)
+    return f"{shown(value.numerator)}/{shown(value.denominator)}"
+
+
 def _first_difference(claimed: Polynomial, expected: Polynomial) -> str:
     """The first monomial, in graded order, where two unequal polynomials
     differ, with both coefficients; only a rejection pays for it."""
@@ -224,8 +234,8 @@ def _first_difference(claimed: Polynomial, expected: Polynomial) -> str:
     )
     return (
         f"first differing monomial {mono!r}: claimed "
-        f"{scalar_to_str(claimed.coefficient(mono))}, "
-        f"expected {scalar_to_str(expected.coefficient(mono))}"
+        f"{_shown_scalar(claimed.coefficient(mono))}, "
+        f"expected {_shown_scalar(expected.coefficient(mono))}"
     )
 
 
@@ -273,7 +283,7 @@ def _verify_line(
             return fail(
                 "NonIntegerScalar",
                 f"{kind.value} requires integer scalars, got "
-                f"{scalar_to_str(alpha)}, {scalar_to_str(beta)}",
+                f"{_shown_scalar(alpha)}, {_shown_scalar(beta)}",
             )
         expected = prefix[rule.j].poly.scale(alpha).add(
             prefix[rule.k].poly.scale(beta)
@@ -382,7 +392,7 @@ def check_refutation(
             CheckError(
                 last_index,
                 "FinalNotOne",
-                f"{kind.value} must end in 1, got {scalar_to_str(final)}",
+                f"{kind.value} must end in 1, got {_shown_scalar(final)}",
             ),
             None,
         )
@@ -396,7 +406,8 @@ class ProofBuildError(Exception):
 class ProofBuilder:
     """Accumulates a derivation, computing rule results so lines check by
     construction.  Raw `append` re-verifies the line with the checker, and
-    square roots go through it: only the checker judges a root."""
+    square roots go through it after the decoder's bounds: only the checker
+    judges a root, and none is emitted that a document could not carry."""
 
     def __init__(self, axioms: AxiomSet, kind: SystemKind):
         error = validate_axiom_set(axioms, kind)
@@ -486,17 +497,24 @@ class ProofBuilder:
         return line
 
     def sqrt_of(self, k: int, root: Polynomial) -> int:
+        _bound_root(len(self.lines), root)
         return self.append(root, Sqrt(k))
 
-    def sum_lines(self, indices: Sequence[int]) -> int:
-        """Combine many lines into their sum with pairwise LinComb steps."""
-        if not indices:
+    def sum_lines(self, terms: Sequence[tuple[int, Scalar]]) -> tuple[int, Scalar]:
+        """(line, w) with w * line = the sum of c * line[k] over (k, c) of terms.
+
+        A balanced tree of pairwise LinComb steps, k - 1 lines for k terms:
+        each scalar goes into the first combination that uses its line, so
+        no line only scales another.  w is 1 unless a lone term carries it.
+        """
+        if not terms:
             raise ProofBuildError("BadIndex: empty sum")
-        layer = list(indices)
+        layer = list(terms)
         while len(layer) > 1:
-            merged = []
-            for i in range(0, len(layer) - 1, 2):
-                merged.append(self.lincomb(layer[i], layer[i + 1], 1, 1))
+            merged = [
+                (self.lincomb(j, k, a, b), 1)
+                for (j, a), (k, b) in zip(layer[::2], layer[1::2])
+            ]
             if len(layer) % 2:
                 merged.append(layer[-1])
             layer = merged
@@ -506,7 +524,7 @@ class ProofBuilder:
 # -- serialization ------------------------------------------------------------
 
 
-# Bounds on a decoded square-root line of T terms, which the checker squares
+# Bounds on a square-root line of T terms, which the checker squares
 # with T^2 products of coefficients and of monomials.  A coefficient product
 # costs more the more bits its factors have (a fraction also pays a gcd,
 # quadratic in its bits), and a monomial product the more variables it
@@ -514,7 +532,7 @@ class ProofBuilder:
 # (`Polynomial.bit_size`) and T times its variable occurrences summed over
 # its terms.  `check` of a root at these limits takes at most about 1 s
 # through the CLI (Python 3.11 on a 2-core VM).  No generator emits a root
-# of more than 2 terms.
+# of more than 2 terms, and ProofBuilder.sqrt_of refuses one past the limits.
 SQRT_TERM_LIMIT = 256
 SQRT_BIT_LIMIT = 2**18
 SQRT_WIDTH_LIMIT = 2**18
@@ -659,8 +677,9 @@ def proof_chunks(
 
 
 def _bound_root(index: int, root: Polynomial) -> None:
-    """Refuse a decoded square root past SQRT_TERM_LIMIT, SQRT_BIT_LIMIT or
-    SQRT_WIDTH_LIMIT."""
+    """Refuse a square root past SQRT_TERM_LIMIT, SQRT_BIT_LIMIT or
+    SQRT_WIDTH_LIMIT: the decoder for the roots it reads, and the builder
+    for those it emits, so no generator writes a root the decoder refuses."""
     terms = len(root)
     if terms > SQRT_TERM_LIMIT:
         raise FormatError(

@@ -444,7 +444,8 @@ def rationalize(axioms: AxiomSet, proof: Sequence[ProofLine]) -> RationalizeResu
     the original times that integer.  Each integer line is cleared by its
     own least factor and the last one is halved to a squarefree factor.
     The output and its lift of every input line are both verified; a
-    failure raises InternalCheckFailure.
+    failure raises InternalCheckFailure.  A square root past the decoder's
+    limits, lifted or halved, raises FormatError, as `check` would.
     """
     for base in axioms.base:
         if not base.is_integral():

@@ -34,6 +34,7 @@ from polycal.proofcore import (
     AxiomSet,
     Axiom,
     ExtensionAxiom,
+    LinComb,
     ProofLine,
     Sqrt,
     SystemKind,
@@ -79,8 +80,9 @@ def test_oracle_deterministic():
 
 
 # Exact sizes of the Horner construction, so that a change cannot silently
-# regrow the proof.
-ORACLE_LINES = {1: 6, 2: 37, 3: 199, 4: 1017, 5: 5031}
+# regrow the proof.  Every scalar rides in a combination of two lines, so no
+# line only scales another: none is LinComb(k, k, c, 0).
+ORACLE_LINES = {1: 5, 2: 27, 3: 127, 4: 585, 5: 2711}
 
 
 @pytest.mark.parametrize("n", sorted(ORACLE_LINES))
@@ -88,7 +90,9 @@ def test_oracle_size_pinned(n):
     _, proof = brute_force_refutation(n)
     assert len(proof) == ORACLE_LINES[n]
     if n == 4:
-        assert sum(len(line.poly) for line in proof) <= 7500
+        assert sum(len(line.poly) for line in proof) == 6204
+    rules = [line.rule for line in proof]
+    assert not [r for r in rules if isinstance(r, LinComb) and r.j == r.k and r.beta == 0]
 
 
 def test_oracle_n5_refutes_audits_and_traces_within_budget():

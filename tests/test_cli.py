@@ -20,6 +20,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,12 +34,14 @@ from polycal.bvp import (
     brute_force_refutation,
     trace_report_from_obj,
 )
-from polycal import bvp, cli
+from polycal import bvp, cli, proofcore
 from polycal.cli import canonical_json, main
 from polycal.proofcore import (
     SQRT_BIT_LIMIT,
     SQRT_TERM_LIMIT,
     SQRT_WIDTH_LIMIT,
+    AxiomSet,
+    ProofBuilder,
     SystemKind,
     check_refutation,
     proof_chunks,
@@ -51,6 +54,7 @@ from polycal.polyring import (
     NUMERAL_DIGIT_LIMIT,
     int_from_str,
     int_to_str,
+    poly_parse,
     xvar,
 )
 from polycal.reslin import (
@@ -603,6 +607,36 @@ def test_sqrt_work_limits_guard_check(tmp_path, capsys, quantity, past):
     )
 
 
+def test_rationalize_refuses_a_halving_root_before_writing(tmp_path, capsys, monkeypatch):
+    # 1/2^40 + (2^40 - 1)/2^40 = 1 is held at g = 2^40, so the lift halves
+    # it through the constant root 2^20, whose 20 bits pass a lowered limit.
+    # The Q document has no root, so only the lift can refuse.
+    g = 2**40
+    base = (poly_parse("x1"), poly_parse("x1 - 1"))
+    builder = ProofBuilder(AxiomSet(base), SystemKind.EXTPCSQRT_Q)
+    fraction = builder.lincomb(
+        builder.axiom_line(0), builder.axiom_line(1), Fraction(1, g), Fraction(-1, g)
+    )
+    builder.lincomb(fraction, fraction, 1, g - 1)
+    obj = proof_to_obj(SystemKind.EXTPCSQRT_Q, AxiomSet(base), builder.lines)
+    doc = write_json(tmp_path / "q.json", obj)
+    z, state = tmp_path / "z.json", tmp_path / "s.json"
+    argv = ["rationalize", "--proof", doc, "--out", str(z), "--state", str(state)]
+    monkeypatch.setattr(proofcore, "SQRT_BIT_LIMIT", 19)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "FormatError",
+        "message": "square root at line 5 of 1 terms and 20 coefficient bits "
+        "exceeds the limit 19 on their product",
+    }
+    assert not z.exists() and not state.exists()
+    monkeypatch.setattr(proofcore, "SQRT_BIT_LIMIT", 20)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["final_constant"] == "2"
+
+
 def test_rationalize_invalid_input_proof_exits_one(tmp_path, capsys):
     axioms, proof = negative_root()
     obj = proof_to_obj(SystemKind.EXTPCSQRT_Q, axioms, proof)
@@ -869,7 +903,7 @@ def test_trace_compares_bases_before_work_in_n(oracle_doc, monkeypatch, n, k):
 def test_measure_algebraic_document(oracle_doc, capsys):
     code, out, _ = run(capsys, "measure", "--proof", oracle_doc)
     assert code == 0
-    assert json.loads(out) == {"degree": 2, "line_count": 6, "total_size": 3}
+    assert json.loads(out) == {"degree": 2, "line_count": 5, "total_size": 2}
 
 
 def test_measure_clausal_document(reslin_doc, capsys):

@@ -235,12 +235,34 @@ def test_sqrt_mismatch_names_the_first_differing_monomial():
 
 
 def test_a_mismatch_writes_a_coefficient_past_the_digit_limit():
+    # Its 5,001 digits are past the int-str digit limit, so the message
+    # gives its bit length instead of taking the quadratic decimal path.
     lines = [ProofLine(P("x1"), Axiom(0)), ProofLine(P("x1"), LinComb(0, 0, 10**5000, 0))]
     report = check_refutation(AxiomSet((P("x1"),)), lines, Z)
     assert (report.error.line, report.error.code) == (1, "RuleMismatch")
-    assert report.error.message.endswith("x1: claimed 1, expected 1" + "0" * 5000)
+    assert report.error.message == (
+        "line 1 is not the claimed linear combination; "
+        "first differing monomial x1: claimed 1, expected an integer of 16610 bits"
+    )
     written = json.loads(canonical_json(report_to_obj(report)))
     assert written["error"]["message"] == report.error.message
+
+
+def test_scalar_rejections_give_a_long_part_by_its_bit_length():
+    big = 10**5000
+    axioms = AxiomSet((P("x1"),))
+    lines = [ProofLine(P("x1"), Axiom(0)), ProofLine(P("x1"), LinComb(0, 0, Fraction(1, big), 0))]
+    error = check_refutation(axioms, lines, Z).error
+    assert (error.code, error.message) == (
+        "NonIntegerScalar",
+        "pcsqrt-z requires integer scalars, got 1/an integer of 16610 bits, 0",
+    )
+    axioms = AxiomSet((Polynomial.constant(big),))
+    lines = [ProofLine(Polynomial.constant(big), Axiom(0))]
+    error = check_refutation(axioms, lines, SystemKind.PC_Q).error
+    assert (error.code, error.message) == (
+        "FinalNotOne", "pc-q must end in 1, got an integer of 16610 bits"
+    )
 
 
 def test_sqrt_forbidden():
@@ -433,7 +455,8 @@ def test_builder_sum_lines():
     axioms = AxiomSet((P("x1"), P("x2"), P("x1*x2")))
     builder = ProofBuilder(axioms, Z)
     idxs = [builder.axiom_line(i) for i in range(3)]
-    total = builder.sum_lines(idxs)
+    total, weight = builder.sum_lines([(i, 1) for i in idxs])
+    assert weight == 1
     assert builder.poly_at(total) == P("x1 + x2 + x1*x2")
     report = check_refutation(
         AxiomSet((P("x1"), P("x2"), P("x1*x2"))),
@@ -442,6 +465,27 @@ def test_builder_sum_lines():
     )
     # derivation steps are all fine; only the final-constant rule fails
     assert report.error.code == "FinalZero"
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_builder_sum_lines_puts_each_weight_in_a_combination(k):
+    # k weighted lines take k - 1 LinComb lines and no scaling line; a lone
+    # line comes back with its weight.
+    axioms = AxiomSet(tuple(P(f"x{i}") for i in range(1, k + 1)))
+    builder = ProofBuilder(axioms, Z)
+    terms = [(builder.axiom_line(i), (-1) ** i * (i + 2)) for i in range(k)]
+    before = len(builder)
+    total, weight = builder.sum_lines(terms)
+    added = builder.lines[before:]
+    assert len(added) == k - 1
+    assert all(isinstance(line.rule, LinComb) and line.rule.j != line.rule.k for line in added)
+    assert weight == (1 if k > 1 else 2)
+    expected = Polynomial.zero()
+    for i, c in terms:
+        expected = expected.add(builder.poly_at(i).scale(c))
+    assert builder.poly_at(total).scale(weight) == expected
+    lines = builder.lines
+    assert all(check_step(lines[:i], lines[i], axioms, Z) is None for i in range(len(lines)))
 
 
 def test_builder_rejects_invalid_append():

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from polycal import xlate
 from polycal.bvp import audit_divisibility, is_prime, primes_below
 from polycal.cli import canonical_json
-from polycal.polyring import Polynomial, ceil_log2, poly_parse, xvar, yvar
+from polycal.polyring import FormatError, Polynomial, ceil_log2, poly_parse, xvar, yvar
 from polycal.proofcore import (
+    SQRT_BIT_LIMIT,
     Axiom,
     AxiomSet,
     LinComb,
@@ -632,6 +633,24 @@ def test_rationalize_checks_only_its_input_and_output(monkeypatch):
         calls.clear()
         rationalize(axioms, proof)
         assert calls == [SystemKind.EXTPCSQRT_Q, SystemKind.EXTPCSQRT_Z]
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_rationalize_writes_no_root_the_decoder_refuses(past):
+    # The root c of the constant axiom c^2 lifts to itself, at the decoder's
+    # limit on coefficient bits or one bit past it; Z line 1 copies line 0.
+    c = 2**SQRT_BIT_LIMIT + past  # ceil_log2 of 2^b is b, of 2^b + 1 is b + 1
+    axioms = AxiomSet((Polynomial.constant(c * c),))
+    proof = [
+        ProofLine(Polynomial.constant(c * c), Axiom(0)),
+        ProofLine(Polynomial.constant(c), Sqrt(0)),
+    ]
+    if not past:
+        assert rationalize(axioms, proof).state.final_constant == c
+        return
+    with pytest.raises(FormatError, match=f"square root at line 2 of 1 terms and "
+                       f"{SQRT_BIT_LIMIT + 1} coefficient bits exceeds the limit"):
+        rationalize(axioms, proof)
 
 
 def test_lift_emits_each_input_line_once():
