@@ -6,29 +6,26 @@ The instance for n variables says a weighted sum of bits is negative:
     Fi = xi^2 - xi                          (i = 1..n)
 
 No 0/1 point satisfies G = 0, so the axiom set {G, F1..Fn} is refutable.
-The oracle refutation works over the integers and ends in the constant
-(2^n)!:
+The oracle refutation works over the integers and ends in C = (2^n)!:
 
-  * S = G - 1 takes every value 0..2^n-1 on the boolean cube, so
-    P(S) = prod_k (S - k) vanishes there.  As univariate polynomials,
-    P(T) - (2^n)! = (T + 1) Q(T) with Q monic, found by synthetic
-    division, so Q(S) * G = P(S) - (2^n)!.
-  * Horner's scheme derives Q(S) * G from the G axiom: each level
-    multiplies the running line by S (one MulVar per bit and a weighted
-    combination) and adds the next coefficient of Q times G.
-  * Right after each multiplication, boolean-axiom multiples cancel the
-    squared monomials, so every level ends multilinear.  A multilinear
-    polynomial that vanishes on the cube is zero, so the last level is
-    reduce(P(S)) - (2^n)! = -(2^n)!; its combinations take the opposite
-    signs, so it ends the proof in (2^n)! itself.
+  * On the boolean cube G takes the values 1..2^n, so g = C / G is an
+    integer at every point.  Its multilinear interpolation
+    g = sum_T c_T x_T, with x_T the product of the variables in T, has
+    integer coefficients: the Moebius transform of g's 2^n values.
+  * Each x_T * G is a monomial multiple of the G axiom.  Where i is in T,
+    c_T x_T G holds the squared term c_T 2^(i-1) x_T x_i, and the boolean
+    multiple x_(T-i) * Fi = x_T x_i - x_T lowers it to x_T.  So
+    sum_T c_T x_T G - sum_(T, i in T) c_T 2^(i-1) x_(T-i) Fi is
+    multilinear, and it equals g G = C on the cube.  A multilinear
+    polynomial is fixed by its values on the cube, so the sum is the
+    constant C.
 
-Boolean-axiom multiples come from the builder's memoized
-`monomial_multiple`, so levels share them.  Each level's multiples, with
-their reduction coefficients as weights, are summed with the builder's
-balanced combination tree, which puts every weight into a combination:
-no line only scales another.  The proof still grows exponentially in n
-(585 lines at n = 4, 12,565 at n = 6), so the generator refuses n above a
-cost limit unless forced.
+Every multiple comes from the builder's memoized `monomial_multiple`, one
+MulVar line each, and one balanced combination tree sums them with their
+weights.  The proof is (n + 2) * 2^n - 1 lines of degree n + 1 (95 at
+n = 4), but C's coefficients grow with n, so the document's bytes grow
+about five-fold per bit and the generator refuses n above a cost limit
+unless forced.
 
 The audit and trace operations document why that final constant must be
 huge: every prime p <= 2^n divides it.  The audit checks the divisibilities
@@ -57,7 +54,6 @@ from .polyring import (
     boolean_axiom,
     ceil_log2,
     int_to_str,
-    multilinear_reduce,
     parse_var,
     poly_from_obj,
     poly_to_obj,
@@ -68,11 +64,11 @@ from .polyring import (
 )
 from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind
 
-# At n = 6 the document is 12,565 lines and 24 MB and the CLI refutes it in
-# about 1.7 s.  n = 7 writes 57,779 lines and 223 MB in about 9 s at 138 MB
-# of peak RSS, but `check` and `trace` of that document peak at 925 MB
-# (Python 3.11 on a 2-core VM): n = 7 needs force.
-COST_LIMIT = 6
+# At n = 8 the document is 2,559 lines and 8.4 MB, and `check` takes about
+# 0.33 s at 41 MB of peak RSS.  n = 9 writes 5,631 lines and 43 MB, and
+# `check` of it takes about 0.77 s at 120 MB (Python 3.11 on a 2-core VM,
+# through the CLI): n = 9 needs force.
+COST_LIMIT = 8
 SIEVE_LIMIT = 1 << 24
 # The largest bit width gen_bvp builds.  The instance grows as n^2: at this
 # limit it is 3.0 MB and `gen-bvp` writes it in about 0.3 s, while from
@@ -126,34 +122,13 @@ def gen_bvp(n: int) -> BvpInstance:
     )
 
 
-def _falling_product_coeffs(count: int) -> list[int]:
-    """Coefficients of prod_{k=0}^{count-1} (T - k), lowest degree first."""
-    coeffs = [1]
-    for k in range(count):
-        shifted = [0] + coeffs
-        coeffs = [s - k * c for s, c in zip(shifted, coeffs + [0])]
-    return coeffs
-
-
-def _divide_by_t_plus_one(coeffs: list[int]) -> list[int]:
-    """Quotient of an exact division by (T + 1), lowest degree first."""
-    quotient = [0] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        quotient[i] = carry
-        carry = coeffs[i] - carry
-    if carry != 0:
-        raise ArithmeticError("division by T + 1 left a remainder")
-    return quotient
-
-
 def brute_force_refutation(
     n: int, force: bool = False
 ) -> tuple[AxiomSet, list[ProofLine]]:
     """Refute the n-bit instance over the integers, ending in (2^n)!.
 
-    Line counts grow about 4.6-fold per bit; values past COST_LIMIT need
-    force=True.
+    (n + 2) * 2^n - 1 lines of degree n + 1, so line counts grow about
+    2.2-fold per bit; values past COST_LIMIT need force=True.
     """
     if n > COST_LIMIT and not force:
         raise CostGuard(
@@ -161,40 +136,31 @@ def brute_force_refutation(
         )
     axioms = gen_bvp(n).axiom_set()
     builder = ProofBuilder(axioms, SystemKind.PCSQRT_Z)
-    boolean_vars = frozenset(xvar(i) for i in range(1, n + 1))
 
     count = 1 << n
-    shifted = _falling_product_coeffs(count)
-    shifted[0] -= math.factorial(count)
-    quotient = _divide_by_t_plus_one(shifted)  # monic, so Horner starts at G
+    constant = math.factorial(count)
+    # g's values at the points, indexed by the bits they set, then the
+    # Moebius transform in place: coeffs[T] becomes the coefficient of x_T.
+    coeffs = [constant // (k + 1) for k in range(count)]
+    for bit in (1 << i for i in range(n)):
+        for mask in range(count):
+            if mask & bit:
+                coeffs[mask] -= coeffs[mask ^ bit]
 
     equation_line = builder.axiom_line(0)
-    acc = equation_line
-    for i in reversed(range(len(quotient) - 1)):
-        # The last level, i = 0, also negates, so the proof ends in +(2^n)!.
-        sign = 1 if i else -1
-        # acc * S: one MulVar per bit, then the weighted sum of those lines.
-        sliding = [builder.mul_var(acc, xvar(j)) for j in range(1, n + 1)]
-        acc = sliding[0]
-        for j in range(1, n):
-            acc = builder.lincomb(acc, sliding[j], 1, 1 << j)
-        # Cancel the squared monomials with boolean-axiom multiples, ordered
-        # by the monomial m * v each one lowers into, so that the tree sums
-        # neighbours whose lowered terms meet first.
-        _, steps = multilinear_reduce(builder.poly_at(acc), boolean_vars)
-        steps.sort(key=lambda step: step.monomial.times_var(step.variable))
-        leaves = []
-        for step in steps:
-            source = builder.axiom_line(step.variable.index)
-            multiple = builder.monomial_multiple(source, step.monomial)
-            leaves.append((multiple, -step.coefficient))
-        tree, weight = builder.sum_lines(leaves)
-        acc = builder.lincomb(acc, tree, sign, sign * weight)
-        if quotient[i]:
-            acc = builder.lincomb(acc, equation_line, 1, sign * quotient[i])
+    leaves = []
+    for mask, c in enumerate(coeffs):
+        bits = [i for i in range(1, n + 1) if mask >> (i - 1) & 1]
+        x_t = Monomial.product(xvar(i) for i in bits)
+        leaves.append((builder.monomial_multiple(equation_line, x_t), c))
+        for i in bits:
+            source = builder.axiom_line(i)
+            multiple = builder.monomial_multiple(source, x_t.without(xvar(i)))
+            leaves.append((multiple, -c << (i - 1)))
+    total = builder.sum_lines(leaves)
 
-    if builder.poly_at(acc) != Polynomial.constant(math.factorial(count)):
-        raise ArithmeticError("the Horner lines failed to reduce to (2^n)!")
+    if builder.poly_at(total) != Polynomial.constant(constant):
+        raise ArithmeticError("the interpolation failed to reduce to (2^n)!")
     return axioms, builder.lines
 
 

@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--force",
         action="store_true",
-        help=f"allow n above the cost limit {COST_LIMIT}; n = 7 writes about 265 MB",
+        help=f"allow n above the cost limit {COST_LIMIT}; n = 9 writes about 43 MB",
     )
 
     p = sub.add_parser("translate", help="simulate a linear resolution proof")

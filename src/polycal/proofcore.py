@@ -500,15 +500,15 @@ class ProofBuilder:
         _bound_root(len(self.lines), root)
         return self.append(root, Sqrt(k))
 
-    def sum_lines(self, terms: Sequence[tuple[int, Scalar]]) -> tuple[int, Scalar]:
-        """(line, w) with w * line = the sum of c * line[k] over (k, c) of terms.
+    def sum_lines(self, terms: Sequence[tuple[int, Scalar]]) -> int:
+        """Line holding the sum of c * line[k] over the (k, c) of terms.
 
-        A balanced tree of pairwise LinComb steps, k - 1 lines for k terms:
-        each scalar goes into the first combination that uses its line, so
-        no line only scales another.  w is 1 unless a lone term carries it.
+        A balanced tree of pairwise LinComb steps, k - 1 lines for k >= 2
+        terms: each scalar goes into the first combination that uses its
+        line, so no line only scales another.
         """
-        if not terms:
-            raise ProofBuildError("BadIndex: empty sum")
+        if len(terms) < 2:
+            raise ProofBuildError("BadIndex: a sum needs at least two terms")
         layer = list(terms)
         while len(layer) > 1:
             merged = [
@@ -518,7 +518,7 @@ class ProofBuilder:
             if len(layer) % 2:
                 merged.append(layer[-1])
             layer = merged
-        return layer[0]
+        return layer[0][0]
 
 
 # -- serialization ------------------------------------------------------------

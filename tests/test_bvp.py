@@ -79,18 +79,19 @@ def test_oracle_deterministic():
     assert first == second
 
 
-# Exact sizes of the Horner construction, so that a change cannot silently
-# regrow the proof.  Every scalar rides in a combination of two lines, so no
-# line only scales another: none is LinComb(k, k, c, 0).
-ORACLE_LINES = {1: 5, 2: 27, 3: 127, 4: 585, 5: 2711}
-
-
-@pytest.mark.parametrize("n", sorted(ORACLE_LINES))
+# Exact sizes of the interpolation, so that a change cannot silently regrow
+# the proof: n + 1 axioms, 2^n - 1 multiples of G, n * (2^(n-1) - 1) boolean
+# multiples and a tree that sums the 2^n + n * 2^(n-1) weighted lines among
+# them, (n + 2) * 2^n - 1 lines of degree n + 1.  Every weight rides in a
+# combination of two lines, so no line only scales another: none is
+# LinComb(k, k, c, 0).
+@pytest.mark.parametrize("n", range(1, 7))
 def test_oracle_size_pinned(n):
     _, proof = brute_force_refutation(n)
-    assert len(proof) == ORACLE_LINES[n]
+    assert len(proof) == (n + 2) * 2**n - 1
+    assert max(line.poly.degree for line in proof) == n + 1
     if n == 4:
-        assert sum(len(line.poly) for line in proof) == 6204
+        assert sum(len(line.poly) for line in proof) == 401
     rules = [line.rule for line in proof]
     assert not [r for r in rules if isinstance(r, LinComb) and r.j == r.k and r.beta == 0]
 

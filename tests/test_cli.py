@@ -1047,7 +1047,7 @@ def test_index_past_the_int_digit_limit_is_bad_index(fixture, request, capsys):
 
 
 def test_cost_guard_stops_oversized_oracle_runs(capsys):
-    code, _, err = run(capsys, "oracle-refute", "--n", "9")
+    code, _, err = run(capsys, "oracle-refute", "--n", str(bvp.COST_LIMIT + 1))
     assert code == 2
     assert json.loads(err)["error"] == "CostGuard"
 

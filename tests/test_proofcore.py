@@ -455,8 +455,7 @@ def test_builder_sum_lines():
     axioms = AxiomSet((P("x1"), P("x2"), P("x1*x2")))
     builder = ProofBuilder(axioms, Z)
     idxs = [builder.axiom_line(i) for i in range(3)]
-    total, weight = builder.sum_lines([(i, 1) for i in idxs])
-    assert weight == 1
+    total = builder.sum_lines([(i, 1) for i in idxs])
     assert builder.poly_at(total) == P("x1 + x2 + x1*x2")
     report = check_refutation(
         AxiomSet((P("x1"), P("x2"), P("x1*x2"))),
@@ -469,21 +468,26 @@ def test_builder_sum_lines():
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_builder_sum_lines_puts_each_weight_in_a_combination(k):
-    # k weighted lines take k - 1 LinComb lines and no scaling line; a lone
-    # line comes back with its weight.
+    # k >= 2 weighted lines take k - 1 LinComb lines and no scaling line; a
+    # lone line is refused, since no combination could carry its weight.
     axioms = AxiomSet(tuple(P(f"x{i}") for i in range(1, k + 1)))
     builder = ProofBuilder(axioms, Z)
     terms = [(builder.axiom_line(i), (-1) ** i * (i + 2)) for i in range(k)]
     before = len(builder)
-    total, weight = builder.sum_lines(terms)
+    if k == 1:
+        for short in ([], terms):
+            with pytest.raises(ProofBuildError, match="at least two terms"):
+                builder.sum_lines(short)
+        assert len(builder) == before
+        return
+    total = builder.sum_lines(terms)
     added = builder.lines[before:]
     assert len(added) == k - 1
     assert all(isinstance(line.rule, LinComb) and line.rule.j != line.rule.k for line in added)
-    assert weight == (1 if k > 1 else 2)
     expected = Polynomial.zero()
     for i, c in terms:
         expected = expected.add(builder.poly_at(i).scale(c))
-    assert builder.poly_at(total).scale(weight) == expected
+    assert builder.poly_at(total) == expected
     lines = builder.lines
     assert all(check_step(lines[:i], lines[i], axioms, Z) is None for i in range(len(lines)))
 
