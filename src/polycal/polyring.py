@@ -318,9 +318,6 @@ class Monomial:
             self._products[other._pairs] = product
         return product
 
-    def times_var(self, var: VarId, exp: int = 1) -> Monomial:
-        return self.times(Monomial.of(var, exp))
-
     def without(self, var: VarId, exp: int = 1) -> Monomial:
         """Divide by var**exp; raises if the exponent would go negative."""
         current = self.exponent(var)

@@ -473,28 +473,27 @@ class ProofBuilder:
     def mul_var(self, k: int, var: VarId) -> int:
         return self._push(self.poly_at(k).mul_var(var), MulVar(k, var))
 
-    def monomial_multiple(
-        self, source: int, mono: Monomial, first: Sequence[VarId] = ()
-    ) -> int:
+    def monomial_multiple(self, source: int, mono: Monomial) -> int:
         """Line holding mono * line[source]; mono == 1 gives source itself.
 
-        The variables of `first` that divide mono are stripped first, in
-        that order, and the others from the last in canonical order, so
-        every partial product is a proof line.  Each is memoized under
-        (source, monomial), which means "monomial times line[source]"
-        whatever order derived it: multiples of one source that share a
-        prefix reuse its lines, and a repeated request appends nothing.
+        Variables are stripped from the last in canonical order, so every
+        partial product is a proof line.  Each is memoized under (source,
+        monomial): multiples of one source that share a prefix reuse its
+        lines, and a repeated request appends nothing.
         """
         if mono.is_one():
             return source
         key = (source, mono)
         line = self._multiples.get(key)
         if line is None:
-            var = next((v for v in first if mono.exponent(v)), mono.pairs[-1][0])
-            prefix = self.monomial_multiple(source, mono.without(var), first)
-            line = self.mul_var(prefix, var)
+            var = mono.pairs[-1][0]
+            line = self.mul_var(self.monomial_multiple(source, mono.without(var)), var)
             self._multiples[key] = line
         return line
+
+    def known_multiple(self, source: int, mono: Monomial) -> Optional[int]:
+        """monomial_multiple(source, mono) if that appends nothing, else None."""
+        return source if mono.is_one() else self._multiples.get((source, mono))
 
     def sqrt_of(self, k: int, root: Polynomial) -> int:
         _bound_root(len(self.lines), root)

@@ -6,19 +6,20 @@ simulate_reslin_b turns a linear-resolution refutation into an extended
 square-root refutation over the rationals.  Every affine form that occurs
 anywhere gets an extension variable (the registry), a disjunction becomes
 the product of its disjuncts' variables, and each resolution rule is
-replayed as a short derivation on those products.  The square root rule is
-used by exactly one case, contraction.  A contraction's premise product
-times its odd part is the square of its root monomial s = prod v^ceil(e/2);
-the square root is taken once per distinct root, and every contraction
-whose premise has that root lifts the one root line to its conclusion,
-stripping first the variables the rest of its run removes, so each later
-contraction of the run finds its line already made.  A resolution's swap
-line y_new - alpha*y_a - beta*y_b is derived once per pair of forms and
-coefficients, and when both rests are one monomial the two hats are added
-before a single lift.  A resolution into a false constant 0 = c derives the
-product of its two rests first and multiplies it by y_new, so the
-simplification that drops the constant reuses that product and emits
-nothing.
+replayed as a short derivation on those products.  A line's product, its
+hat, is kept as a proof line times a monomial and multiplied out only when
+a rule cites it, so the refutation uses every line but the square root of
+a contraction no rule cites and what only that root reads.  The square
+root rule is used by exactly one case, contraction.  A contraction's
+premise product times its odd part is the square of its root monomial
+s = prod v^ceil(e/2); the square root is taken once per distinct root, and
+the hat of every contraction whose premise has that root is s times its
+remainder.  A resolution's swap line y_new - alpha*y_a - beta*y_b is
+derived once per pair of forms and coefficients, and when both rests are
+one monomial the two hats are added before a single lift.  A resolution
+into a false constant 0 = c derives the product of its two rests, and its
+hat is y_new times that line, so the simplification that drops the
+constant reuses that product and emits nothing.
 
 rationalize turns a refutation over the rationals into one over the
 integers.  It first picks integer multipliers: T_i rescales extension y_i
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .polyring import (
     Monomial,
@@ -82,7 +83,6 @@ from .reslin import (
     LinEq,
     RlAxiom,
     RlBooleanAxiom,
-    RlContraction,
     RlLine,
     RlResolution,
     RlSimplification,
@@ -117,7 +117,7 @@ class NonIntegerBaseAxiom(Exception):
 class SimulationOutput:
     axioms: AxiomSet
     proof: tuple[ProofLine, ...]
-    line_map: tuple[int, ...]
+    line_map: tuple[Optional[int], ...]
 
 
 def simulate_reslin_b(
@@ -128,8 +128,9 @@ def simulate_reslin_b(
     The output refutes the hat products of the input axioms together with
     one boolean axiom per mentioned x-variable, over the rational extended
     square-root system, and ends in the constant 1.  line_map[i] is the
-    output line whose polynomial is the hat of input line i.  A line that
-    reuses an earlier one maps to it, so line_map[i] may name a line before
+    output line whose polynomial is the hat of input line i, or None when
+    no rule cited that hat and it was never derived.  A line that reuses an
+    earlier one maps to it, so line_map[i] may name a line before
     line_map[i - 1]; the last entry is always the last output line.
     """
     report = check_reslin(axioms, proof)
@@ -149,17 +150,14 @@ def simulate_reslin_b(
     builder = ProofBuilder(out_axioms, SystemKind.EXTPCSQRT_Q)
     boolean_index = {v: len(axioms) + i for i, v in enumerate(xvars)}
 
-    # The variables that the run of contractions from each line goes on to
-    # remove, in order; a contraction's lift strips them first.
-    removed_after: dict[int, tuple[VarId, ...]] = {}
-    for i in reversed(range(len(proof))):
-        rule = proof[i].rule
-        if isinstance(rule, RlContraction):
-            var = registry.lookup(proof[rule.j].disjunction.disjuncts[rule.d1])
-            removed_after[rule.j] = (var,) + removed_after.get(i, ())
-
     hats = [product_monomial(line.disjunction, registry) for line in proof]
-    hat_lines: list[int] = []
+    # hat_pairs[i] = (line, mono): hat i is mono times that line, and
+    # hat_line(i) derives it when a rule cites it.
+    hat_pairs: list[tuple[int, Monomial]] = []
+
+    def hat_line(i: int) -> int:
+        return builder.monomial_multiple(*hat_pairs[i])
+
     # Lines that hold a bare monomial, for a contraction or a simplification
     # to reuse: each run's square root, the rests' products of resolutions
     # into false constants, and every simplification's conclusion.
@@ -167,45 +165,46 @@ def simulate_reslin_b(
     sums: dict[tuple, int] = {}
     for i, line in enumerate(proof):
         rule = line.rule
+        mono = Monomial.one()
         if isinstance(rule, RlAxiom):
             emitted = builder.axiom_line(rule.index)
         elif isinstance(rule, RlBooleanAxiom):
             emitted = _simulate_boolean(builder, registry, boolean_index, rule)
         elif isinstance(rule, RlResolution):
-            emitted = _simulate_resolution(
-                builder, registry, proof, hats, hat_lines, rule, held, sums
+            emitted, mono = _simulate_resolution(
+                builder, registry, proof, hats, hat_line, rule, held, sums
             )
         elif isinstance(rule, RlWeakening):
-            emitted = builder.mul_var(
-                hat_lines[rule.j], registry.lookup(rule.eq)
-            )
+            emitted, mono = hat_pairs[rule.j]
+            mono = mono.times(Monomial.of(registry.lookup(rule.eq)))
         elif isinstance(rule, RlSimplification):
             eq = proof[rule.j].disjunction.disjuncts[rule.d]
             emitted = _simulate_simplification(
-                builder, registry.lookup(eq), eq.constant, hat_lines[rule.j],
+                builder, registry.lookup(eq), eq.constant, hat_line, rule.j,
                 hats[i], held,
             )
         else:
-            emitted = _simulate_contraction(
-                builder, hats[rule.j], hat_lines[rule.j], hats[i], held,
-                removed_after.get(i, ()),
+            emitted, mono = _simulate_contraction(
+                builder, hat_line, rule.j, hats[rule.j], hats[i], held
             )
-        if builder.poly_at(emitted) != Polynomial(((hats[i], 1),)):
+        if builder.poly_at(emitted).mul_term(mono) != Polynomial(((hats[i], 1),)):
             raise InternalCheckFailure(
                 f"simulated line does not match its hat product"
             )
-        hat_lines.append(emitted)
+        hat_pairs.append((emitted, mono))
 
-    if hat_lines[-1] != len(builder.lines) - 1:
+    last = hat_line(len(proof) - 1)
+    if last != len(builder.lines) - 1:
         # A reused hat comes before later lines: the refutation ends in a copy.
-        hat_lines[-1] = builder.scale_line(hat_lines[-1], 1)
+        last = builder.scale_line(last, 1)
     final = check_refutation(out_axioms, builder.lines, SystemKind.EXTPCSQRT_Q)
     if not final.valid or final.final_constant != 1:
         raise InternalCheckFailure("the simulated refutation fails to check")
+    line_map = [builder.known_multiple(*pair) for pair in hat_pairs[:-1]]
     return SimulationOutput(
         axioms=out_axioms,
         proof=tuple(builder.lines),
-        line_map=tuple(hat_lines),
+        line_map=(*line_map, last),
     )
 
 
@@ -243,22 +242,23 @@ def _definition_sum(builder, sums, terms) -> int:
 
 
 def _simulate_resolution(
-    builder, registry, proof, hats, hat_lines, rule, held, sums
-) -> int:
+    builder, registry, proof, hats, hat_line, rule, held, sums
+) -> tuple[int, Monomial]:
     """Combine two product lines through the resolved forms' definitions.
+
+    Returns (line, monomial): the conclusion's hat is monomial times line.
 
     The swap line y_new - alpha*y_a - beta*y_b is one definition sum, so
     every resolution of that pair of forms lifts the same line and shares
     its partial products.  When both rests are one monomial A,
-    alpha*hat_a + beta*hat_b plus A*swap is A*y_new, and one lift by A
-    gives the conclusion: |A| + 2 lines besides the shared lift of the
-    swap.  Otherwise the swap is lifted through the two rests to the
-    conclusion.
+    alpha*hat_a + beta*hat_b plus A*swap is A*y_new, and the conclusion is
+    A times that line: 2 lines besides the shared lift of the swap.
+    Otherwise the swap is lifted through the two rests to the conclusion.
 
-    A resolvent 0 = c with c != 0 and rests A and B that differ takes A*B
-    first, kept in held for the simplification that drops the constant,
-    and the conclusion is A*B*y_new.  The definition sum
-    alpha*def_a + beta*def_b is alpha*y_a + beta*y_b + c, and lifted
+    A resolvent 0 = c with c != 0 and rests A and B that differ takes A*B,
+    kept in held for the simplification that drops the constant, and the
+    conclusion is y_new times that line.  The definition
+    sum alpha*def_a + beta*def_b is alpha*y_a + beta*y_b + c, and lifted
     through the rests it is c*A*B.
     """
     eq_a = proof[rule.j].disjunction.disjuncts[rule.dj]
@@ -267,10 +267,7 @@ def _simulate_resolution(
     var_new = registry.lookup(resolvent)
     var_a, var_b = registry.lookup(eq_a), registry.lookup(eq_b)
     rest_a, rest_b = hats[rule.j].without(var_a), hats[rule.k].without(var_b)
-    sides = (
-        (rest_a, hat_lines[rule.j], rule.alpha),
-        (rest_b, hat_lines[rule.k], rule.beta),
-    )
+    sides = ((rest_a, rule.j, rule.alpha), (rest_b, rule.k, rule.beta))
     if rest_a != rest_b and resolvent.is_constant() and resolvent.constant:
         product = rest_a.times(rest_b)
         line = held.get(product)
@@ -279,78 +276,77 @@ def _simulate_resolution(
                 builder, sums, ((var_a, rule.alpha), (var_b, rule.beta))
             )
             line = held[product] = _lift_through_rests(
-                builder, total, sides, -1, resolvent.constant
+                builder, hat_line, total, sides, -1, resolvent.constant
             )
-        return builder.monomial_multiple(line, Monomial.of(var_new))
+        return line, Monomial.of(var_new)
     swap = _definition_sum(
         builder, sums, ((var_new, 1), (var_a, -rule.alpha), (var_b, -rule.beta))
     )
     if rest_a == rest_b:
         hat_sum = builder.lincomb(
-            hat_lines[rule.j], hat_lines[rule.k], rule.alpha, rule.beta
+            hat_line(rule.j), hat_line(rule.k), rule.alpha, rule.beta
         )
         lifted = builder.lincomb(builder.monomial_multiple(swap, rest_a), hat_sum, 1, 1)
-        return builder.monomial_multiple(lifted, rest_a)
-    return _lift_through_rests(builder, swap, sides, 1)
+        return lifted, rest_a
+    return _lift_through_rests(builder, hat_line, swap, sides, 1), Monomial.one()
 
 
-def _lift_through_rests(builder, line, sides, sign, divisor=1) -> int:
+def _lift_through_rests(builder, hat_line, line, sides, sign, divisor=1) -> int:
     """(B*(A*line + sign*a*hat_A) + sign*b*A*hat_B) / divisor.
 
-    sides holds (rest, hat, coefficient) for both premises; A is the
+    sides holds (rest, input line, coefficient) for both premises; A is the
     shorter rest, with coefficient a, and B the longer, with b: 2|A| + |B|
     variable multiplications and two combinations.
     """
-    (short_rest, short_hat, short_coef), (long_rest, long_hat, long_coef) = sorted(
+    (short_rest, short, short_coef), (long_rest, long, long_coef) = sorted(
         sides, key=lambda side: side[0].degree
     )
     lifted = builder.lincomb(
-        builder.monomial_multiple(line, short_rest), short_hat, 1, sign * short_coef
+        builder.monomial_multiple(line, short_rest), hat_line(short), 1, sign * short_coef
     )
     return builder.lincomb(
         builder.monomial_multiple(lifted, long_rest),
-        builder.monomial_multiple(long_hat, short_rest),
+        builder.monomial_multiple(hat_line(long), short_rest),
         Fraction(1, divisor),
         Fraction(sign * long_coef, divisor),
     )
 
 
-def _simulate_simplification(builder, var, constant, premise, rest, held) -> int:
-    """Divide the definition of var, a false constant disjunct, out of premise.
+def _simulate_simplification(builder, var, constant, hat_line, premise, rest, held) -> int:
+    """Divide the definition of var, a false constant disjunct, out of the
+    hat of input line premise.
 
-    A rest that held already holds costs no line; a rest derived here is
-    added to it.
+    A rest that held already holds costs no line and cites no premise; a
+    rest derived here is added to it.
     """
     line = held.get(rest)
     if line is None:
         lifted = builder.monomial_multiple(builder.extension_line(var), rest)
-        line = builder.lincomb(lifted, premise, 1, -1)
+        line = builder.lincomb(lifted, hat_line(premise), 1, -1)
         if constant != 1:
             line = builder.scale_line(line, Fraction(1, constant))
         held[rest] = line
     return line
 
 
-def _simulate_contraction(builder, hat, premise, conclusion, held, removed_after) -> int:
-    """Lift the one square root of the premise line's hat to the conclusion.
+def _simulate_contraction(
+    builder, hat_line, premise, hat, conclusion, held
+) -> tuple[int, Monomial]:
+    """The one square root of the premise hat, and the conclusion over it.
 
     The premise hat prod v^e_v has the root s = prod v^ceil(e_v/2); times
     its odd part prod v^(e_v mod 2) it is s^2.  held maps each s to the
     line holding it, so a run of contractions that shares s takes a single
-    square root, and each conclusion is s times the remainder.  The lift
-    strips first the variables removed_after names, those the rest of the
-    run removes in order, so the next conclusion's lift is a partial
-    product of this one: the lifts of a whole run cost |R| variable
-    multiplications for its first remainder R, not one chain each.
+    square root and cites only the premise of its first contraction.  It
+    returns (line of s, remainder): the conclusion is their product.
     """
     root = Monomial((v, (e + 1) // 2) for v, e in hat.pairs)
     line = held.get(root)
     if line is None:
         odd = Monomial((v, e % 2) for v, e in hat.pairs)
-        squared = builder.monomial_multiple(premise, odd)
+        squared = builder.monomial_multiple(hat_line(premise), odd)
         line = held[root] = builder.sqrt_of(squared, Polynomial(((root, 1),)))
-    remainder = Monomial((v, e - root.exponent(v)) for v, e in conclusion.pairs)
-    return builder.monomial_multiple(line, remainder, removed_after)
+    return line, Monomial((v, e - root.exponent(v)) for v, e in conclusion.pairs)
 
 
 # -- rationalization of proofs over the rationals --------------------------------

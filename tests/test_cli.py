@@ -77,6 +77,7 @@ from q_corpus import (
 )
 from reslin_corpus import (
     bvp_splitting,
+    clause_pair,
     eq,
     refutation_corpus,
     rests_of_one_degree,
@@ -382,6 +383,18 @@ def test_translate_emits_line_map_and_valid_proof(reslin_doc, tmp_path, capsys):
     kind, axioms, lines = proof_from_obj(json.loads(out_file.read_text()))
     assert kind is SystemKind.EXTPCSQRT_Q
     assert check_refutation(axioms, lines, kind).valid
+
+
+def test_translate_writes_null_for_a_hat_no_rule_cites(tmp_path, capsys):
+    # clause_pair's line 3 resolves into a false constant that only a
+    # simplification cites, which reuses the rests' product: no line holds
+    # line 3's hat.
+    doc = write_json(tmp_path / "rl.json", reslin_to_obj(*clause_pair()))
+    code, out, _ = run(capsys, "translate", "--reslin", doc, "--out", str(tmp_path / "q.json"))
+    assert code == 0
+    assert '"line_map":[0,1,2,null,' in out
+    summary = json.loads(out)
+    assert summary["line_map"][-1] == summary["line_count"] - 1
 
 
 def test_translate_split_files_match_bundled_document(reslin_doc, tmp_path, capsys):

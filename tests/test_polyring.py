@@ -157,7 +157,7 @@ def test_monomial_basics():
     m = Monomial(((x1, 2), (x2, 1)))
     assert m.degree == 3
     assert m.exponent(x1) == 2 and m.exponent(x3) == 0
-    assert m.times_var(x1).exponent(x1) == 3
+    assert m.times(Monomial.of(x1)).exponent(x1) == 3
     assert m.without(x1).exponent(x1) == 1
     assert m.without(x1, 2).exponent(x1) == 0
     with pytest.raises(ValueError):
@@ -227,8 +227,8 @@ def test_interned_monomials_match_a_sort_and_merge(a, b):
 def test_products_are_shared_and_invertible(a, b, var, exp):
     assert a.times(b) is b.times(a)
     assert a.times(b) is a.times(b)
-    assert a.times_var(var, exp).without(var, exp) is a
-    assert a.times_var(var) is a.times(Monomial.of(var))
+    assert a.times(Monomial.of(var, exp)).without(var, exp) is a
+    assert a.times(Monomial.of(var, 1)) is a.times(Monomial.of(var))
 
 
 # Besides KERNEL_VARS: x3 and y2 fall in its gaps, y7 after all of them.
@@ -245,7 +245,7 @@ def test_one_variable_products_match_a_sort_and_merge(m, exp):
         assert product is Monomial(m.pairs + ((var, exp),)), (m, var)
         assert product.pairs == reference_pairs(m.pairs + ((var, exp),))
         assert product.degree == m.degree + exp == sum(e for _, e in product.pairs)
-        assert m.times_var(var, exp) is product
+        assert m.times(Monomial.of(var, exp)) is product
 
 
 @given(st.lists(st.sampled_from(INSERTED_VARS), max_size=6))

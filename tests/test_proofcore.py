@@ -424,7 +424,7 @@ def test_monomial_multiple_memoizes_prefixes():
     assert builder.monomial_multiple(src, pair) == out
     assert len(builder) == 3
     # x1*x2*x3 extends the x1*x2 line by one MulVar
-    triple = pair.times_var(x3)
+    triple = pair.times(Monomial.of(x3))
     longer = builder.monomial_multiple(src, triple)
     assert len(builder) == 4
     assert builder.lines[longer].rule == MulVar(out, x3)
@@ -432,23 +432,6 @@ def test_monomial_multiple_memoizes_prefixes():
 
     for i, line in enumerate(builder.lines):
         assert check_step(builder.lines[:i], line, axioms, Z) is None
-
-
-def test_monomial_multiple_strips_the_given_variables_first():
-    x3 = xvar(3)
-    axioms = AxiomSet((P("x1 + 1"),))
-    builder = ProofBuilder(axioms, Z)
-    src = builder.axiom_line(0)
-    triple = Monomial(((x1, 1), (x2, 1), (x3, 1)))
-    out = builder.monomial_multiple(src, triple, first=(x1, x2))
-    assert len(builder) == 4
-    assert builder.lines[out].rule.var == x1
-    # x2*x3 is the partial product the x1-first order made
-    assert builder.monomial_multiple(src, triple.without(x1)) == out - 1
-    # the memo means "mono times source" whatever order derived it
-    assert builder.monomial_multiple(src, triple) == out
-    assert len(builder) == 4
-    assert builder.poly_at(out) == P("x1^2*x2*x3 + x1*x2*x3")
 
 
 def test_builder_sum_lines():

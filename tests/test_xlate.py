@@ -99,6 +99,8 @@ def test_simulation_line_map_points_at_hats():
         registry = build_registry(axioms, lines)
         assert len(out.line_map) == len(lines)
         for rl_line, target in zip(lines, out.line_map):
+            if target is None:
+                continue
             expected = Polynomial(
                 ((product_monomial(rl_line.disjunction, registry), 1),)
             )
@@ -138,17 +140,21 @@ def test_simulation_zero_one_frozen():
 
 
 # Q lines of the splitting refutation of BVP_n, as upper bounds: each run of
-# contractions takes one square root and lifts it in the order the run
-# removes disjuncts, resolutions share their swap line and lift their shorter
-# rest, and a resolution into a false constant derives its rests' product,
-# which the simplification that drops the constant reuses.
-SPLITTING_Q_LINES = {3: 200, 4: 464, 5: 1048, 6: 2336}
+# contractions takes one square root, resolutions share their swap line and
+# lift their shorter rest, a resolution into a false constant derives its
+# rests' product, which the simplification that drops the constant reuses,
+# and a hat is derived only when a rule cites it.
+SPLITTING_Q_LINES = {3: 188, 4: 428, 5: 948, 6: 2076}
 
 
 def _emitting_lines(out):
-    """Index of the input line whose simulation emitted each output line."""
+    """Index of the input line whose simulation emitted each output line;
+    a line emitted for a hat that line_map leaves None goes to the next
+    mapped line."""
     owner, start = [], 0
     for i, target in enumerate(out.line_map):
+        if target is None:
+            continue
         end = max(start, target + 1)
         owner.extend([i] * (end - start))
         start = end
@@ -166,8 +172,8 @@ def test_splitting_takes_one_square_root_per_run_of_contractions(n):
     assert len(sqrt_lines) == 2**n - 2
     assert all(isinstance(lines[owner[i]].rule, RlContraction) for i in sqrt_lines)
     for i, rl_line in enumerate(lines):
-        if isinstance(rl_line.rule, RlContraction):
-            k = out.line_map[i]
+        k = out.line_map[i]
+        if isinstance(rl_line.rule, RlContraction) and k is not None:
             while isinstance(proof[k].rule, MulVar):
                 k = proof[k].rule.k
             assert isinstance(proof[k].rule, Sqrt), (n, i)
@@ -186,12 +192,13 @@ def test_splitting_runs_and_resolutions_share_their_lines(n):
     axioms, lines = bvp_splitting(n)
     out = simulate_reslin_b(axioms, lines)
     proof = out.proof
-    contractions = sum(isinstance(line.rule, RlContraction) for line in lines)
     sqrts = sum(isinstance(line.rule, Sqrt) for line in proof)
     by_contractions = sum(
         isinstance(lines[i].rule, RlContraction) for i in _emitting_lines(out)
     )
-    assert by_contractions == contractions + sqrts
+    # A run of contractions emits its premise times the odd part and the
+    # square root of that; its conclusions are derived only when cited.
+    assert by_contractions == 2 * sqrts
     lincombs = [
         (line.rule.j, line.rule.k, line.rule.alpha, line.rule.beta)
         for line in proof
@@ -308,14 +315,53 @@ def test_a_last_simplification_that_reuses_a_line_ends_in_a_copy_of_it():
 
 
 def test_a_simplified_false_constant_maps_before_its_resolution():
-    # clause_pair's line 3 resolves into (x2=0) v (0=-1): the rests' product,
-    # which line 4 keeps, comes first, and line 3's hat is it times y_new.
+    # clause_pair's line 3 resolves into (x2=0) v (0=-1), and only line 4,
+    # which drops the constant, cites it: line 4 maps to the rests' product,
+    # and line 3's hat, that product times y of 0 = -1, is never derived.
     axioms, lines = clause_pair()
     out = simulate_reslin_b(axioms, lines)
-    resolution, simplified = out.line_map[3], out.line_map[4]
-    assert simplified < resolution
-    assert out.proof[resolution].rule.k == simplified
+    registry = build_registry(axioms, lines)
+    assert out.line_map[3] is None
+    (false,) = (eq for eq in lines[3].disjunction.disjuncts if eq.is_constant())
+    rests = product_monomial(lines[3].disjunction, registry).without(
+        registry.lookup(false)
+    )
+    assert out.proof[out.line_map[4]].poly == Polynomial(((rests, 1),))
     _checks_and_ends_in_one(out)
+
+
+def _derivation(proof, top):
+    """The lines that line top's derivation uses, top among them."""
+    used = {top}
+    for i in reversed(range(top + 1)):
+        if i in used:
+            rule = proof[i].rule
+            used.update(getattr(rule, name) for name in ("j", "k") if hasattr(rule, name))
+    return used
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_splitting_emits_no_dead_line(n):
+    out = simulate_reslin_b(*bvp_splitting(n))
+    result = rationalize(out.axioms, list(out.proof))
+    for proof in (out.proof, result.proof):
+        assert _derivation(proof, len(proof) - 1) == set(range(len(proof))), n
+
+
+def test_the_corpus_leaves_only_a_contraction_root_uncited():
+    # all_rules simplifies its contraction's conclusion to a product that a
+    # line holds already, so nothing cites the contraction; its square root
+    # is still taken, as every contraction takes its root.
+    for name, axioms, lines in refutation_corpus():
+        proof = simulate_reslin_b(axioms, lines).proof
+        live = _derivation(proof, len(proof) - 1)
+        uncited = set(range(len(proof))) - live
+        roots = [i for i in uncited if isinstance(proof[i].rule, Sqrt)]
+        if name == "all_rules":
+            assert len(roots) == 1
+            assert uncited == _derivation(proof, roots[0]) - live
+        else:
+            assert not uncited, name
 
 
 def test_simulation_size_bound():
@@ -792,52 +838,52 @@ def _z_digest(result):
 # of BVP_n, and every clausal and rational corpus proof.
 Z_DIGESTS = {
     ("splitting", 1, 1): (
-        "6526260597ee179c8482b07a13e6fc8f6570173316891d17c73452728337240e"
+        "e34688b49468821f831b0415dd6c03ad6ab9d4e6564a8974efb425c493f25778"
     ),
     ("splitting", 2, 1): (
-        "0bda0d67b53024b619e7e4c6da8968d29cbeb4efb8a3c75bae165549a9df69b7"
+        "2df35e1968a2a0a2749ac74fa8cc61a5ade9850ff9b35071224738579904a95b"
     ),
     ("splitting", 3, 1): (
-        "14bd7f55c479df9868054d51d6f18c5f586c1abd56bb9fa2a2d03d7ecdcfcb55"
+        "aed58aecef57cb34d34c187da3bb33947a22ebb6a02a26e0f603625293825de1"
     ),
     ("splitting", 4, 1): (
-        "518066d5fd882bf0b9c618e1086e8828212ac31100ae836d165b58c92c5b734a"
+        "e800e2b0876c33dcb6d647e816428fb21afe803b188ebbf4363e194eabdf5c84"
     ),
     ("splitting", 5, 1): (
-        "ed1f30683ad63542b422827c50b37665899f8ed8a76d75ee7ef7225e2f61a916"
+        "2e8a275c37801f4947978959ef51fec76c0265d919d6e6354ac5e627990ee107"
     ),
     ("splitting", 6, 1): (
-        "7509f1da8b30c1afca7f8b3d5afd3de20f85becba1da592d5deb2c067e206bcd"
+        "d294ab6cf120c35accf6dff1fe0dc64cb05c9fae5dafd995ff740935b69c23d7"
     ),
     ("splitting", 3, 3): (
-        "9fc8df3919d266d9a0966a2606e21d81e888976010f59b901618719bd881c3f6"
+        "b5d63bbdd978538b0d29b241eb093d82445c7bbc8cacd44cf0104f5c4bd50194"
     ),
     ("splitting", 4, 5): (
-        "5edcf07a7e4c75ba4fb600acf7df8e8334a340276ea8bbada26bb8ae43f2f7bb"
+        "6c0a3e5e0e738507b018ef74031baa774d8b8ea128795a561b6a6124c52b57c4"
     ),
     ("splitting", 3, 11): (
-        "1ab16f770915d61dcf17f8f22e755ea8ed0b40b079cff157b245e1001d5711a3"
+        "517908f4a428de26f58a7644b824354204d500184cbcaa5c5401fe8f8fe8e402"
     ),
     ("splitting", 4, 17): (
-        "b1adb36337cba855abf9686371b98ea6df2618121f8b6b902e1c182c1e7f311d"
+        "ead7f46ec5688f286151eddf618edc7b9cd808eeede6f034e24df127d0b8cdab"
     ),
     ("clausal", "zero_one", 1): (
         "c2911fa76cf34e1e1a8e3fdb7454f3c81dc262be69f7146bbf92fa8fc88eb601"
     ),
     ("clausal", "all_rules", 1): (
-        "1f401762cafa54be83a2e642d07d554883bfd173c86c6b3ec58d5359afaff31f"
+        "0bf04f0428d4181eccd2c53d2f8a7605c9bce8301c4162b0a3b771def7e58695"
     ),
     ("clausal", "half_half", 1): (
-        "b6a7ad7ba979df088384f53996f9ef7d2b36841b53eaabe1fa8b200edb699921"
+        "408d88819d7976384f15afc5ecd4d0f248e8cc5a3d6a4c560a7a1c22bb122a9e"
     ),
     ("clausal", "sum_to_one", 1): (
         "ff946772ed808b86e512fb26fb4514e0d36fee2b262ab362df688f986e604e6e"
     ),
     ("clausal", "thirds", 1): (
-        "0f0eda9b1e8b46702778947d21061da3d1e6dd77f3cf51c63b3bea2007a7ee9f"
+        "588f758ff822623f94bf64717431a4b3a53597c2e8ceae17908201538541bbff"
     ),
     ("clausal", "clause_pair", 1): (
-        "aaf2118f1820f48b839890b8580702024f7e38ec9a455dba0bc3f65d403d6b9c"
+        "22a72dacc6a840c544aa107951c9a4ea4d5dbfcef9843cc659215adae1b177e2"
     ),
     ("rational", "negative_root", 1): (
         "fef9d5d379c615d7fc4865a81a7b2b09ca2429d258891707d699c5cc14e13e8e"
@@ -878,52 +924,52 @@ def test_rationalize_output_bytes_are_pinned(case):
 # each clausal case of Z_DIGESTS.
 Q_DIGESTS = {
     ("splitting", 1, 1): (
-        "003146a0530f0b6cac312adb5be5ca75857ca1bc0499ee539172aa9fa9b32bd0"
+        "79b663d01ebb7b50cc4c8cebba78f9dd241d8edfe39cafd04001664c706214db"
     ),
     ("splitting", 2, 1): (
-        "128cd46c84a416cee0a6bacadf725603f57339a38fd4dae14e06773aa0aed3e5"
+        "6132918be5c5219cbf43ef6dbe97aeb2139ec441121c71561310f808ab8f4e3a"
     ),
     ("splitting", 3, 1): (
-        "adee74a9f9653aac8a7b12f13f67ed2f79f99c67c30d21080712596caed4721f"
+        "2c54545c79e0df9382571f47bbecc3be64d737862b134a34bd25a4c0cb096e01"
     ),
     ("splitting", 4, 1): (
-        "6ca53852ecc702b1e281f6c6bed03f728cbe7b0b1ce3b4820b1ed653d7dc58f2"
+        "81b7c9da5b5bdb92d858fef7dbf0e6c76a4d8a4c3feb4dc9636d616a34abae8d"
     ),
     ("splitting", 5, 1): (
-        "81bf21c7373084775314538b69f437d7a2eaeb7743b964eba69d4a9fb95f39ec"
+        "4916311b64e41c63b965c1343855032f5fccd8a62caf064342e61ab5f77ef99d"
     ),
     ("splitting", 6, 1): (
-        "c5fde1c4e4f0755d36d65f03ce8e0e2dfbca3d577c235f1be03634f42d923f50"
+        "8f50bd1049798ef747dc78a2d03b7d2c092101d2ad85f7f82e08515222cde1c4"
     ),
     ("splitting", 3, 3): (
-        "c382f5c228fc423a109fe94e0a2e4b5b6d9aac6233a372c2258ba64b52270348"
+        "2e2354fcc0a8502abf024e650a28562391ce9d9af5fb980b226b19265e5e3c45"
     ),
     ("splitting", 4, 5): (
-        "bc181d82ab5d7757677525655655b5aea96090cec83fde51412aca512de8264f"
+        "af996a90bb73dae37ca9caeec58f0abc806d856934f331b691694ad065155a53"
     ),
     ("splitting", 3, 11): (
-        "1e42b0ae501cb65773b90dffd02e313ff9109f3b92f0b0dfeeab4733b4482e57"
+        "1b9ddda089d6e4ad7de0ba628651b5fa398bca0b73c5fed1c876c3890c13b5f8"
     ),
     ("splitting", 4, 17): (
-        "3af159f9bed010f09d100d3e770144ecfdb9b25ce5f3bc7de3df165619b9e2f9"
+        "48165239d258886e4726f21eff82c400c64405d2ee1a87625a03dc8e6a337254"
     ),
     ("clausal", "zero_one", 1): (
         "17ea4abf139a9da9360bbb1f81e60db69d2d6bdc5d9ad51b22211451517a1038"
     ),
     ("clausal", "all_rules", 1): (
-        "022b52d0007390eaa31f24f12e5fdb3c2ac1d100ec83806616e7c0a7af3bfb5e"
+        "93baff4158a43e5f65ba201d1b2e9b9daf05392e95b21aff7c24bf95e4e2eb02"
     ),
     ("clausal", "half_half", 1): (
-        "e002120760c3ba1bff36ed24c8206779da3c936d34442a2dd036e138bedbe483"
+        "a8c661e960e45f2558107de37457251f48e6f56d56bdbfe2b7b6d43cb972ca7f"
     ),
     ("clausal", "sum_to_one", 1): (
         "e1475c0613b41d68840df1b7e288ebedffe80c797691ed0e057297a615c8a77b"
     ),
     ("clausal", "thirds", 1): (
-        "07c4122f0d17ba5e2e7c6e2ba5b8a4cb07602504d676fd4d1dad7eb05351d3b3"
+        "1c8364a4cf4e8dd9c7e79b0cdf3a8407a65c49d4cdfba7a66b1cff3b131d01ff"
     ),
     ("clausal", "clause_pair", 1): (
-        "bb2a66b5078ec7a3532948ed4ea123a0a565e8c238d3e7dc17a9c5f09f94272d"
+        "359faf1874ad8e3a512944026ccc36828e48d0bc0a9bd762d490257d181cfdd5"
     ),
 }
 
