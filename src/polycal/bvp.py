@@ -49,6 +49,7 @@ from .polyring import (
     FormatError,
     Monomial,
     Polynomial,
+    UnboundVariable,
     VarId,
     as_scalar,
     boolean_axiom,
@@ -95,6 +96,10 @@ class KPlusOneNotPrime(Exception):
 
 class NonIntegralExtensionValue(Exception):
     """A value at the trace point came out non-integral."""
+
+
+class UnassignedVariable(ValueError):
+    """A line or extension mentions a variable the trace point does not assign."""
 
 
 @dataclass(frozen=True)
@@ -265,8 +270,14 @@ class TraceReport:
     all_zero: bool
 
 
-def _integral(value, what: str) -> int:
-    value = as_scalar(value)
+def _value_at(poly: Polynomial, assignment: dict[VarId, int], what: str) -> int:
+    """poly at the trace point; what names the line or extension it is."""
+    try:
+        value = as_scalar(poly.evaluate(assignment))
+    except UnboundVariable as exc:
+        raise UnassignedVariable(
+            f"{what} mentions {exc.args[0]}, which the trace point does not assign"
+        ) from None
     if isinstance(value, Fraction):
         raise NonIntegralExtensionValue(f"{what} evaluates to the non-integer {value}")
     return value
@@ -300,14 +311,13 @@ def trace_mod_check(
     }
     extension_values = []
     for extension in axioms.extensions:
-        value = _integral(
-            extension.definition.evaluate(assignment), extension.var.name
-        )
+        what = f"extension {extension.var.name}"
+        value = _value_at(extension.definition, assignment, what)
         assignment[extension.var] = value
         extension_values.append((extension.var, value))
 
     residues = tuple(
-        _integral(line.poly.evaluate(assignment), f"line {index}") % modulus
+        _value_at(line.poly, assignment, f"line {index}") % modulus
         for index, line in enumerate(proof)
     )
     return TraceReport(

@@ -479,16 +479,16 @@ class ProofBuilder:
         Variables are stripped from the last in canonical order, so every
         partial product is a proof line.  Each is memoized under (source,
         monomial): multiples of one source that share a prefix reuse its
-        lines, and a repeated request appends nothing.
+        lines, and a repeated request appends nothing.  The walk down to the
+        longest memoized prefix is a loop, so no degree is too deep for it.
         """
-        if mono.is_one():
-            return source
-        key = (source, mono)
-        line = self._multiples.get(key)
-        if line is None:
-            var = mono.pairs[-1][0]
-            line = self.mul_var(self.monomial_multiple(source, mono.without(var)), var)
-            self._multiples[key] = line
+        missing: list[Monomial] = []
+        while (line := self.known_multiple(source, mono)) is None:
+            missing.append(mono)
+            mono = mono.without(mono.pairs[-1][0])
+        for prefix in reversed(missing):
+            line = self.mul_var(line, prefix.pairs[-1][0])
+            self._multiples[(source, prefix)] = line
         return line
 
     def known_multiple(self, source: int, mono: Monomial) -> Optional[int]:

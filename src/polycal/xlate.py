@@ -28,24 +28,20 @@ y_j it mentions.  The lift reads the map from each y_i to T_i, so y's may
 be numbered with gaps and a y that no extension defines is left alone, as
 an x is.
 
-It then lifts the input in one pass.  Under the substitution
-y_i -> y_i / T_i, the integer line of input line k is g * s times line k.
-The scale s is T_i for the definition of y_i and for a multiplication by
-y_i, the premise's s for a multiplication by an x, and 1 for a square
-root; a linear combination keeps the s its two premises share and
-otherwise takes 1.  A rule that needs a premise at scale 1 reads the same
-integer line with the factor g * s and emits nothing for it.  g is fixed
-at emission: 1 for an axiom and the premise's g for a variable
-multiplication.  A linear combination of lines j and k with scalars a and
-b takes the least g for which a*g/g_j and b*g/g_k are integers, and those
-are its scalars; a square root takes the lcm of its root's denominators
-and g_k, and rescales its source once, by g^2/g_k.
+It then lifts the input in one pass, keeping one factor per line: under
+the substitution y_i -> y_i / T_i, the integer line of input line k is g
+times line k.  A base axiom has g = 1, and the definition of y_i has
+g = T_i.  A multiplication by y_i multiplies its premise's g by T_i, and
+one by an x keeps it.  A linear combination of lines j and k with scalars
+a and b takes the least g for which a*g/g_j and b*g/g_k are integers, and
+those are its scalars; a square root takes the lcm of its root's
+denominators and g_k, and rescales its source once, by g^2/g_k.
 
-The last integer line is g times c, its scale times the input's final
-constant.  When c is an integer, g is then halved until it is squarefree:
-with h = prod p^ceil(e/2) over the prime powers p^e of g, the line is
-rescaled to h^2 * c^2 and its square root h * c is the new last line.  On
-the splitting refutation of BVP_n the per-line g ends in lcm(1..2^n) and
+The last integer line is g times c, the input's final constant.  When c
+is an integer, g is then halved until it is squarefree: with
+h = prod p^ceil(e/2) over the prime powers p^e of g, the line is rescaled
+to h^2 * c^2 and its square root h * c is the new last line.  On the
+splitting refutation of BVP_n the per-line g ends in lcm(1..2^n) and
 the halvings leave the primorial of 2^n, the least constant the paper's
 divisibility law allows.  Either way the ratio between output and input
 constants is a positive integer.
@@ -533,58 +529,48 @@ def _lift(
 ) -> tuple[list[ProofLine], list[tuple[int, int]]]:
     """The integer proof, one pass over the input lines, and lifted[k]."""
     builder = ProofBuilder(new_axioms, SystemKind.EXTPCSQRT_Z)
-    # located[k] = (line, g, s): integer line `line` is g * s times input
-    # line k under the substitution; s is 1 or the T of a y.
-    located: list[tuple[int, int, int]] = []
-
-    def unscaled(k: int) -> tuple[int, int]:
-        """Input line k at scale 1: its own integer line, with factor g * s."""
-        line, held, s = located[k]
-        return line, held * s
-
+    # lifted[k] = (line, g): integer line `line` is g times input line k
+    # under the substitution.
+    lifted: list[tuple[int, int]] = []
     base_count = len(new_axioms.base)
     for input_line in proof:
         rule = input_line.rule
         if isinstance(rule, Axiom):
-            emitted, held, s = builder.axiom_line(rule.index), 1, 1
+            emitted, g = builder.axiom_line(rule.index), 1
             if rule.index >= base_count:
-                s = scale[new_axioms.extensions[rule.index - base_count].var]
+                g = scale[new_axioms.extensions[rule.index - base_count].var]
         elif isinstance(rule, MulVar):
-            if rule.var in scale:
-                (premise, held), s = unscaled(rule.k), scale[rule.var]
-            else:
-                premise, held, s = located[rule.k]
+            premise, g = lifted[rule.k]
             emitted = builder.mul_var(premise, rule.var)
+            g *= scale.get(rule.var, 1)
         elif isinstance(rule, LinComb):
-            (left, g_left, s), (right, g_right, s_right) = located[rule.j], located[rule.k]
-            if s != s_right:
-                (left, g_left), (right, g_right), s = unscaled(rule.j), unscaled(rule.k), 1
+            (left, g_left), (right, g_right) = lifted[rule.j], lifted[rule.k]
             alpha, alpha_den = _over(rule.alpha, g_left)
             beta, beta_den = _over(rule.beta, g_right)
-            held = math.lcm(alpha_den, beta_den)
+            g = math.lcm(alpha_den, beta_den)
             emitted = builder.lincomb(
-                left, right, alpha * (held // alpha_den), beta * (held // beta_den)
+                left, right, alpha * (g // alpha_den), beta * (g // beta_den)
             )
         else:
             root = input_line.poly.substitute(substitution)
-            source, g_source = unscaled(rule.k)
-            held = math.lcm(root.denominator_lcm(), g_source)
-            squared = builder.scale_line(source, held**2 // g_source)
-            emitted, s = builder.sqrt_of(squared, root.scale(held)), 1
-        located.append((emitted, held, s))
+            source, g_source = lifted[rule.k]
+            g = math.lcm(root.denominator_lcm(), g_source)
+            squared = builder.scale_line(source, g**2 // g_source)
+            emitted = builder.sqrt_of(squared, root.scale(g))
+        lifted.append((emitted, g))
 
-    last, held, s = located[-1]
-    constant = as_scalar(s * proof[-1].poly.constant_value())
+    last, g = lifted[-1]
+    constant = as_scalar(proof[-1].poly.constant_value())
     if isinstance(constant, int):
-        # The last line is held * constant: scaled to (h * constant)^2 it
-        # has the square root h * constant, for each h of _halvings(held).
-        for root_factor in _halvings(held):
-            squared = builder.scale_line(last, root_factor**2 * constant // held)
+        # The last line is g * constant: scaled to (h * constant)^2 it has
+        # the square root h * constant, for each h of _halvings(g).
+        for root_factor in _halvings(g):
+            squared = builder.scale_line(last, root_factor**2 * constant // g)
             last = builder.sqrt_of(squared, Polynomial.constant(root_factor * constant))
-            held = root_factor
+            g = root_factor
     if last != len(builder.lines) - 1:
         builder.scale_line(last, 1)
-    return builder.lines, [(line, held * s) for line, held, s in located]
+    return builder.lines, lifted
 
 
 def verify_lift(

@@ -13,6 +13,7 @@ from polycal.bvp import (
     KPlusOneNotPrime,
     NonIntegralExtensionValue,
     SieveGuard,
+    UnassignedVariable,
     ZeroConstant,
     audit_divisibility,
     audit_report_from_obj,
@@ -35,6 +36,7 @@ from polycal.proofcore import (
     Axiom,
     ExtensionAxiom,
     LinComb,
+    MulVar,
     ProofLine,
     Sqrt,
     SystemKind,
@@ -277,6 +279,21 @@ def test_trace_non_integral_line_value():
     proof = [ProofLine(poly_parse("1/2*x1"), Axiom(0))]
     with pytest.raises(NonIntegralExtensionValue):
         trace_mod_check(axioms, proof, 2, 1)
+
+
+def test_trace_names_a_variable_the_point_does_not_assign():
+    # The point assigns only x1 and x2.
+    base = gen_bvp(2).axiom_set().base
+    x9 = xvar(9)
+    axiom = ProofLine(base[0], Axiom(0))
+    unbound = ProofLine(base[0].mul_var(x9), MulVar(0, x9))
+    with pytest.raises(UnassignedVariable, match="^line 1 mentions x9,"):
+        trace_mod_check(AxiomSet(base=base), [axiom, unbound], 2, 1)
+    axioms = AxiomSet(
+        base=base, extensions=(ExtensionAxiom(yvar(1), poly_parse("x1 + x9")),)
+    )
+    with pytest.raises(UnassignedVariable, match="^extension y1 mentions x9,"):
+        trace_mod_check(axioms, [axiom], 2, 1)
 
 
 def test_trace_nonzero_residue_reported():

@@ -56,6 +56,7 @@ from polycal.polyring import (
     int_to_str,
     poly_parse,
     xvar,
+    yvar,
 )
 from polycal.reslin import (
     Disjunction,
@@ -907,6 +908,33 @@ def test_trace_compares_bases_before_work_in_n(oracle_doc, monkeypatch, n, k):
     assert json.loads(err) == {
         "error": "ValueError",
         "message": "the base axioms are not the generated instance",
+    }
+
+
+def _with_unassigned_x9(axioms, lines, where):
+    """The document with x9 in one line before the last, or in a new y1."""
+    x9 = xvar(9)
+    if where == "line":
+        extra = proofcore.ProofLine(lines[0].poly.mul_var(x9), proofcore.MulVar(0, x9))
+        return axioms, [*lines[:-1], extra, lines[-1]]
+    extension = proofcore.ExtensionAxiom(yvar(1), poly_parse("x9"))
+    return AxiomSet(axioms.base, (*axioms.extensions, extension)), lines
+
+
+@pytest.mark.parametrize("where, named", [("line", "line 14"), ("extension", "extension y1")])
+def test_trace_refuses_a_variable_the_point_does_not_assign(tmp_path, capsys, where, named):
+    # check accepts both documents; trace has no value for x9 at the point.
+    path = tmp_path / "o2.json"
+    assert main(["oracle-refute", "--n", "2", "--out", str(path)]) == 0
+    kind, axioms, lines = proof_from_obj(json.loads(path.read_text(encoding="utf-8")))
+    edited = proof_to_obj(kind, *_with_unassigned_x9(axioms, lines, where))
+    doc = write_json(tmp_path / "x9.json", edited)
+    assert run(capsys, "check", "--proof", doc)[0] == 0
+    code, out, err = run(capsys, "trace", "--proof", doc, "--n", "2", "--k", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "UnassignedVariable",
+        "message": f"{named} mentions x9, which the trace point does not assign",
     }
 
 

@@ -434,6 +434,25 @@ def test_monomial_multiple_memoizes_prefixes():
         assert check_step(builder.lines[:i], line, axioms, Z) is None
 
 
+def test_monomial_multiple_reaches_any_degree_without_recursion():
+    # One MulVar per variable of a degree-1,200 monomial, deeper than the
+    # interpreter's recursion limit; the prefix one variable shorter is
+    # memoized, so extending it appends a single line.
+    variables = [xvar(i) for i in range(1, 1201)]
+    builder = ProofBuilder(AxiomSet((P("1"),)), Z)
+    src = builder.axiom_line(0)
+    wide = Monomial((v, 1) for v in variables)
+    out = builder.monomial_multiple(src, wide)
+    assert len(builder) == 1201 and out == 1200
+    assert [line.rule for line in builder.lines[1:]] == [
+        MulVar(i, v) for i, v in enumerate(variables)
+    ]
+    assert builder.poly_at(out) == Polynomial(((wide, 1),))
+    wider = wide.times(Monomial.of(xvar(1201)))
+    assert builder.monomial_multiple(src, wider) == 1201
+    assert builder.lines[1201].rule == MulVar(1200, xvar(1201))
+
+
 def test_builder_sum_lines():
     axioms = AxiomSet((P("x1"), P("x2"), P("x1*x2")))
     builder = ProofBuilder(axioms, Z)

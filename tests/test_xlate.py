@@ -20,6 +20,7 @@ from polycal.proofcore import (
     SQRT_BIT_LIMIT,
     Axiom,
     AxiomSet,
+    ExtensionAxiom,
     LinComb,
     MulVar,
     ProofLine,
@@ -725,6 +726,48 @@ def test_working_extension_lifts_each_line_to_one_integer_line():
         final_factor=1,
         final_constant=-1,
     )
+
+
+def _scaled_third():
+    """y1 := x1/2, and a refutation through 2/3 of its definition."""
+    axioms = AxiomSet(
+        base=(Polynomial.constant(2),),
+        extensions=(ExtensionAxiom(yvar(1), poly_parse("1/2*x1")),),
+    )
+    proof = [
+        ProofLine(poly_parse("2"), Axiom(0)),
+        ProofLine(poly_parse("y1 - 1/2*x1"), Axiom(1)),
+        ProofLine(poly_parse("2/3*y1 - 1/3*x1"), LinComb(1, 1, Fraction(2, 3), 0)),
+        ProofLine(poly_parse("1"), LinComb(0, 2, Fraction(1, 2), 0)),
+    ]
+    return axioms, proof
+
+
+def test_a_combination_of_a_scaled_definition_lifts_at_its_least_factor():
+    # T_1 = 2, so line 1, the definition, lifts at factor 2.  Line 2 is 2/3
+    # of it: (2/3) / 2 = 1/3 makes the least factor 3, with scalar 1.
+    result = rationalize(*_scaled_third())
+    assert result.lifted[1:3] == ((1, 2), (2, 3))
+    assert result.proof[2].rule == LinComb(1, 1, 1, 0)
+    assert result.state.final_constant == 2
+
+
+def test_each_combination_lifts_at_the_lcm_of_its_scalar_denominators():
+    # A linear combination's factor is the least that makes both scalars
+    # integral over its premises' own factors: no factor rides along.
+    inputs = [*rational_corpus(), ("scaled_third", *_scaled_third())]
+    for n in range(2, 7):
+        out = simulate_reslin_b(*bvp_splitting(n))
+        inputs.append((n, out.axioms, list(out.proof)))
+    for label, axioms, proof in inputs:
+        factors = [g for _, g in rationalize(axioms, proof).lifted]
+        for k, line in enumerate(proof):
+            rule = line.rule
+            if isinstance(rule, LinComb):
+                alpha = Fraction(rule.alpha) / factors[rule.j]
+                beta = Fraction(rule.beta) / factors[rule.k]
+                expected = math.lcm(alpha.denominator, beta.denominator)
+                assert factors[k] == expected, (label, k)
 
 
 # -- extension numbering ---------------------------------------------------------
