@@ -20,12 +20,12 @@ The oracle refutation works over the integers and ends in C = (2^n)!:
     polynomial is fixed by its values on the cube, so the sum is the
     constant C.
 
-Every multiple comes from the builder's memoized `monomial_multiple`, one
-MulVar line each, and one balanced combination tree sums them with their
-weights.  The proof is (n + 2) * 2^n - 1 lines of degree n + 1 (95 at
-n = 4), but C's coefficients grow with n, so the document's bytes grow
-about five-fold per bit and the generator refuses n above a cost limit
-unless forced.
+Every multiple comes from the builder's `monomial_multiple`, one MulVar
+line per step the builder does not hold yet, and one balanced combination
+tree sums them with their weights.  The proof is (n + 2) * 2^n - 1 lines
+of degree n + 1 (95 at n = 4), but C's coefficients grow with n, so the
+document's bytes grow about five-fold per bit and the generator refuses n
+above a cost limit unless forced.
 
 The audit and trace operations document why that final constant must be
 huge: every prime p <= 2^n divides it.  The audit checks the divisibilities
@@ -63,7 +63,7 @@ from .polyring import (
     require_int_str,
     xvar,
 )
-from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind
+from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind, _shown_scalar
 
 # At n = 8 the document is 2,559 lines and 8.4 MB, and `check` takes about
 # 0.33 s at 41 MB of peak RSS.  n = 9 writes 5,631 lines and 43 MB, and
@@ -279,7 +279,8 @@ def _value_at(poly: Polynomial, assignment: dict[VarId, int], what: str) -> int:
             f"{what} mentions {exc.args[0]}, which the trace point does not assign"
         ) from None
     if isinstance(value, Fraction):
-        raise NonIntegralExtensionValue(f"{what} evaluates to the non-integer {value}")
+        raise NonIntegralExtensionValue(f"{what} evaluates to the non-integer "
+                                        + _shown_scalar(value))
     return value
 
 

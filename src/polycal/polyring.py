@@ -233,7 +233,11 @@ def parse_var(name: str) -> VarId:
         m = _VAR_NAME_RE.fullmatch(name) if isinstance(name, str) else None
         if m is None:
             raise FormatError(f"malformed variable name {shown(name)}")
-        var = _PARSED_VARS[name] = VarId(m.group(1), int(m.group(2)))
+        try:
+            var = _PARSED_VARS[name] = VarId(m.group(1), int(m.group(2)))
+        except ValueError:  # an index past the int-str digit limit
+            raise FormatError(f"variable name {name[0]} followed by "
+                              f"{len(name) - 1} digits is too long") from None
     return var
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .polyring import (
     Decoder,
@@ -407,7 +407,9 @@ class ProofBuilder:
     """Accumulates a derivation, computing rule results so lines check by
     construction.  Raw `append` re-verifies the line with the checker, and
     square roots go through it after the decoder's bounds: only the checker
-    judges a root, and none is emitted that a document could not carry."""
+    judges a root, and none is emitted that a document could not carry.
+    The builder never appends a step it already has: `axiom_line`, `lincomb`
+    and `mul_var` return the line of a repeated rule and append nothing."""
 
     def __init__(self, axioms: AxiomSet, kind: SystemKind):
         error = validate_axiom_set(axioms, kind)
@@ -416,8 +418,7 @@ class ProofBuilder:
         self.axioms = axioms
         self.kind = kind
         self.lines: list[ProofLine] = []
-        self._axiom_lines: dict[int, int] = {}
-        self._multiples: dict[tuple[int, Monomial], int] = {}
+        self._steps: dict[StepRule, int] = {}
         self._pool = axioms.all_polynomials()
         self._ext_position = {
             ext.var: len(axioms.base) + i
@@ -438,19 +439,18 @@ class ProofBuilder:
         self.lines.append(line)
         return len(self.lines) - 1
 
-    def _push(self, poly: Polynomial, rule: StepRule) -> int:
-        self.lines.append(ProofLine(poly, rule))
-        return len(self.lines) - 1
+    def _step(self, rule: StepRule, poly_of: Callable[[], Polynomial]) -> int:
+        """The line holding rule; on first use poly_of() is appended with it."""
+        got = self._steps.get(rule)
+        if got is None:
+            self.lines.append(ProofLine(poly_of(), rule))
+            got = self._steps[rule] = len(self.lines) - 1
+        return got
 
     def axiom_line(self, index: int) -> int:
-        """Line holding axiom `index`, appended on first use."""
-        got = self._axiom_lines.get(index)
-        if got is None:
-            if not 0 <= index < len(self._pool):
-                raise ProofBuildError(f"BadIndex: axiom {index} out of range")
-            got = self._push(self._pool[index], Axiom(index))
-            self._axiom_lines[index] = got
-        return got
+        if not 0 <= index < len(self._pool):
+            raise ProofBuildError(f"BadIndex: axiom {index} out of range")
+        return self._step(Axiom(index), lambda: self._pool[index])
 
     def extension_line(self, var: VarId) -> int:
         position = self._ext_position.get(var)
@@ -464,36 +464,36 @@ class ProofBuilder:
             raise ProofBuildError(
                 f"NonIntegerScalar: {scalar_to_str(alpha)}, {scalar_to_str(beta)}"
             )
-        poly = self.poly_at(j).scale(alpha).add(self.poly_at(k).scale(beta))
-        return self._push(poly, LinComb(j, k, alpha, beta))
+        return self._step(
+            LinComb(j, k, alpha, beta),
+            lambda: self.poly_at(j).scale(alpha).add(self.poly_at(k).scale(beta)),
+        )
 
     def scale_line(self, k: int, factor: Scalar) -> int:
         return self.lincomb(k, k, factor, 0)
 
     def mul_var(self, k: int, var: VarId) -> int:
-        return self._push(self.poly_at(k).mul_var(var), MulVar(k, var))
+        return self._step(MulVar(k, var), lambda: self.poly_at(k).mul_var(var))
 
     def monomial_multiple(self, source: int, mono: Monomial) -> int:
         """Line holding mono * line[source]; mono == 1 gives source itself.
 
-        Variables are stripped from the last in canonical order, so every
-        partial product is a proof line.  Each is memoized under (source,
-        monomial): multiples of one source that share a prefix reuse its
-        lines, and a repeated request appends nothing.  The walk down to the
-        longest memoized prefix is a loop, so no degree is too deep for it.
+        One `mul_var` per variable occurrence, in canonical order, so every
+        partial product is a proof line, and multiples of one source that
+        share a prefix share its lines.
         """
-        missing: list[Monomial] = []
-        while (line := self.known_multiple(source, mono)) is None:
-            missing.append(mono)
-            mono = mono.without(mono.pairs[-1][0])
-        for prefix in reversed(missing):
-            line = self.mul_var(line, prefix.pairs[-1][0])
-            self._multiples[(source, prefix)] = line
+        line = source
+        for var in (v for v, e in mono.pairs for _ in range(e)):
+            line = self.mul_var(line, var)
         return line
 
     def known_multiple(self, source: int, mono: Monomial) -> Optional[int]:
         """monomial_multiple(source, mono) if that appends nothing, else None."""
-        return source if mono.is_one() else self._multiples.get((source, mono))
+        line = source
+        for var in (v for v, e in mono.pairs for _ in range(e)):
+            if (line := self._steps.get(MulVar(line, var))) is None:
+                return None
+        return line
 
     def sqrt_of(self, k: int, root: Polynomial) -> int:
         _bound_root(len(self.lines), root)

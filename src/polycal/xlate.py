@@ -14,12 +14,13 @@ root rule is used by exactly one case, contraction.  A contraction's
 premise product times its odd part is the square of its root monomial
 s = prod v^ceil(e/2); the square root is taken once per distinct root, and
 the hat of every contraction whose premise has that root is s times its
-remainder.  A resolution's swap line y_new - alpha*y_a - beta*y_b is
-derived once per pair of forms and coefficients, and when both rests are
-one monomial the two hats are added before a single lift.  A resolution
-into a false constant 0 = c derives the product of its two rests, and its
-hat is y_new times that line, so the simplification that drops the
-constant reuses that product and emits nothing.
+remainder.  A resolution's swap line y_new - alpha*y_a - beta*y_b is the
+same steps for every resolution of a pair of forms and coefficients, so
+the builder, which never appends a step twice, derives it once.  When both
+rests are one monomial the two hats are added before a single lift.  A
+resolution into a false constant 0 = c derives the product of its two
+rests, and its hat is y_new times that line, so the simplification that
+drops the constant reuses that product and emits nothing.
 
 rationalize turns a refutation over the rationals into one over the
 integers.  It first picks integer multipliers: T_i rescales extension y_i
@@ -158,7 +159,6 @@ def simulate_reslin_b(
     # to reuse: each run's square root, the rests' products of resolutions
     # into false constants, and every simplification's conclusion.
     held: dict[Monomial, int] = {}
-    sums: dict[tuple, int] = {}
     for i, line in enumerate(proof):
         rule = line.rule
         mono = Monomial.one()
@@ -168,7 +168,7 @@ def simulate_reslin_b(
             emitted = _simulate_boolean(builder, registry, boolean_index, rule)
         elif isinstance(rule, RlResolution):
             emitted, mono = _simulate_resolution(
-                builder, registry, proof, hats, hat_line, rule, held, sums
+                builder, registry, proof, hats, hat_line, rule, held
             )
         elif isinstance(rule, RlWeakening):
             emitted, mono = hat_pairs[rule.j]
@@ -192,7 +192,7 @@ def simulate_reslin_b(
     last = hat_line(len(proof) - 1)
     if last != len(builder.lines) - 1:
         # A reused hat comes before later lines: the refutation ends in a copy.
-        last = builder.scale_line(last, 1)
+        last = builder.append(builder.poly_at(last), LinComb(last, last, 1, 0))
     final = check_refutation(out_axioms, builder.lines, SystemKind.EXTPCSQRT_Q)
     if not final.valid or final.final_constant != 1:
         raise InternalCheckFailure("the simulated refutation fails to check")
@@ -219,26 +219,20 @@ def _simulate_boolean(builder, registry, boolean_index, rule) -> int:
     return builder.lincomb(partial, cross, 1, 1)
 
 
-def _definition_sum(builder, sums, terms) -> int:
-    """The line sum of c * (y - def y) over the (y, c) of terms.
-
-    It is derived once per terms and kept in sums: the first two
-    definitions are combined, then each further one is added.
-    """
-    line = sums.get(terms)
-    if line is None:
-        (first, a), (second, b), *more = terms
-        line = builder.lincomb(
-            builder.extension_line(first), builder.extension_line(second), a, b
-        )
-        for var, c in more:
-            line = builder.lincomb(line, builder.extension_line(var), 1, c)
-        sums[terms] = line
+def _definition_sum(builder, terms) -> int:
+    """The line sum of c * (y - def y) over the (y, c) of terms: the first
+    two definitions combined, then each further one added."""
+    (first, a), (second, b), *more = terms
+    line = builder.lincomb(
+        builder.extension_line(first), builder.extension_line(second), a, b
+    )
+    for var, c in more:
+        line = builder.lincomb(line, builder.extension_line(var), 1, c)
     return line
 
 
 def _simulate_resolution(
-    builder, registry, proof, hats, hat_line, rule, held, sums
+    builder, registry, proof, hats, hat_line, rule, held
 ) -> tuple[int, Monomial]:
     """Combine two product lines through the resolved forms' definitions.
 
@@ -269,14 +263,14 @@ def _simulate_resolution(
         line = held.get(product)
         if line is None:
             total = _definition_sum(
-                builder, sums, ((var_a, rule.alpha), (var_b, rule.beta))
+                builder, ((var_a, rule.alpha), (var_b, rule.beta))
             )
             line = held[product] = _lift_through_rests(
                 builder, hat_line, total, sides, -1, resolvent.constant
             )
         return line, Monomial.of(var_new)
     swap = _definition_sum(
-        builder, sums, ((var_new, 1), (var_a, -rule.alpha), (var_b, -rule.beta))
+        builder, ((var_new, 1), (var_a, -rule.alpha), (var_b, -rule.beta))
     )
     if rest_a == rest_b:
         hat_sum = builder.lincomb(
@@ -309,20 +303,18 @@ def _lift_through_rests(builder, hat_line, line, sides, sign, divisor=1) -> int:
 
 
 def _simulate_simplification(builder, var, constant, hat_line, premise, rest, held) -> int:
-    """Divide the definition of var, a false constant disjunct, out of the
-    hat of input line premise.
+    """Divide the definition of var, a false constant disjunct 0 = c, out of
+    the hat of input line premise: rest is (rest * (var + c) - hat) / c,
+    one combination with the scalars 1/c and -1/c.
 
     A rest that held already holds costs no line and cites no premise; a
     rest derived here is added to it.
     """
-    line = held.get(rest)
-    if line is None:
+    if rest not in held:
         lifted = builder.monomial_multiple(builder.extension_line(var), rest)
-        line = builder.lincomb(lifted, hat_line(premise), 1, -1)
-        if constant != 1:
-            line = builder.scale_line(line, Fraction(1, constant))
-        held[rest] = line
-    return line
+        inverse = Fraction(1, constant)
+        held[rest] = builder.lincomb(lifted, hat_line(premise), inverse, -inverse)
+    return held[rest]
 
 
 def _simulate_contraction(
@@ -569,7 +561,7 @@ def _lift(
             last = builder.sqrt_of(squared, Polynomial.constant(root_factor * constant))
             g = root_factor
     if last != len(builder.lines) - 1:
-        builder.scale_line(last, 1)
+        builder.append(builder.poly_at(last), LinComb(last, last, 1, 0))
     return builder.lines, lifted
 
 

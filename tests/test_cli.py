@@ -379,8 +379,8 @@ def test_translate_emits_line_map_and_valid_proof(reslin_doc, tmp_path, capsys):
     code, out, _ = run(capsys, "translate", "--reslin", reslin_doc, "--out", str(out_file))
     assert code == 0
     summary = json.loads(out)
-    assert summary["line_map"] == [0, 1, 8, 10]
-    assert summary["line_count"] == 11
+    assert summary["line_map"] == [0, 1, 8, 9]
+    assert summary["line_count"] == 10
     kind, axioms, lines = proof_from_obj(json.loads(out_file.read_text()))
     assert kind is SystemKind.EXTPCSQRT_Q
     assert check_refutation(axioms, lines, kind).valid
@@ -935,6 +935,43 @@ def test_trace_refuses_a_variable_the_point_does_not_assign(tmp_path, capsys, wh
     assert json.loads(err) == {
         "error": "UnassignedVariable",
         "message": f"{named} mentions x9, which the trace point does not assign",
+    }
+
+
+def test_trace_shows_a_long_non_integral_extension_value_by_its_bits(tmp_path, capsys):
+    # check accepts y1 := ((10^5000 + 1)/3) x1 over Q; at k = 1 (x1 = 1) its
+    # value's numerator is past the int-str digit limit.
+    path = tmp_path / "o2.json"
+    assert main(["oracle-refute", "--n", "2", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["system"] = "extpcsqrt-q"
+    numerator = 10**5000 + 1
+    obj["axioms"]["extensions"] = [{
+        "var": "y1",
+        "def": {"terms": [{"coef": f"{int_to_str(numerator)}/3", "mono": {"x1": 1}}]},
+    }]
+    doc = write_json(tmp_path / "long.json", obj)
+    assert run(capsys, "check", "--proof", doc)[0] == 0
+    code, out, err = run(capsys, "trace", "--proof", doc, "--n", "2", "--k", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "NonIntegralExtensionValue",
+        "message": "extension y1 evaluates to the non-integer "
+        f"an integer of {numerator.bit_length()} bits/3",
+    }
+
+
+def test_check_refuses_a_variable_index_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "o2.json"
+    assert run(capsys, "oracle-refute", "--n", "2", "--out", str(path))[0] == 0
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["lines"][1]["rule"]["var"] = "x" + "1" * 5000
+    doc = write_json(tmp_path / "long.json", obj)
+    code, out, err = run(capsys, "check", "--proof", doc)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "FormatError",
+        "message": "variable name x followed by 5000 digits is too long",
     }
 
 

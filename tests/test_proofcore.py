@@ -453,6 +453,49 @@ def test_monomial_multiple_reaches_any_degree_without_recursion():
     assert builder.lines[1201].rule == MulVar(1200, xvar(1201))
 
 
+def test_a_repeated_step_returns_its_line_and_appends_nothing():
+    axioms = AxiomSet((P("x1 + 1"), P("x2")))
+    builder = ProofBuilder(axioms, Z)
+    a, b = builder.axiom_line(0), builder.axiom_line(1)
+    c = builder.lincomb(a, b, 2, -3)
+    d = builder.mul_var(c, x1)
+    e = builder.scale_line(d, 5)
+    count = len(builder)
+    again = [
+        builder.axiom_line(0),
+        builder.axiom_line(1),
+        builder.lincomb(a, b, Fraction(2), -3),
+        builder.mul_var(c, x1),
+        builder.lincomb(d, d, 5, 0),
+    ]
+    assert again == [a, b, c, d, e]
+    assert len(builder) == count
+    # Another step is a new line, even one with an equal polynomial.
+    assert builder.lincomb(b, a, -3, 2) == count
+    assert builder.mul_var(builder.axiom_line(1), x1) == count + 1
+    for i, line in enumerate(builder.lines):
+        assert check_step(builder.lines[:i], line, axioms, Z) is None
+
+
+def test_known_multiple_is_none_until_the_multiple_is_built():
+    builder = ProofBuilder(AxiomSet((P("x1 + 1"),)), Z)
+    src = builder.axiom_line(0)
+    mono = Monomial(((x1, 2), (x2, 1)))
+    assert builder.known_multiple(src, Monomial.one()) == src
+    assert builder.known_multiple(src, mono) is None
+    # A mul_var is the first step of the multiple's walk.
+    first = builder.mul_var(src, x1)
+    assert builder.known_multiple(src, Monomial.of(x1)) == first
+    assert builder.known_multiple(src, mono) is None
+    out = builder.monomial_multiple(src, mono)
+    assert len(builder) == 4
+    assert [line.rule for line in builder.lines[1:]] == [
+        MulVar(0, x1), MulVar(1, x1), MulVar(2, x2)
+    ]
+    assert builder.known_multiple(src, mono) == out
+    assert builder.known_multiple(src, Monomial.of(x2)) is None
+
+
 def test_builder_sum_lines():
     axioms = AxiomSet((P("x1"), P("x2"), P("x1*x2")))
     builder = ProofBuilder(axioms, Z)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycal import xlate
-from polycal.bvp import audit_divisibility, is_prime, primes_below
+from polycal.bvp import audit_divisibility, brute_force_refutation, is_prime, primes_below
 from polycal.cli import canonical_json
 from polycal.polyring import FormatError, Polynomial, ceil_log2, poly_parse, xvar, yvar
 from polycal.proofcore import (
@@ -137,7 +137,7 @@ def test_simulation_zero_one_frozen():
         ("y3", Polynomial.constant(1)),
     ]
     assert out.proof[out.line_map[-1]].poly == Polynomial.constant(1)
-    assert len(out.proof) == 11
+    assert len(out.proof) == 10
 
 
 # Q lines of the splitting refutation of BVP_n, as upper bounds: each run of
@@ -301,11 +301,24 @@ def test_a_false_constant_weakened_or_resolved_before_its_simplification():
     assert out.line_map[8] == out.line_map[3]
 
 
+def test_a_repeated_derivation_appends_nothing():
+    # zero_one's four lines again, step for step: the builder already holds
+    # every step, so the refutation ends at line 3's line with no copy.
+    axioms, lines = zero_one()
+    rules = [line.rule for line in lines] * 2
+    out = simulate_reslin_b(axioms, run_rules(axioms, rules))
+    _checks_and_ends_in_one(out)
+    assert out.line_map[4:] == out.line_map[:4]
+    assert len(out.proof) == len(simulate_reslin_b(*zero_one()).proof)
+
+
 def test_a_last_simplification_that_reuses_a_line_ends_in_a_copy_of_it():
+    # The repeat resolves the axioms the other way round, into 0 = 1: a new
+    # swap line, but the same empty rest, which held already holds.
     axioms, lines = zero_one()
     rules = [line.rule for line in lines] + [
-        RlAxiom(0),
         RlAxiom(1),
+        RlAxiom(0),
         RlResolution(4, 5, 0, 0, 1, -1),
         RlSimplification(6, 0),             # empty again, as line 3 is
     ]
@@ -313,6 +326,7 @@ def test_a_last_simplification_that_reuses_a_line_ends_in_a_copy_of_it():
     _checks_and_ends_in_one(out)
     first = out.line_map[3]
     assert out.proof[-1].rule == LinComb(first, first, 1, 0)
+    assert len(out.proof) == 16
 
 
 def test_a_simplified_false_constant_maps_before_its_resolution():
@@ -426,6 +440,23 @@ def test_lift_closes_with_a_copy_when_the_last_line_reuses_an_earlier_one():
     ]
     assert result.proof[-1].poly == poly_parse("1")
     assert result.lifted == ((0, 1), (1, 1), (0, 1))
+
+
+def test_lift_closes_with_a_new_copy_when_an_earlier_line_copies_the_last():
+    # Line 1 already copies line 0, but the proof goes on past it: the
+    # closing copy is appended again, or the proof would end in x1.
+    axioms = AxiomSet((Polynomial.constant(1),))
+    proof = [
+        ProofLine(poly_parse("1"), Axiom(0)),
+        ProofLine(poly_parse("1"), LinComb(0, 0, 1, 0)),
+        ProofLine(poly_parse("x1"), MulVar(0, X1)),
+        ProofLine(poly_parse("1"), Axiom(0)),
+    ]
+    result = rationalize(axioms, proof)
+    assert [line.rule for line in result.proof] == [
+        Axiom(0), LinComb(0, 0, 1, 0), MulVar(0, X1), LinComb(0, 0, 1, 0)
+    ]
+    assert result.state.final_constant == 1
 
 
 def test_lift_line_budget():
@@ -911,22 +942,22 @@ Z_DIGESTS = {
         "ead7f46ec5688f286151eddf618edc7b9cd808eeede6f034e24df127d0b8cdab"
     ),
     ("clausal", "zero_one", 1): (
-        "c2911fa76cf34e1e1a8e3fdb7454f3c81dc262be69f7146bbf92fa8fc88eb601"
+        "e8a33658f39fb2055ffb7af57fdc02522493d382a559b06636d993d1b6b9063e"
     ),
     ("clausal", "all_rules", 1): (
-        "0bf04f0428d4181eccd2c53d2f8a7605c9bce8301c4162b0a3b771def7e58695"
+        "bdc5c8897704530ddc10f10991f25eed707ff737d6604a85cf175039eead2df1"
     ),
     ("clausal", "half_half", 1): (
         "408d88819d7976384f15afc5ecd4d0f248e8cc5a3d6a4c560a7a1c22bb122a9e"
     ),
     ("clausal", "sum_to_one", 1): (
-        "ff946772ed808b86e512fb26fb4514e0d36fee2b262ab362df688f986e604e6e"
+        "047aa962fa692d2513414461b86f89303f1d2ae82a702265725b692f6352daa7"
     ),
     ("clausal", "thirds", 1): (
-        "588f758ff822623f94bf64717431a4b3a53597c2e8ceae17908201538541bbff"
+        "118dfc116b120b5701d0b6da01fa15ccd20d0011c9e219247497fdd81e2d674b"
     ),
     ("clausal", "clause_pair", 1): (
-        "22a72dacc6a840c544aa107951c9a4ea4d5dbfcef9843cc659215adae1b177e2"
+        "a8191563911bfb83c922be58104b790ba5dc664bd4d9b00c4bd9a8a18808c17d"
     ),
     ("rational", "negative_root", 1): (
         "fef9d5d379c615d7fc4865a81a7b2b09ca2429d258891707d699c5cc14e13e8e"
@@ -997,22 +1028,22 @@ Q_DIGESTS = {
         "48165239d258886e4726f21eff82c400c64405d2ee1a87625a03dc8e6a337254"
     ),
     ("clausal", "zero_one", 1): (
-        "17ea4abf139a9da9360bbb1f81e60db69d2d6bdc5d9ad51b22211451517a1038"
+        "2d342c77c55cfd7f1a763c8a7d97b77ff7581f1783cc76b47db0c63f793e0d9d"
     ),
     ("clausal", "all_rules", 1): (
-        "93baff4158a43e5f65ba201d1b2e9b9daf05392e95b21aff7c24bf95e4e2eb02"
+        "ad28c58dcadb90dd558c69abed98ce80089895a6611629131660b459a976d39d"
     ),
     ("clausal", "half_half", 1): (
         "a8c661e960e45f2558107de37457251f48e6f56d56bdbfe2b7b6d43cb972ca7f"
     ),
     ("clausal", "sum_to_one", 1): (
-        "e1475c0613b41d68840df1b7e288ebedffe80c797691ed0e057297a615c8a77b"
+        "460a886137a8b54023b9df27f377e60c6f110d7df7e1530952a097fd8bf871c7"
     ),
     ("clausal", "thirds", 1): (
-        "1c8364a4cf4e8dd9c7e79b0cdf3a8407a65c49d4cdfba7a66b1cff3b131d01ff"
+        "eda59aaf0f29694568b1c479db6168020f8cd61a0b71f44be2168823ce0220fc"
     ),
     ("clausal", "clause_pair", 1): (
-        "359faf1874ad8e3a512944026ccc36828e48d0bc0a9bd762d490257d181cfdd5"
+        "2a60ea61c5617f84c36c9376682dd00240a5499330446474f1e25f9afbb4632f"
     ),
 }
 
@@ -1022,3 +1053,44 @@ Q_DIGESTS = {
 )
 def test_simulation_output_bytes_are_pinned(case):
     assert _q_digest(_simulated(*case)) == Q_DIGESTS[case]
+
+
+# -- one line per step -----------------------------------------------------------
+
+
+def _repeated_steps(proof):
+    """The Axiom, LinComb and MulVar rules that more than one line holds."""
+    seen, repeated = set(), []
+    for line in proof:
+        if not isinstance(line.rule, Sqrt):
+            if line.rule in seen:
+                repeated.append(line.rule)
+            seen.add(line.rule)
+    return repeated
+
+
+SPLITTINGS = [("splitting", n, 1) for n in range(1, 8)] + [
+    ("splitting", n, alpha) for n, alpha in ((3, 3), (4, 5), (3, 11), (4, 17))
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    SPLITTINGS + [("clausal", name, 1) for name, *_ in refutation_corpus()],
+    ids=lambda case: "-".join(map(str, case)),
+)
+def test_no_simulated_or_lifted_proof_repeats_a_step(case):
+    out = _simulated(*case)
+    assert _repeated_steps(out.proof) == []
+    assert _repeated_steps(rationalize(out.axioms, list(out.proof)).proof) == []
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in rational_corpus()])
+def test_no_lift_of_the_rational_corpus_repeats_a_step(name):
+    result = rationalize(*_pinned_refutation("rational", name, 1))
+    assert _repeated_steps(result.proof) == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_no_oracle_refutation_repeats_a_step(n):
+    assert _repeated_steps(brute_force_refutation(n)[1]) == []
