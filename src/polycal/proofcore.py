@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .polyring import (
     Decoder,
@@ -418,7 +418,9 @@ class ProofBuilder:
         self.axioms = axioms
         self.kind = kind
         self.lines: list[ProofLine] = []
-        self._steps: dict[StepRule, int] = {}
+        # Each appended Axiom, LinComb and MulVar step, keyed on its fields:
+        # (index,), (j, k, alpha, beta) or (k, var), to its line.
+        self._steps: dict[tuple, int] = {}
         self._pool = axioms.all_polynomials()
         self._ext_position = {
             ext.var: len(axioms.base) + i
@@ -439,18 +441,19 @@ class ProofBuilder:
         self.lines.append(line)
         return len(self.lines) - 1
 
-    def _step(self, rule: StepRule, poly_of: Callable[[], Polynomial]) -> int:
-        """The line holding rule; on first use poly_of() is appended with it."""
-        got = self._steps.get(rule)
-        if got is None:
-            self.lines.append(ProofLine(poly_of(), rule))
-            got = self._steps[rule] = len(self.lines) - 1
-        return got
+    def _new_step(self, key: tuple, rule: StepRule, poly: Polynomial) -> int:
+        """Append poly with rule as the line of the step key."""
+        self.lines.append(ProofLine(poly, rule))
+        line = self._steps[key] = len(self.lines) - 1
+        return line
 
     def axiom_line(self, index: int) -> int:
-        if not 0 <= index < len(self._pool):
-            raise ProofBuildError(f"BadIndex: axiom {index} out of range")
-        return self._step(Axiom(index), lambda: self._pool[index])
+        line = self._steps.get((index,))
+        if line is None:
+            if not 0 <= index < len(self._pool):
+                raise ProofBuildError(f"BadIndex: axiom {index} out of range")
+            line = self._new_step((index,), Axiom(index), self._pool[index])
+        return line
 
     def extension_line(self, var: VarId) -> int:
         position = self._ext_position.get(var)
@@ -460,20 +463,25 @@ class ProofBuilder:
 
     def lincomb(self, j: int, k: int, alpha: Scalar, beta: Scalar) -> int:
         alpha, beta = as_scalar(alpha), as_scalar(beta)
-        if not (_scalar_ok(alpha, self.kind) and _scalar_ok(beta, self.kind)):
-            raise ProofBuildError(
-                f"NonIntegerScalar: {scalar_to_str(alpha)}, {scalar_to_str(beta)}"
-            )
-        return self._step(
-            LinComb(j, k, alpha, beta),
-            lambda: self.poly_at(j).scale(alpha).add(self.poly_at(k).scale(beta)),
-        )
+        key = (j, k, alpha, beta)
+        line = self._steps.get(key)
+        if line is None:
+            if not (_scalar_ok(alpha, self.kind) and _scalar_ok(beta, self.kind)):
+                raise ProofBuildError(
+                    f"NonIntegerScalar: {scalar_to_str(alpha)}, {scalar_to_str(beta)}"
+                )
+            poly = self.poly_at(j).scale(alpha).add(self.poly_at(k).scale(beta))
+            line = self._new_step(key, LinComb(*key), poly)
+        return line
 
     def scale_line(self, k: int, factor: Scalar) -> int:
         return self.lincomb(k, k, factor, 0)
 
     def mul_var(self, k: int, var: VarId) -> int:
-        return self._step(MulVar(k, var), lambda: self.poly_at(k).mul_var(var))
+        line = self._steps.get((k, var))
+        if line is None:
+            line = self._new_step((k, var), MulVar(k, var), self.poly_at(k).mul_var(var))
+        return line
 
     def monomial_multiple(self, source: int, mono: Monomial) -> int:
         """Line holding mono * line[source]; mono == 1 gives source itself.
@@ -491,7 +499,7 @@ class ProofBuilder:
         """monomial_multiple(source, mono) if that appends nothing, else None."""
         line = source
         for var in (v for v, e in mono.pairs for _ in range(e)):
-            if (line := self._steps.get(MulVar(line, var))) is None:
+            if (line := self._steps.get((line, var))) is None:
                 return None
         return line
 

@@ -14,13 +14,15 @@ root rule is used by exactly one case, contraction.  A contraction's
 premise product times its odd part is the square of its root monomial
 s = prod v^ceil(e/2); the square root is taken once per distinct root, and
 the hat of every contraction whose premise has that root is s times its
-remainder.  A resolution's swap line y_new - alpha*y_a - beta*y_b is the
-same steps for every resolution of a pair of forms and coefficients, so
-the builder, which never appends a step twice, derives it once.  When both
-rests are one monomial the two hats are added before a single lift.  A
-resolution into a false constant 0 = c derives the product of its two
-rests, and its hat is y_new times that line, so the simplification that
-drops the constant reuses that product and emits nothing.
+remainder.  A resolution lifts only its fresh part: the shorter rest A
+times the form of its premise's disjunct, hat - A*def, is the same steps
+for every resolution of that premise's disjunct, so the builder, which
+never appends a step twice, derives it once, and each resolution lifts
+y_new minus the longer premise's scaled definition.  When both rests are
+one monomial the two hats are added before a single lift.  A resolution
+into a false constant 0 = c derives the product of its two rests, and its
+hat is y_new times that line, so the simplification that drops the
+constant reuses that product and emits nothing.
 
 rationalize turns a refutation over the rationals into one over the
 integers.  It first picks integer multipliers: T_i rescales extension y_i
@@ -205,30 +207,16 @@ def simulate_reslin_b(
 
 
 def _simulate_boolean(builder, registry, boolean_index, rule) -> int:
-    """Derive ya*yb from v^2 - v, for ya := v and yb := v - 1."""
+    """Derive ya*yb = yb*def_a + v*def_b + (v^2 - v), for ya := v and
+    yb := v - 1."""
     v = rule.var
     var_a = registry.lookup(LinEq.of({v: 1}, 0))
     var_b = registry.lookup(LinEq.of({v: 1}, 1))
     square = builder.axiom_line(boolean_index[v])
     def_a = builder.extension_line(var_a)
     def_b = builder.extension_line(var_b)
-    v_def_a = builder.mul_var(def_a, v)
-    shifted = builder.lincomb(v_def_a, def_a, 1, -1)
-    cross = builder.mul_var(def_b, var_a)
-    partial = builder.lincomb(square, shifted, 1, 1)
-    return builder.lincomb(partial, cross, 1, 1)
-
-
-def _definition_sum(builder, terms) -> int:
-    """The line sum of c * (y - def y) over the (y, c) of terms: the first
-    two definitions combined, then each further one added."""
-    (first, a), (second, b), *more = terms
-    line = builder.lincomb(
-        builder.extension_line(first), builder.extension_line(second), a, b
-    )
-    for var, c in more:
-        line = builder.lincomb(line, builder.extension_line(var), 1, c)
-    return line
+    cross = builder.lincomb(builder.mul_var(def_a, var_b), builder.mul_var(def_b, v), 1, 1)
+    return builder.lincomb(cross, square, 1, 1)
 
 
 def _simulate_resolution(
@@ -238,18 +226,16 @@ def _simulate_resolution(
 
     Returns (line, monomial): the conclusion's hat is monomial times line.
 
-    The swap line y_new - alpha*y_a - beta*y_b is one definition sum, so
-    every resolution of that pair of forms lifts the same line and shares
-    its partial products.  When both rests are one monomial A,
-    alpha*hat_a + beta*hat_b plus A*swap is A*y_new, and the conclusion is
-    A times that line: 2 lines besides the shared lift of the swap.
-    Otherwise the swap is lifted through the two rests to the conclusion.
+    When both rests are one monomial A, the line
+    y_new - alpha*y_a - beta*y_b, two combinations of definitions, is the
+    same steps for every resolution of that pair of forms:
+    alpha*hat_a + beta*hat_b plus A times it is A*y_new, and the conclusion
+    is A times that line.  Otherwise the resolvent is lifted through the
+    two rests to the conclusion (_lift_through_rests).
 
     A resolvent 0 = c with c != 0 and rests A and B that differ takes A*B,
     kept in held for the simplification that drops the constant, and the
-    conclusion is y_new times that line.  The definition
-    sum alpha*def_a + beta*def_b is alpha*y_a + beta*y_b + c, and lifted
-    through the rests it is c*A*B.
+    conclusion is y_new times that line.
     """
     eq_a = proof[rule.j].disjunction.disjuncts[rule.dj]
     eq_b = proof[rule.k].disjunction.disjuncts[rule.dk]
@@ -257,48 +243,74 @@ def _simulate_resolution(
     var_new = registry.lookup(resolvent)
     var_a, var_b = registry.lookup(eq_a), registry.lookup(eq_b)
     rest_a, rest_b = hats[rule.j].without(var_a), hats[rule.k].without(var_b)
-    sides = ((rest_a, rule.j, rule.alpha), (rest_b, rule.k, rule.beta))
+    sides = ((rest_a, rule.j, var_a, rule.alpha), (rest_b, rule.k, var_b, rule.beta))
     if rest_a != rest_b and resolvent.is_constant() and resolvent.constant:
         product = rest_a.times(rest_b)
         line = held.get(product)
         if line is None:
-            total = _definition_sum(
-                builder, ((var_a, rule.alpha), (var_b, rule.beta))
-            )
             line = held[product] = _lift_through_rests(
-                builder, hat_line, total, sides, -1, resolvent.constant
+                builder, hat_line, sides, None, resolvent.constant
             )
         return line, Monomial.of(var_new)
-    swap = _definition_sum(
-        builder, ((var_new, 1), (var_a, -rule.alpha), (var_b, -rule.beta))
-    )
     if rest_a == rest_b:
+        swap = builder.lincomb(
+            builder.lincomb(
+                builder.extension_line(var_new), builder.extension_line(var_a), 1, -rule.alpha
+            ),
+            builder.extension_line(var_b),
+            1,
+            -rule.beta,
+        )
         hat_sum = builder.lincomb(
             hat_line(rule.j), hat_line(rule.k), rule.alpha, rule.beta
         )
         lifted = builder.lincomb(builder.monomial_multiple(swap, rest_a), hat_sum, 1, 1)
         return lifted, rest_a
-    return _lift_through_rests(builder, hat_line, swap, sides, 1), Monomial.one()
+    return _lift_through_rests(builder, hat_line, sides, var_new), Monomial.one()
 
 
-def _lift_through_rests(builder, hat_line, line, sides, sign, divisor=1) -> int:
-    """(B*(A*line + sign*a*hat_A) + sign*b*A*hat_B) / divisor.
+def _lift_through_rests(builder, hat_line, sides, var_new, constant=None) -> int:
+    """The conclusion A*B*y_new, or A*B for a resolvent 0 = constant.
 
-    sides holds (rest, input line, coefficient) for both premises; A is the
-    shorter rest, with coefficient a, and B the longer, with b: 2|A| + |B|
-    variable multiplications and two combinations.
+    sides holds (rest, input line, disjunct's variable, coefficient) for
+    both premises: A is the shorter rest, of premise s with variable v_s
+    and coefficient sigma, and B the longer, of premise l with v_l and
+    lambda.  def(v) is the definition line v - form(v).  The short
+    premise's cofactor T_s = hat_s - A*def(v_s), which is A*form(v_s), is
+    the same steps for every resolution of that premise's disjunct, so it
+    is derived once.  Only the rest is fresh: with
+    D = def(y_new) - lambda*def(v_l), A*D + sigma*T_s is
+    A*(y_new - lambda*v_l), and B times it plus lambda*A*hat_l is the
+    conclusion.  A false constant c needs no y_new: D = -lambda*def(v_l)
+    gives -c*A*B, divided by -c in the last combination.  Besides T_s, a
+    resolution takes |A| variable multiplications each of D and of hat_l,
+    |B| of the lifted line and two combinations, plus D's own for a
+    resolvent that is not a false constant.
     """
-    (short_rest, short, short_coef), (long_rest, long, long_coef) = sorted(
+    (short_rest, short, short_var, sigma), (long_rest, long, long_var, lam) = sorted(
         sides, key=lambda side: side[0].degree
     )
+    cofactor = builder.lincomb(
+        hat_line(short),
+        builder.monomial_multiple(builder.extension_line(short_var), short_rest),
+        1,
+        -1,
+    )
+    if constant is None:
+        fresh = builder.lincomb(
+            builder.extension_line(var_new), builder.extension_line(long_var), 1, -lam
+        )
+        scale, divisor = 1, 1
+    else:
+        fresh, scale, divisor = builder.extension_line(long_var), -lam, -constant
     lifted = builder.lincomb(
-        builder.monomial_multiple(line, short_rest), hat_line(short), 1, sign * short_coef
+        builder.monomial_multiple(fresh, short_rest), cofactor, scale, sigma
     )
     return builder.lincomb(
         builder.monomial_multiple(lifted, long_rest),
         builder.monomial_multiple(hat_line(long), short_rest),
         Fraction(1, divisor),
-        Fraction(sign * long_coef, divisor),
+        Fraction(lam, divisor),
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for the two proof translators."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -33,6 +34,7 @@ from polycal.reslin import (
     Disjunction,
     LinEq,
     RlAxiom,
+    RlBooleanAxiom,
     RlContraction,
     RlLine,
     RlResolution,
@@ -141,11 +143,12 @@ def test_simulation_zero_one_frozen():
 
 
 # Q lines of the splitting refutation of BVP_n, as upper bounds: each run of
-# contractions takes one square root, resolutions share their swap line and
-# lift their shorter rest, a resolution into a false constant derives its
-# rests' product, which the simplification that drops the constant reuses,
-# and a hat is derived only when a rule cites it.
-SPLITTING_Q_LINES = {3: 188, 4: 428, 5: 948, 6: 2076}
+# contractions takes one square root, a resolution lifts only its fresh part
+# and shares its short premise's cofactor, a resolution into a false
+# constant derives its rests' product, which the simplification that drops
+# the constant reuses, a boolean axiom takes 7 lines, and a hat is derived
+# only when a rule cites it.
+SPLITTING_Q_LINES = {3: 179, 4: 405, 5: 895, 6: 1961}
 
 
 def _emitting_lines(out):
@@ -215,6 +218,39 @@ def test_resolution_with_equal_rests_adds_the_hats_first():
     assert [line.rule for line in out.proof].count(hats) == 1
     report = check_refutation(out.axioms, list(out.proof), SystemKind.EXTPCSQRT_Q)
     assert report.valid and report.final_constant == 1
+
+
+def test_a_short_boolean_premise_derives_each_cofactor_once():
+    # A node of depth 2 or more rests on a longer prefix than a boolean
+    # axiom's other disjunct u, so the boolean is the short premise: its
+    # cofactor hat - u*def(v) is one line for all 2^depth resolutions of v.
+    axioms, lines = bvp_splitting(5)
+    out = simulate_reslin_b(axioms, lines)
+    registry = build_registry(axioms, lines)
+    index = {line.rule: i for i, line in enumerate(out.proof)}
+    base = len(out.axioms.base)
+    definitions = {
+        ext.var: index.get(Axiom(base + p)) for p, ext in enumerate(out.axioms.extensions)
+    }
+    rules = collections.Counter(line.rule for line in out.proof)
+    citing = collections.Counter(
+        (line.rule.k, line.rule.dk)
+        for line in lines
+        if isinstance(line.rule, RlResolution)
+        and isinstance(lines[line.rule.k].rule, RlBooleanAxiom)
+        and len(lines[line.rule.j].disjunction.disjuncts) > 2
+    )
+    assert sorted(citing.values()) == [4, 4, 8, 8, 16, 16]
+    for boolean, d in citing:
+        disjuncts = lines[boolean].disjunction.disjuncts
+        v, u = registry.lookup(disjuncts[d]), registry.lookup(disjuncts[1 - d])
+        multiple = index.get(MulVar(definitions[v], u))
+        assert rules[LinComb(out.line_map[boolean], multiple, 1, -1)] == 1
+    # Each boolean axiom is y_b*def_a + v*def_b + (v^2 - v): the square,
+    # two definitions, two multiples and two combinations.
+    owner = collections.Counter(_emitting_lines(out))
+    booleans = [i for i, line in enumerate(lines) if isinstance(line.rule, RlBooleanAxiom)]
+    assert [owner[i] for i in booleans] == [7] * 5
 
 
 # Q lines, square roots and Z constant of each proof before a resolution into
@@ -912,52 +948,52 @@ def _z_digest(result):
 # of BVP_n, and every clausal and rational corpus proof.
 Z_DIGESTS = {
     ("splitting", 1, 1): (
-        "e34688b49468821f831b0415dd6c03ad6ab9d4e6564a8974efb425c493f25778"
+        "5687df0ebc9d5d2291acc60ac019564cb59ed00df4cf327003ca4a2ae56c3d3b"
     ),
     ("splitting", 2, 1): (
-        "2df35e1968a2a0a2749ac74fa8cc61a5ade9850ff9b35071224738579904a95b"
+        "7f876ddb0ee42a809caef0ebfe15d58214f712858b18edbdcef162ea2699bce2"
     ),
     ("splitting", 3, 1): (
-        "aed58aecef57cb34d34c187da3bb33947a22ebb6a02a26e0f603625293825de1"
+        "f6f973755d3308903ca632d4ae17a6b201cbf06262182cbd608c8e4e385c2776"
     ),
     ("splitting", 4, 1): (
-        "e800e2b0876c33dcb6d647e816428fb21afe803b188ebbf4363e194eabdf5c84"
+        "6ecbb7bd05ab9f543d5e80ff0f643411c380cea792ba496f5f41d8c7b456f063"
     ),
     ("splitting", 5, 1): (
-        "2e8a275c37801f4947978959ef51fec76c0265d919d6e6354ac5e627990ee107"
+        "91d223bba5cb0d4ef0aacfacf0a44aa754f8950151b43681787ae80e16d0cca5"
     ),
     ("splitting", 6, 1): (
-        "d294ab6cf120c35accf6dff1fe0dc64cb05c9fae5dafd995ff740935b69c23d7"
+        "aa4d500535729dbfc24979fda1dc7540dad6d7e73584f852ef831b375cdd27d2"
     ),
     ("splitting", 3, 3): (
-        "b5d63bbdd978538b0d29b241eb093d82445c7bbc8cacd44cf0104f5c4bd50194"
+        "6186da7b9207b8bac6587924c6e8d582cba534f0cc7c22f2b26a73f280d68a39"
     ),
     ("splitting", 4, 5): (
-        "6c0a3e5e0e738507b018ef74031baa774d8b8ea128795a561b6a6124c52b57c4"
+        "8d84864b71ba32dd16b9bc2620ba7a483f1c1dc66455a2faebf4743e9c091468"
     ),
     ("splitting", 3, 11): (
-        "517908f4a428de26f58a7644b824354204d500184cbcaa5c5401fe8f8fe8e402"
+        "67e980d59772439188486512b77d2e5d297ff48c39d197e9992423f077a2a4b1"
     ),
     ("splitting", 4, 17): (
-        "ead7f46ec5688f286151eddf618edc7b9cd808eeede6f034e24df127d0b8cdab"
+        "fc2c85bc7bf287ee50658ddb05623102c260ce58945f3cb54946bf51d7bdeca5"
     ),
     ("clausal", "zero_one", 1): (
         "e8a33658f39fb2055ffb7af57fdc02522493d382a559b06636d993d1b6b9063e"
     ),
     ("clausal", "all_rules", 1): (
-        "bdc5c8897704530ddc10f10991f25eed707ff737d6604a85cf175039eead2df1"
+        "4f6e50038141a0dc6726d3a3bbe1085d8945c3a997ec7bbcfc72c89bacfa7745"
     ),
     ("clausal", "half_half", 1): (
-        "408d88819d7976384f15afc5ecd4d0f248e8cc5a3d6a4c560a7a1c22bb122a9e"
+        "5cee6e573761f15e24212c95c00fd320ddea258cf92c0748a9cd5c211e711f1a"
     ),
     ("clausal", "sum_to_one", 1): (
         "047aa962fa692d2513414461b86f89303f1d2ae82a702265725b692f6352daa7"
     ),
     ("clausal", "thirds", 1): (
-        "118dfc116b120b5701d0b6da01fa15ccd20d0011c9e219247497fdd81e2d674b"
+        "8ba9602688b119cdc64ca441a188ec25cbdae0ff418ebf15e36ae98663460a99"
     ),
     ("clausal", "clause_pair", 1): (
-        "a8191563911bfb83c922be58104b790ba5dc664bd4d9b00c4bd9a8a18808c17d"
+        "bdfea1eff49519a58e72660c3216c0d1ca2c46ca178093353241b77070d4c461"
     ),
     ("rational", "negative_root", 1): (
         "fef9d5d379c615d7fc4865a81a7b2b09ca2429d258891707d699c5cc14e13e8e"
@@ -998,52 +1034,52 @@ def test_rationalize_output_bytes_are_pinned(case):
 # each clausal case of Z_DIGESTS.
 Q_DIGESTS = {
     ("splitting", 1, 1): (
-        "79b663d01ebb7b50cc4c8cebba78f9dd241d8edfe39cafd04001664c706214db"
+        "4dcdfa865934396e84e5c8729e0aef0a16ea3ab90a6650ab63496d417ab1c942"
     ),
     ("splitting", 2, 1): (
-        "6132918be5c5219cbf43ef6dbe97aeb2139ec441121c71561310f808ab8f4e3a"
+        "05832fb2f046fdb3ce61b4ca26d157b2801c9c293a183245973935c1eba68e78"
     ),
     ("splitting", 3, 1): (
-        "2c54545c79e0df9382571f47bbecc3be64d737862b134a34bd25a4c0cb096e01"
+        "bef0bcbf002d182740688d020ac7b7239d4f5144e80ac4a9880c062089520f90"
     ),
     ("splitting", 4, 1): (
-        "81b7c9da5b5bdb92d858fef7dbf0e6c76a4d8a4c3feb4dc9636d616a34abae8d"
+        "c698ef76840f19306cd53a2288ac95364572ac00a86fcf62e8bb6bbdadf24a89"
     ),
     ("splitting", 5, 1): (
-        "4916311b64e41c63b965c1343855032f5fccd8a62caf064342e61ab5f77ef99d"
+        "9b6698892c52e2639267bab5780a1a68774d37da565f8a045f1c20d9671bfd19"
     ),
     ("splitting", 6, 1): (
-        "8f50bd1049798ef747dc78a2d03b7d2c092101d2ad85f7f82e08515222cde1c4"
+        "9b83bf785338ec9824fdc2f2b566465db2fd8ed8f3c790485b3054c2a4f6b15a"
     ),
     ("splitting", 3, 3): (
-        "2e2354fcc0a8502abf024e650a28562391ce9d9af5fb980b226b19265e5e3c45"
+        "555279814d8fa19b4f84aa7dc593c68c2b7b7f347c6bd86ea53b0f9c65aa3a12"
     ),
     ("splitting", 4, 5): (
-        "af996a90bb73dae37ca9caeec58f0abc806d856934f331b691694ad065155a53"
+        "acf5e9c1507b71ea13eeacc3dc2baf5941ab8f687f50eeb4e7938a40573f91a0"
     ),
     ("splitting", 3, 11): (
-        "1b9ddda089d6e4ad7de0ba628651b5fa398bca0b73c5fed1c876c3890c13b5f8"
+        "dc69501d0e8e83e518c067f5b1ac6abadaa79affbc5f613e5eb9d01a5b85aafd"
     ),
     ("splitting", 4, 17): (
-        "48165239d258886e4726f21eff82c400c64405d2ee1a87625a03dc8e6a337254"
+        "e37e370649da96336f0ceaf70307fb307c2b3b96e0226757990b0ca3ef32fa2b"
     ),
     ("clausal", "zero_one", 1): (
         "2d342c77c55cfd7f1a763c8a7d97b77ff7581f1783cc76b47db0c63f793e0d9d"
     ),
     ("clausal", "all_rules", 1): (
-        "ad28c58dcadb90dd558c69abed98ce80089895a6611629131660b459a976d39d"
+        "c49a140dced27e924db688a3606e0b73c0c0a533b672bb1c7e05c774753ce382"
     ),
     ("clausal", "half_half", 1): (
-        "a8c661e960e45f2558107de37457251f48e6f56d56bdbfe2b7b6d43cb972ca7f"
+        "b22eb856a35e2d5817dbd4cc143c3a66c09561c49541890b8821bb58cc7c6712"
     ),
     ("clausal", "sum_to_one", 1): (
         "460a886137a8b54023b9df27f377e60c6f110d7df7e1530952a097fd8bf871c7"
     ),
     ("clausal", "thirds", 1): (
-        "eda59aaf0f29694568b1c479db6168020f8cd61a0b71f44be2168823ce0220fc"
+        "da8fb3959016a4c0c0ffdcdbd9894ad74d3580476b6f9e247258006fb195bf68"
     ),
     ("clausal", "clause_pair", 1): (
-        "2a60ea61c5617f84c36c9376682dd00240a5499330446474f1e25f9afbb4632f"
+        "4ee9e40215a4b5005d96a9ee88d752eccec6d5c44d20360298407e4ff6eba858"
     ),
 }
 
