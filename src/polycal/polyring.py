@@ -22,10 +22,12 @@ fixes serialization and display, and makes reduction deterministic.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from decimal import Decimal
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Union
@@ -387,25 +389,43 @@ def _inserted(
     return pairs[:i] + (pair,) + pairs[i:]
 
 
-# Every live monomial, keyed by its canonical pairs.  Weak values: an entry
-# goes when the last holder of its monomial lets go.
-_INTERNED: weakref.WeakValueDictionary[
-    tuple[tuple[VarId, int], ...], Monomial
-] = weakref.WeakValueDictionary()
+def drop_dead_entry(
+    table: dict, key: object, ref: weakref.ref, remove=_remove_dead_weakref
+) -> None:
+    """The weak-reference callback of an intern table entry (see _intern).
+
+    remove is the C function WeakValueDictionary drops its entries with: it
+    pops the key only while the entry still holds a dead reference.  A
+    callback run by the same death may already have built the object again
+    under that key, and that live entry stays.  It is bound at definition,
+    as module globals are gone at interpreter shutdown.
+    """
+    remove(table, key)
+
+
+# Every live monomial, keyed by its canonical pairs, as a plain dict of weak
+# references, so lookups and inserts run in C.  An entry goes when its
+# monomial dies: the reference's callback pops its key (drop_dead_entry).
+_INTERNED: dict[tuple[tuple[VarId, int], ...], weakref.ref] = {}
 
 
 def _intern(pairs: tuple[tuple[VarId, int], ...], degree: int) -> Monomial:
     """The one monomial with these canonical pairs (see _canonical) and degree."""
-    mono = _INTERNED.get(pairs)
-    if mono is None:
-        mono = object.__new__(Monomial)
-        put = object.__setattr__
-        put(mono, "_pairs", pairs)
-        put(mono, "_degree", degree)
-        put(mono, "_hash", hash(pairs))
-        put(mono, "_products", {})
-        put(mono, "_json", None)
-        _INTERNED[pairs] = mono
+    ref = _INTERNED.get(pairs)
+    if ref is not None:
+        mono = ref()
+        if mono is not None:
+            return mono
+    mono = object.__new__(Monomial)
+    put = object.__setattr__
+    put(mono, "_pairs", pairs)
+    put(mono, "_degree", degree)
+    put(mono, "_hash", hash(pairs))
+    put(mono, "_products", {})
+    put(mono, "_json", None)
+    _INTERNED[pairs] = weakref.ref(
+        mono, functools.partial(drop_dead_entry, _INTERNED, pairs)
+    )
     return mono
 
 
@@ -670,6 +690,12 @@ class Polynomial:
 
 
 _POLY_ZERO = Polynomial()
+
+
+def max_degree(polys: Iterable[Polynomial]) -> int:
+    """The largest degree among polys, by one max over all their terms; -1
+    when every one is zero."""
+    return max([m._degree for poly in polys for m in poly._terms], default=-1)
 
 
 def boolean_axiom(var: VarId) -> Polynomial:

@@ -22,9 +22,11 @@ of the axiom set itself are reported at the sentinel line index -1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .polyring import (
@@ -36,6 +38,7 @@ from .polyring import (
     VarId,
     as_scalar,
     int_to_str,
+    max_degree,
     parse_var,
     poly_to_json,
     poly_to_obj,
@@ -43,6 +46,7 @@ from .polyring import (
     require_fields,
     require_index,
     require_int,
+    scalar_bits,
     scalar_from_str,
     scalar_to_str,
     shown,
@@ -300,6 +304,17 @@ def _verify_line(
             return fail(
                 "BadIndex", f"multiplication cites line {int_to_str(rule.k)}"
             )
+        premise = prefix[rule.k].poly.term_map
+        claimed = line.poly.term_map
+        if len(claimed) == len(premise):
+            # m -> m*var is one-to-one, so finding each premise term times
+            # var among as many claimed terms proves the line equal.
+            factor = Monomial.of(rule.var)
+            for mono, coef in premise.items():
+                if claimed.get(mono.times(factor)) != coef:
+                    break
+            else:
+                return None
         expected = prefix[rule.k].poly.mul_var(rule.var)
         if line.poly != expected:
             return fail(
@@ -337,13 +352,14 @@ def check_step(
 
 
 def measure(proof: Sequence[ProofLine]) -> tuple[int, int, int]:
-    """(total bit size, max degree, line count); zero lines never feed the max."""
-    total = 0
-    degree = -1
-    for line in proof:
-        total += line.poly.bit_size()
-        if not line.poly.is_zero():
-            degree = max(degree, line.poly.degree)
+    """(total bit size, max degree, line count); zero lines never feed the max.
+
+    The total is the sum of every line's bit_size, but each distinct
+    coefficient is measured once and weighed by the number of its terms.
+    """
+    counts = Counter(chain.from_iterable(line.poly.term_map.values() for line in proof))
+    total = sum(scalar_bits(value) * count for value, count in counts.items())
+    degree = max_degree(line.poly for line in proof)
     return total, degree, len(proof)
 
 

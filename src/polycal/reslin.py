@@ -37,7 +37,9 @@ gcd or sign normalization, so (x=0) and (2x=0) get distinct variables.
 
 from __future__ import annotations
 
+import functools
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -50,6 +52,7 @@ from .polyring import (
     VarId,
     as_scalar,
     ceil_log2,
+    drop_dead_entry,
     int_to_str,
     parse_var,
     require_fields,
@@ -126,22 +129,26 @@ class LinEq:
         return f"({body} = {self.constant})"
 
 
-# Every live equation, keyed by (coeffs, constant).  Weak values: an entry
-# goes when the last holder of its equation lets go.
-_EQUATIONS: weakref.WeakValueDictionary[
-    tuple[tuple[tuple[VarId, int], ...], int], LinEq
-] = weakref.WeakValueDictionary()
+# Every live equation, keyed by (coeffs, constant), as a plain dict of weak
+# references, so lookups and inserts run in C.  An entry goes when its
+# equation dies: the reference's callback pops its key (drop_dead_entry).
+_EQUATIONS: dict[tuple[tuple[tuple[VarId, int], ...], int], weakref.ref] = {}
 
 
 def _equation(coeffs: tuple[tuple[VarId, int], ...], constant: int) -> LinEq:
     """The one equation with these sorted nonzero coefficients and constant."""
     key = (coeffs, constant)
-    eq = _EQUATIONS.get(key)
-    if eq is None:
-        eq = object.__new__(LinEq)
-        object.__setattr__(eq, "coeffs", coeffs)
-        object.__setattr__(eq, "constant", constant)
-        _EQUATIONS[key] = eq
+    ref = _EQUATIONS.get(key)
+    if ref is not None:
+        eq = ref()
+        if eq is not None:
+            return eq
+    eq = object.__new__(LinEq)
+    object.__setattr__(eq, "coeffs", coeffs)
+    object.__setattr__(eq, "constant", constant)
+    _EQUATIONS[key] = weakref.ref(
+        eq, functools.partial(drop_dead_entry, _EQUATIONS, key)
+    )
     return eq
 
 
@@ -368,23 +375,25 @@ def is_refutation(proof: Sequence[RlLine]) -> bool:
     return bool(proof) and proof[-1].disjunction.is_empty()
 
 
+def _occurrences(proof: Sequence[RlLine]) -> Counter[LinEq]:
+    """How often each distinct (interned) equation occurs in the proof: the
+    sizes below sum each one once, weighed by its count."""
+    return Counter(eq for line in proof for eq in line.disjunction.disjuncts)
+
+
 def size_unary(proof: Sequence[RlLine]) -> int:
     """Sum of |coefficient| over all variable coefficients in the proof."""
     return sum(
-        abs(c)
-        for line in proof
-        for eq in line.disjunction.disjuncts
-        for _, c in eq.coeffs
+        count * sum(abs(c) for _, c in eq.coeffs)
+        for eq, count in _occurrences(proof).items()
     )
 
 
 def size_binary(proof: Sequence[RlLine]) -> int:
     """Sum of ceil(log2 |coefficient|); constants are not counted."""
     return sum(
-        ceil_log2(abs(c))
-        for line in proof
-        for eq in line.disjunction.disjuncts
-        for _, c in eq.coeffs
+        count * sum(ceil_log2(abs(c)) for _, c in eq.coeffs)
+        for eq, count in _occurrences(proof).items()
     )
 
 

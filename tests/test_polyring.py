@@ -270,6 +270,28 @@ def test_memoized_products_leave_no_cycle():
     assert alive == [None, None, None]
 
 
+def test_a_monomial_built_again_has_one_live_entry():
+    var = xvar(9021)
+    gone = weakref.ref(Monomial.of(var, 2))
+    assert gone() is None and ((var, 2),) not in polyring._INTERNED
+    again = Monomial.of(var, 2)
+    assert polyring._INTERNED[((var, 2),)]() is again
+    assert Monomial([(var, 1), (var, 1)]) is again
+    assert Monomial.of(var).times(Monomial.of(var)) is again
+    assert Monomial.of(var, 3).without(var) is again
+
+    # A callback that runs after the monomial dies, but before its entry's
+    # own callback, builds it again: that live entry must stay.
+    rebuilt = []
+    doomed = Monomial.of(var, 4)
+    watch = weakref.ref(doomed, lambda ref: rebuilt.append(Monomial.of(var, 4)))
+    del doomed
+    assert watch() is None and len(rebuilt) == 1
+    assert polyring._INTERNED[((var, 4),)]() is rebuilt[0]
+    assert Monomial.of(var, 4) is rebuilt[0]
+    assert Monomial.of(var, 2).times(Monomial.of(var, 2)) is rebuilt[0]
+
+
 def test_negative_exponent_is_refused():
     with pytest.raises(ValueError):
         Monomial(((x1, -1),))

@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycal import polyring, proofcore
+from polycal.bvp import brute_force_refutation
 from polycal.cli import canonical_json
 from polycal.polyring import (
     Decoder,
     FormatError,
     Monomial,
     Polynomial,
+    ceil_log2,
     int_from_str,
     poly_parse,
     scalar_from_str,
@@ -45,9 +47,19 @@ from polycal.proofcore import (
     rule_to_obj,
     validate_axiom_set,
 )
-from polycal.xlate import simulate_reslin_b
+from polycal.reslin import (
+    Disjunction,
+    LinEq,
+    RlAxiom,
+    RlLine,
+    RlWeakening,
+    size_binary,
+    size_unary,
+)
+from polycal.xlate import rationalize, simulate_reslin_b
 
-from reslin_corpus import bvp_splitting
+from q_corpus import rational_corpus
+from reslin_corpus import bvp_splitting, refutation_corpus
 
 P = poly_parse
 x1, x2 = xvar(1), xvar(2)
@@ -86,6 +98,65 @@ def test_measure_frozen_example():
     assert degree == 2 and count == 5
     # 2x-1:1, 2x^2-x:1, x^2-x:0, x:0, 2:1
     assert total == 3
+
+
+def _repeated_values():
+    """A proof and a Res-Lin proof that repeat a Fraction coefficient and one
+    of 4,401 digits, each with both signs (equal bits, distinct values)."""
+    big, third = 10**4400 + 7, Fraction(-5, 3)
+    terms = [(Monomial.of(x1), third), (Monomial.of(x2), big), (Monomial.one(), -big)]
+    lines = [
+        ProofLine(Polynomial(terms[: k + 1]).mul_var(x2), Axiom(0)) for k in range(3)
+    ]
+    lines += [ProofLine(Polynomial.constant(-third), Axiom(0)), ProofLine(Polynomial.zero(), Axiom(0))]
+    wide, narrow = LinEq.of({x1: big, x2: -big}, 1), LinEq.of({x1: 3}, big)
+    rl = [
+        RlLine(Disjunction.of(wide, narrow, wide), RlAxiom(0)),
+        RlLine(Disjunction.of(narrow), RlWeakening(0, wide)),
+        RlLine(Disjunction.empty(), RlAxiom(1)),
+    ]
+    return [lines], [rl]
+
+
+def _occurrence_case(name):
+    """(algebraic proofs, Res-Lin proofs) of one named case."""
+    if name == "clausal corpus":
+        corpus = refutation_corpus()
+        return [list(simulate_reslin_b(a, ls).proof) for _, a, ls in corpus], [
+            ls for _, _, ls in corpus
+        ]
+    if name == "Q corpus":
+        return [proof for _, _, proof in rational_corpus()], []
+    if name.startswith("splitting"):
+        axioms, rl = bvp_splitting(int(name.split()[1]))
+        out = simulate_reslin_b(axioms, rl)
+        return [list(out.proof), list(rationalize(out.axioms, list(out.proof)).proof)], [rl]
+    if name.startswith("oracle"):
+        return [brute_force_refutation(int(name.split()[1]))[1]], []
+    return _repeated_values()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["clausal corpus", "Q corpus", "repeated values"]
+    + [f"splitting {n}" for n in range(1, 6)]
+    + [f"oracle {n}" for n in range(1, 5)],
+)
+def test_measures_count_every_occurrence(name):
+    # measure and the Res-Lin sizes take each distinct value once, weighed
+    # by its occurrences; the sums must equal the sums over every term.
+    proofs, rl_proofs = _occurrence_case(name)
+    assert proofs
+    for proof in proofs:
+        assert measure(proof) == (
+            sum(line.poly.bit_size() for line in proof),
+            max(line.poly.degree for line in proof),
+            len(proof),
+        )
+    for rl in rl_proofs:
+        coefficients = [c for line in rl for eq in line.disjunction.disjuncts for _, c in eq.coeffs]
+        assert size_unary(rl) == sum(abs(c) for c in coefficients)
+        assert size_binary(rl) == sum(ceil_log2(abs(c)) for c in coefficients)
 
 
 def test_zero_line_degree_sentinel():
@@ -219,6 +290,27 @@ def test_mulvar_mismatch_names_the_first_differing_monomial():
         "line 1 is not line 0 times x1; "
         "first differing monomial x1: claimed -1/2, expected -1"
     )
+
+
+@pytest.mark.parametrize(
+    "claimed, differs",
+    [
+        # A coefficient changed: as many terms as the premise.
+        ("3*x1^2 - x1", "x1^2: claimed 3, expected 2"),
+        # A monomial changed: as many terms as the premise.
+        ("2*x1^2 - x1*x2", "x1*x2: claimed -1, expected 0"),
+        # A term added: one more term than the premise.
+        ("2*x1^2 - x1 + 1", "1: claimed 1, expected 0"),
+    ],
+)
+def test_a_mulvar_mutant_keeps_its_rejection_message(claimed, differs):
+    # Line 1 of the five-line refutation is line 0 times x1; one edit to it
+    # is rejected there, with the message of the expected-polynomial path.
+    axioms, lines = five_line_refutation()
+    lines[1] = ProofLine(P(claimed), lines[1].rule)
+    error = _rejection(axioms, lines)
+    assert (error.line, error.code) == (1, "RuleMismatch")
+    assert error.message == "line 1 is not line 0 times x1; first differing monomial " + differs
 
 
 def test_sqrt_mismatch_names_the_first_differing_monomial():

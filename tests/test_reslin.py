@@ -108,6 +108,27 @@ def test_equations_are_held_weakly():
     assert (((xvar(9101), 1),), 0) not in reslin._EQUATIONS
 
 
+def test_an_equation_built_again_has_one_live_entry():
+    key = (((xvar(9102), 1),), 0)
+    gone = weakref.ref(LinEq.of({xvar(9102): 1}, 0))
+    assert gone() is None and key not in reslin._EQUATIONS
+    again = LinEq.of({xvar(9102): 1}, 0)
+    assert reslin._EQUATIONS[key]() is again
+    assert LinEq.of([(xvar(9102), 2), (xvar(9102), -1)], 0) is again
+    assert LinEq.of({xvar(9102): 2}, 0).combine(again, 1, -1) is again
+
+    # A callback that runs after the equation dies, but before its entry's
+    # own callback, builds it again: that live entry must stay.
+    key = (((xvar(9103), 1),), 0)
+    rebuilt = []
+    doomed = LinEq.of({xvar(9103): 1}, 0)
+    watch = weakref.ref(doomed, lambda ref: rebuilt.append(LinEq.of({xvar(9103): 1}, 0)))
+    del doomed
+    assert watch() is None and len(rebuilt) == 1
+    assert reslin._EQUATIONS[key]() is rebuilt[0]
+    assert LinEq.of({xvar(9103): 1}, 0) is rebuilt[0]
+
+
 def test_registry_keys_are_exact():
     # No gcd or sign normalization: each form gets its own variable.
     eqs = [LinEq.of({X1: 1}, 0), LinEq.of({X1: 2}, 0), LinEq.of({X1: -1}, 0),
