@@ -268,6 +268,10 @@ class Monomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Monomial is immutable")
 
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle give back the interned monomial.
+        return Monomial, (self._pairs,)
+
     @staticmethod
     def one() -> Monomial:
         return _MONO_ONE
@@ -432,26 +436,39 @@ def _intern(pairs: tuple[tuple[VarId, int], ...], degree: int) -> Monomial:
 _MONO_ONE = Monomial()
 
 
+def _add_terms(
+    acc: dict[Monomial, Scalar], terms: Iterable[tuple[Monomial, Scalar]]
+) -> dict[Monomial, Scalar]:
+    """Sum exact terms into acc and return it: a monomial whose coefficient
+    sums to zero leaves acc, and every other coefficient is normalized."""
+    for mono, coef in terms:
+        new = acc.get(mono, 0) + coef
+        if new == 0:
+            acc.pop(mono, None)
+        else:
+            acc[mono] = as_scalar(new)
+    return acc
+
+
 class Polynomial:
-    """An immutable sparse polynomial: a map from Monomial to nonzero Scalar."""
+    """An immutable sparse polynomial: a map from Monomial to nonzero Scalar.
+
+    Terms sum by one rule, _add_terms, in construction, add, mul and
+    substitute: coefficients add, a monomial summing to zero goes, and each
+    coefficient is normalized.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Monomial, Scalar]] = ()):
-        acc: dict[Monomial, Scalar] = {}
-        for mono, coef in terms:
-            coef = as_scalar(coef)
-            if coef == 0:
-                continue
-            new = acc.get(mono, 0) + coef
-            if new == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = as_scalar(new)
+        acc = _add_terms({}, ((mono, as_scalar(coef)) for mono, coef in terms))
         object.__setattr__(self, "_terms", acc)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self) -> tuple:
+        return Polynomial, (tuple(self._terms.items()),)
 
     @staticmethod
     def _wrap(terms: dict[Monomial, Scalar]) -> Polynomial:
@@ -525,14 +542,7 @@ class Polynomial:
             return self
         if not self._terms:
             return other
-        acc = dict(self._terms)
-        for mono, coef in other._terms.items():
-            new = acc.get(mono, 0) + coef
-            if new == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = as_scalar(new)
-        return Polynomial._wrap(acc)
+        return Polynomial._wrap(_add_terms(dict(self._terms), other._terms.items()))
 
     def neg(self) -> Polynomial:
         return Polynomial._wrap({m: -c for m, c in self._terms.items()})
@@ -568,16 +578,10 @@ class Polynomial:
             return _POLY_ZERO
         if len(self._terms) > len(other._terms):
             self, other = other, self
-        acc: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1.times(m2)
-                new = acc.get(mono, 0) + c1 * c2
-                if new == 0:
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = as_scalar(new)
-        return Polynomial._wrap(acc)
+        pairs = other._terms.items()
+        return Polynomial._wrap(_add_terms({}, (
+            (m1.times(m2), c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in pairs
+        )))
 
     def square(self) -> Polynomial:
         return self.mul(self)
@@ -598,7 +602,7 @@ class Polynomial:
                 power_cache[key] = got
             return got
 
-        result = _POLY_ZERO
+        acc: dict[Monomial, Scalar] = {}
         for mono, coef in self._terms.items():
             residual: list[tuple[VarId, int]] = []
             piece = Polynomial.constant(coef)
@@ -609,8 +613,8 @@ class Polynomial:
                     residual.append((var, exp))
             if residual:
                 piece = piece.mul_term(Monomial(residual))
-            result = result.add(piece)
-        return result
+            _add_terms(acc, piece._terms.items())
+        return Polynomial._wrap(acc)
 
     def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Scalar:
         """Exact value at a point; every variable of self must be bound."""
@@ -893,14 +897,25 @@ def poly_from_obj(obj: object) -> Polynomial:
     return Decoder().poly(obj)
 
 
-_TERM_SPLIT_RE = re.compile(r"(?=[+-])")
+# A term starts at a sign that follows no operator: x1^-1 and 1/-2 are one term.
+_TERM_SPLIT_RE = re.compile(r"(?<![*/^])(?=[+-])")
+_DIGITS_RE = re.compile(r"[0-9]+")
+
+
+def _parsed_decimal(digits: str, what: str, text: str, least: int) -> int:
+    """Unsigned decimal digits from poly_parse's text, read as an int >= least."""
+    value = int_from_str(digits) if _DIGITS_RE.fullmatch(digits) else None
+    if value is None or value < least:
+        raise FormatError(f"{what} {digits!r} in {text!r} is not a decimal >= {least}")
+    return value
 
 
 def poly_parse(text: str) -> Polynomial:
     """Small convenience parser: ``"2*x1^2*y3 - x1 + 1/2"``.
 
     Accepts sums of products of rationals and powered variables; no
-    parentheses.  Intended for tests and demos, not a wire format.
+    parentheses.  Only a term carries a sign: exponents and denominators
+    are positive decimals.  Intended for tests and demos, not a wire format.
     """
     stripped = text.replace(" ", "")
     if not stripped:
@@ -923,19 +938,13 @@ def poly_parse(text: str) -> Polynomial:
             if not factor:
                 raise FormatError(f"empty factor in {text!r}")
             if factor[0] in "xy":
-                name, _, exp_text = factor.partition("^")
-                exp = 1
-                if exp_text:
-                    if not exp_text.isdigit() or int(exp_text) < 1:
-                        raise FormatError(f"bad exponent in {factor!r}")
-                    exp = int(exp_text)
+                name, caret, exp_text = factor.partition("^")
+                exp = _parsed_decimal(exp_text, "exponent", text, 1) if caret else 1
                 factors.append((parse_var(name), exp))
             else:
-                num, _, den = factor.partition("/")
-                try:
-                    value = Fraction(int(num), int(den)) if den else int(num)
-                except ValueError as exc:
-                    raise FormatError(f"bad factor {factor!r} in {text!r}") from exc
-                coef *= value
+                num, slash, den = factor.partition("/")
+                coef *= _parsed_decimal(num, "numerator", text, 0)
+                if slash:
+                    coef = Fraction(coef, _parsed_decimal(den, "denominator", text, 1))
         pairs.append((Monomial(factors), coef))
     return Polynomial(pairs)

@@ -1434,3 +1434,60 @@ def test_module_invocation_runs(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == '{"primes":[2,3,5,7],"primorial_bits":8}\n'
+
+
+# Each command's exit code and stdout, as one JSON list; run in one child.
+SEED_RUN = """
+import contextlib, io, json, sys
+from polycal.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps(runs))
+"""
+SEED_COMMANDS = [
+    ["translate", "--reslin", "rl.json", "--out", "q.json"],
+    ["check", "--proof", "q.json"],
+    ["rationalize", "--proof", "q.json", "--out", "z.json", "--state", "state.json"],
+    ["check", "--proof", "z.json"],
+    ["audit", "--proof", "z.json", "--n", "3"],
+    ["oracle-refute", "--n", "3", "--out", "o.json"],
+    ["trace", "--proof", "o.json", "--n", "3", "--k", "2"],
+    ["check", "--proof", "bad.json"],
+]
+
+
+def test_cli_bytes_do_not_depend_on_the_hash_seed(oracle_doc, tmp_path):
+    # Monomials hash by their variables' names, so dict and set order changes
+    # with PYTHONHASHSEED; no stdout or written byte may.  The mutated line
+    # differs from its rule's result at several monomials, so the report
+    # names the first of a set.
+    bad = json.loads(Path(oracle_doc).read_text(encoding="utf-8"))
+    terms = bad["lines"][3]["poly"]["terms"]
+    terms[0]["coef"] = "7"
+    del terms[-1]
+    inputs = {
+        "rl.json": json.dumps(reslin_to_obj(*bvp_splitting(3))),
+        "bad.json": json.dumps(bad),
+    }
+    seen = []
+    for seed in ("0", "1"):
+        work = tmp_path / f"seed{seed}"
+        work.mkdir()
+        for name, text in inputs.items():
+            (work / name).write_text(text, encoding="utf-8")
+        env = child_env()
+        env["PYTHONHASHSEED"] = seed
+        result = subprocess.run(
+            [sys.executable, "-c", SEED_RUN, json.dumps(SEED_COMMANDS)],
+            capture_output=True, text=True, cwd=work, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        files = {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+        seen.append((result.stdout, files))
+    runs = json.loads(seen[0][0])
+    assert [code for code, _ in runs] == [0, 0, 0, 0, 0, 0, 0, 1]
+    assert "first differing monomial" in json.loads(runs[-1][1])["error"]["message"]
+    assert seen[0] == seen[1]

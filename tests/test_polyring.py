@@ -1,6 +1,9 @@
 """Unit and property tests for the polynomial layer."""
 
+import copy
 import gc
+import pickle
+import re
 import weakref
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from polycal import polyring
 from polycal.proofcore import proof_from_obj
+from polycal.xlate import simulate_reslin_b
 from polycal.polyring import (
     EXPONENT_LIMIT,
     NUMERAL_DIGIT_LIMIT,
@@ -38,6 +42,7 @@ from polycal.polyring import (
     xvar,
     yvar,
 )
+from reslin_corpus import bvp_splitting
 
 x1, x2, x3 = xvar(1), xvar(2), xvar(3)
 y1, y2 = yvar(1), yvar(2)
@@ -292,6 +297,23 @@ def test_a_monomial_built_again_has_one_live_entry():
     assert Monomial.of(var, 2).times(Monomial.of(var, 2)) is rebuilt[0]
 
 
+def test_copies_and_pickles_keep_the_interned_monomial():
+    built = Monomial(((x1, 2), (y1, 1)))
+    poly = P("2*x1^2*y1 - 1/3*x2 + 5")
+    assert copy.copy(built) is built
+    assert copy.deepcopy(built) is built
+    assert copy.deepcopy([built, built]) == [built, built]
+    assert copy.copy(poly) == poly
+    assert copy.deepcopy(poly) == poly
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(built, protocol)) is built
+        assert pickle.loads(pickle.dumps(Monomial.one(), protocol)) is Monomial.one()
+        assert pickle.loads(pickle.dumps(poly, protocol)) == poly
+    output = simulate_reslin_b(*bvp_splitting(3))
+    assert copy.deepcopy(output) == output
+    assert pickle.loads(pickle.dumps(output)) == output
+
+
 def test_negative_exponent_is_refused():
     with pytest.raises(ValueError):
         Monomial(((x1, -1),))
@@ -415,6 +437,11 @@ def test_substitute_scaling_round_trip():
     assert back == p
 
 
+def test_inexact_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        Polynomial([(Monomial.of(x1), 1.5)])
+
+
 def test_evaluate():
     assert P("1 + x1 + 2*x2").evaluate({x1: 0, x2: 1}) == 3
     assert P("1/2*x1").evaluate({x1: 3}) == Fraction(3, 2)
@@ -508,6 +535,38 @@ def test_ring_laws(a, b, c):
     assert a - a == Polynomial.zero()
 
 
+def is_canonical(p):
+    """No zero coefficient, and every integral one is an int, not a Fraction."""
+    return all(
+        c != 0 and (type(c) is int) == (c.denominator == 1) for c in p.term_map.values()
+    )
+
+
+@given(polynomials(), polynomials(), polynomials())
+@settings(max_examples=60, deadline=None)
+def test_every_sum_is_canonical(a, b, c):
+    # Terms repeat, cancel, come in as integral Fractions and as zeros.
+    pairs = [(m, Fraction(k)) for m, k in a.terms()]
+    pairs += [(m, -k) for m, k in b.terms()] + [(m, 0) for m in c.term_map]
+    built = Polynomial(pairs)
+    assert is_canonical(built)
+    assert built == a - b
+    for result in (a + b, a - b, a * b, b * c, a.substitute({x3: b, x1: c})):
+        assert is_canonical(result)
+
+
+points = st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=3)] * 3)
+
+
+@given(polynomials(), polynomials(), points)
+@settings(max_examples=60, deadline=None)
+def test_substitute_agrees_with_evaluation(p, q, point):
+    at = dict(zip((x1, x2, x3), point))
+    substituted = p.substitute({x3: q})
+    assert is_canonical(substituted)
+    assert substituted.evaluate(at) == p.evaluate({**at, x3: q.evaluate(at)})
+
+
 @given(polynomials())
 @settings(max_examples=40, deadline=None)
 def test_reduce_agrees_on_boolean_points(p):
@@ -528,6 +587,12 @@ def test_canonical_form_law(a, b):
     else:
         diff = a - b
         assert not diff.is_zero()
+
+
+@pytest.mark.parametrize("text", ["x1^-1", "1/-2", "2*x1^", "1/", "1/0"])
+def test_poly_parse_refuses_signed_or_empty_exponents_and_denominators(text):
+    with pytest.raises(FormatError, match=re.escape(text)):
+        P(text)
 
 
 # -- serialization ---------------------------------------------------------------
