@@ -13,6 +13,10 @@ Coefficients are plain Python ints whenever they are integral and
 equality of polynomials coincides with mathematical equality.  The zero
 polynomial is the empty term map; its degree is the sentinel -1.
 
+Monomials and polynomials are immutable through their interface: only
+their builders set their private slots, once each, and no property has a
+setter (tests/test_records.py checks the package for other stores).
+
 Term order is graded lexicographic: higher total degree first, ties broken
 at the earliest variable with differing exponent (variables are ordered
 x1 < x2 < ... < y1 < y2 < ...; a larger exponent there wins).  The order
@@ -249,7 +253,8 @@ class Monomial:
     Monomials are interned: while anything holds a monomial, every way of
     building the same product returns that one object.  Equality is
     therefore identity (inherited from object), and each monomial memoizes
-    its products, so a repeated ``times`` is one dict lookup.
+    its products, so a repeated ``times`` is one dict lookup.  Only _intern
+    (and mono_to_json's text cache) sets its private slots.
     """
 
     __slots__ = ("_pairs", "_degree", "_hash", "_products", "_json", "__weakref__")
@@ -264,9 +269,6 @@ class Monomial:
         It stays in the class body so that wrapping it counts the calls of
         Monomial(...) (perfbench's ``polyring.monomials_built``).
         """
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Monomial is immutable")
 
     def __reduce__(self) -> tuple:
         # copy, deepcopy and pickle give back the interned monomial.
@@ -421,12 +423,11 @@ def _intern(pairs: tuple[tuple[VarId, int], ...], degree: int) -> Monomial:
         if mono is not None:
             return mono
     mono = object.__new__(Monomial)
-    put = object.__setattr__
-    put(mono, "_pairs", pairs)
-    put(mono, "_degree", degree)
-    put(mono, "_hash", hash(pairs))
-    put(mono, "_products", {})
-    put(mono, "_json", None)
+    mono._pairs = pairs
+    mono._degree = degree
+    mono._hash = hash(pairs)
+    mono._products = {}
+    mono._json = None
     _INTERNED[pairs] = weakref.ref(
         mono, functools.partial(drop_dead_entry, _INTERNED, pairs)
     )
@@ -455,17 +456,14 @@ class Polynomial:
 
     Terms sum by one rule, _add_terms, in construction, add, mul and
     substitute: coefficients add, a monomial summing to zero goes, and each
-    coefficient is normalized.
+    coefficient is normalized.  Only __init__ and _wrap set its private
+    term dict, which nothing changes afterwards.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Monomial, Scalar]] = ()):
-        acc = _add_terms({}, ((mono, as_scalar(coef)) for mono, coef in terms))
-        object.__setattr__(self, "_terms", acc)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Polynomial is immutable")
+        self._terms = _add_terms({}, ((mono, as_scalar(coef)) for mono, coef in terms))
 
     def __reduce__(self) -> tuple:
         return Polynomial, (tuple(self._terms.items()),)
@@ -474,7 +472,7 @@ class Polynomial:
     def _wrap(terms: dict[Monomial, Scalar]) -> Polynomial:
         """Adopt an already-normalized term dict without copying."""
         poly = Polynomial.__new__(Polynomial)
-        object.__setattr__(poly, "_terms", terms)
+        poly._terms = terms
         return poly
 
     @staticmethod
@@ -791,7 +789,7 @@ def mono_to_json(mono: Monomial) -> str:
     if text is None:
         named = sorted([(f"{kind}{index}", exp) for (kind, index), exp in mono._pairs])
         text = "{" + ",".join([f'"{name}":{exp}' for name, exp in named]) + "}"
-        object.__setattr__(mono, "_json", text)
+        mono._json = text
     return text
 
 

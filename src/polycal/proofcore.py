@@ -23,7 +23,7 @@ of the axiom set itself are reported at the sentinel line index -1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -85,40 +85,54 @@ class SystemKind(Enum):
         return self in (SystemKind.PC_Q, SystemKind.SPS_PC_Q)
 
 
-@dataclass(frozen=True, slots=True)
-class Axiom:
+# The per-line records, Axiom to ExtensionAxiom, are hashed by value, never written
+# after construction (tests/test_records.py) and not frozen: __init__ stores directly.
+
+
+class _Record:
+    """Base of the slotted records: pickle refuses protocols 0 and 1 for a
+    slotted class that is not frozen, unless it has a __reduce__."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class Axiom(_Record):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
-class LinComb:
+@dataclass(unsafe_hash=True, slots=True)
+class LinComb(_Record):
     j: int
     k: int
     alpha: Scalar
     beta: Scalar
 
 
-@dataclass(frozen=True, slots=True)
-class MulVar:
+@dataclass(unsafe_hash=True, slots=True)
+class MulVar(_Record):
     k: int
     var: VarId
 
 
-@dataclass(frozen=True, slots=True)
-class Sqrt:
+@dataclass(unsafe_hash=True, slots=True)
+class Sqrt(_Record):
     k: int
 
 
 StepRule = Union[Axiom, LinComb, MulVar, Sqrt]
 
 
-@dataclass(frozen=True, slots=True)
-class ProofLine:
+@dataclass(unsafe_hash=True, slots=True)
+class ProofLine(_Record):
     poly: Polynomial
     rule: StepRule
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ExtensionAxiom:
     """A definition var := definition, used as the axiom var - definition."""
 
@@ -363,56 +377,47 @@ def measure(proof: Sequence[ProofLine]) -> tuple[int, int, int]:
     return total, degree, len(proof)
 
 
-def check_refutation(
+def refutation_verdict(
     axioms: AxiomSet, proof: Sequence[ProofLine], kind: SystemKind
-) -> CheckReport:
-    """Check every line and the final-line condition; first error wins."""
+) -> Union[CheckError, Scalar]:
+    """The first CheckError of the lines and the final-line condition, or
+    else the final constant: check_refutation without measure."""
     if not proof:
         raise ValueError("a refutation needs at least one line")
-    total_size, degree, line_count = measure(proof)
-
-    def report(error: Optional[CheckError], final: Optional[Scalar]) -> CheckReport:
-        return CheckReport(
-            valid=error is None,
-            error=error,
-            final_constant=final,
-            total_size=total_size,
-            degree=degree,
-            line_count=line_count,
-        )
-
     error = validate_axiom_set(axioms, kind)
     if error is not None:
-        return report(error, None)
+        return error
     pool = axioms.all_polynomials()
     for index, line in enumerate(proof):
         error = _verify_line(proof, index, line, pool, kind)
         if error is not None:
-            return report(error, None)
+            return error
     last = proof[-1].poly
-    last_index = line_count - 1
+    last_index = len(proof) - 1
     if not last.is_constant():
-        return report(
-            CheckError(
-                last_index, "FinalNotConstant", "final line is not a constant"
-            ),
-            None,
-        )
+        return CheckError(last_index, "FinalNotConstant", "final line is not a constant")
     final = last.constant_value()
     if final == 0:
-        return report(
-            CheckError(last_index, "FinalZero", "final constant is zero"), None
-        )
+        return CheckError(last_index, "FinalZero", "final constant is zero")
     if kind.final_must_be_one and final != 1:
-        return report(
-            CheckError(
-                last_index,
-                "FinalNotOne",
-                f"{kind.value} must end in 1, got {_shown_scalar(final)}",
-            ),
-            None,
+        return CheckError(
+            last_index,
+            "FinalNotOne",
+            f"{kind.value} must end in 1, got {_shown_scalar(final)}",
         )
-    return report(None, final)
+    return final
+
+
+def check_refutation(
+    axioms: AxiomSet, proof: Sequence[ProofLine], kind: SystemKind
+) -> CheckReport:
+    """Check every line and the final-line condition; first error wins."""
+    verdict = refutation_verdict(axioms, proof, kind)
+    failed = isinstance(verdict, CheckError)
+    total_size, degree, line_count = measure(proof)
+    return CheckReport(valid=not failed, error=verdict if failed else None,
+                       final_constant=None if failed else verdict, total_size=total_size,
+                       degree=degree, line_count=line_count)
 
 
 class ProofBuildError(Exception):

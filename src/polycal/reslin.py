@@ -152,7 +152,11 @@ def _equation(coeffs: tuple[tuple[VarId, int], ...], constant: int) -> LinEq:
     return eq
 
 
-@dataclass(frozen=True)
+# The per-line records, Disjunction to RlLine, are hashed by value, never written
+# after construction (tests/test_records.py) and not frozen: __init__ stores directly.
+
+
+@dataclass(unsafe_hash=True)
 class Disjunction:
     disjuncts: tuple[LinEq, ...]
 
@@ -185,17 +189,17 @@ class Disjunction:
         return " v ".join(repr(eq) for eq in self.disjuncts)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RlAxiom:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RlBooleanAxiom:
     var: VarId
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RlResolution:
     j: int
     k: int
@@ -205,19 +209,19 @@ class RlResolution:
     beta: Scalar
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RlWeakening:
     j: int
     eq: LinEq
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RlSimplification:
     j: int
     d: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RlContraction:
     j: int
     d1: int
@@ -229,7 +233,7 @@ RlRule = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RlLine:
     disjunction: Disjunction
     rule: RlRule
@@ -352,23 +356,24 @@ def check_rl_step(
     return _verify_rl_line(axioms, prefix, len(prefix), line)
 
 
-def check_reslin(axioms: Sequence[Disjunction], proof: Sequence[RlLine]) -> CheckReport:
-    """Validate a derivation; degree/final_constant do not apply here."""
+def first_reslin_error(
+    axioms: Sequence[Disjunction], proof: Sequence[RlLine]
+) -> Optional[CheckError]:
+    """The first line's CheckError, or None: check_reslin without its size."""
     if not proof:
         raise ValueError("a proof needs at least one line")
-    error = None
     for index, line in enumerate(proof):
         error = _verify_rl_line(axioms, proof, index, line)
         if error is not None:
-            break
-    return CheckReport(
-        valid=error is None,
-        error=error,
-        final_constant=None,
-        total_size=size_binary(proof),
-        degree=-1,
-        line_count=len(proof),
-    )
+            return error
+    return None
+
+
+def check_reslin(axioms: Sequence[Disjunction], proof: Sequence[RlLine]) -> CheckReport:
+    """Validate a derivation; degree/final_constant do not apply here."""
+    error = first_reslin_error(axioms, proof)
+    return CheckReport(valid=error is None, error=error, final_constant=None,
+                       total_size=size_binary(proof), degree=-1, line_count=len(proof))
 
 
 def is_refutation(proof: Sequence[RlLine]) -> bool:

@@ -69,13 +69,14 @@ from .polyring import (
 from .proofcore import (
     Axiom,
     AxiomSet,
+    CheckError,
     ExtensionAxiom,
     LinComb,
     MulVar,
     ProofBuilder,
     ProofLine,
     SystemKind,
-    check_refutation,
+    refutation_verdict,
 )
 from .reslin import (
     Disjunction,
@@ -87,7 +88,7 @@ from .reslin import (
     RlSimplification,
     RlWeakening,
     build_registry,
-    check_reslin,
+    first_reslin_error,
     is_refutation,
     product_monomial,
 )
@@ -132,10 +133,9 @@ def simulate_reslin_b(
     earlier one maps to it, so line_map[i] may name a line before
     line_map[i - 1]; the last entry is always the last output line.
     """
-    report = check_reslin(axioms, proof)
-    if not report.valid:
-        raise InvalidInputProof(f"input fails at line {report.error.line}: "
-                                f"{report.error.code}")
+    error = first_reslin_error(axioms, proof)
+    if error is not None:
+        raise InvalidInputProof(f"input fails at line {error.line}: {error.code}")
     if not is_refutation(proof):
         raise InvalidInputProof("input does not end in the empty disjunction")
 
@@ -195,8 +195,8 @@ def simulate_reslin_b(
     if last != len(builder.lines) - 1:
         # A reused hat comes before later lines: the refutation ends in a copy.
         last = builder.append(builder.poly_at(last), LinComb(last, last, 1, 0))
-    final = check_refutation(out_axioms, builder.lines, SystemKind.EXTPCSQRT_Q)
-    if not final.valid or final.final_constant != 1:
+    # A CheckError is never equal to 1.
+    if refutation_verdict(out_axioms, builder.lines, SystemKind.EXTPCSQRT_Q) != 1:
         raise InternalCheckFailure("the simulated refutation fails to check")
     line_map = [builder.known_multiple(*pair) for pair in hat_pairs[:-1]]
     return SimulationOutput(
@@ -446,11 +446,9 @@ def rationalize(axioms: AxiomSet, proof: Sequence[ProofLine]) -> RationalizeResu
     for base in axioms.base:
         if not base.is_integral():
             raise NonIntegerBaseAxiom(f"base axiom {base} has rational coefficients")
-    report = check_refutation(axioms, proof, SystemKind.EXTPCSQRT_Q)
-    if not report.valid:
-        raise InvalidInputProof(
-            f"input fails at line {report.error.line}: {report.error.code}"
-        )
+    q_final = refutation_verdict(axioms, proof, SystemKind.EXTPCSQRT_Q)
+    if isinstance(q_final, CheckError):
+        raise InvalidInputProof(f"input fails at line {q_final.line}: {q_final.code}")
 
     products, factors = compute_scale_factors(axioms)
     scale = dict(zip((ext.var for ext in axioms.extensions), factors))
@@ -467,12 +465,12 @@ def rationalize(axioms: AxiomSet, proof: Sequence[ProofLine]) -> RationalizeResu
     )
 
     z_proof, lifted = _lift(new_axioms, proof, substitution, scale)
-    final = check_refutation(new_axioms, z_proof, SystemKind.EXTPCSQRT_Z)
-    if not final.valid:
+    z_final = refutation_verdict(new_axioms, z_proof, SystemKind.EXTPCSQRT_Z)
+    if isinstance(z_final, CheckError):
         raise InternalCheckFailure(
-            f"the integer proof fails at line {final.error.line}: {final.error.code}"
+            f"the integer proof fails at line {z_final.line}: {z_final.code}"
         )
-    ratio = Fraction(final.final_constant) / Fraction(report.final_constant)
+    ratio = Fraction(z_final) / Fraction(q_final)
     if ratio <= 0 or ratio.denominator != 1:
         raise InternalCheckFailure(f"constant ratio {ratio} is not a positive integer")
 
@@ -486,7 +484,7 @@ def rationalize(axioms: AxiomSet, proof: Sequence[ProofLine]) -> RationalizeResu
             deltas=deltas,
             line_count=len(proof),
             final_factor=int(ratio),
-            final_constant=final.final_constant,
+            final_constant=z_final,
         ),
     )
     # The Z checker cannot see the substitution identity, so check it here.

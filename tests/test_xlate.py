@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycal import xlate
+from polycal import proofcore, reslin, xlate
 from polycal.bvp import audit_divisibility, brute_force_refutation, is_prime, primes_below
 from polycal.cli import canonical_json
 from polycal.polyring import FormatError, Polynomial, ceil_log2, poly_parse, xvar, yvar
@@ -29,6 +29,7 @@ from polycal.proofcore import (
     SystemKind,
     check_refutation,
     proof_chunks,
+    refutation_verdict,
 )
 from polycal.reslin import (
     Disjunction,
@@ -740,13 +741,26 @@ def test_rationalize_checks_only_its_input_and_output(monkeypatch):
 
     def counting(axioms, proof, kind):
         calls.append(kind)
-        return check_refutation(axioms, proof, kind)
+        return refutation_verdict(axioms, proof, kind)
 
-    monkeypatch.setattr("polycal.xlate.check_refutation", counting)
+    monkeypatch.setattr("polycal.xlate.refutation_verdict", counting)
     for axioms, proof in (working_extension(), nested_extensions()):
         calls.clear()
         rationalize(axioms, proof)
         assert calls == [SystemKind.EXTPCSQRT_Q, SystemKind.EXTPCSQRT_Z]
+
+
+def test_translators_measure_nothing(monkeypatch):
+    # Sizes and degrees feed the CLI's reports only: each translator takes
+    # the verdict of its checks and never measures a proof.
+    def refuse(proof):
+        raise AssertionError("a translator measured a proof")
+
+    monkeypatch.setattr(proofcore, "measure", refuse)
+    monkeypatch.setattr(reslin, "size_binary", refuse)
+    out = simulate_reslin_b(*bvp_splitting(3))
+    result = rationalize(out.axioms, list(out.proof))
+    assert result.state.final_constant == 2 * 3 * 5 * 7
 
 
 @pytest.mark.parametrize("past", [False, True])
