@@ -70,12 +70,15 @@ from .bvp import (
 )
 from .polyring import FormatError, int_from_str, int_to_str
 from .proofcore import (
+    CheckError,
     SystemKind,
     check_refutation,
     measure,
     proof_chunks,
     proof_from_obj,
+    refutation_verdict,
     report_to_obj,
+    verdict_report,
 )
 from .reslin import (
     UnregisteredForm,
@@ -271,20 +274,22 @@ def _cmd_rationalize(args: argparse.Namespace) -> int:
 
 
 def _checked_pc_doc(path: str):
+    """(axioms, lines, final constant) of an accepted proof document; for a
+    rejected one, None once its check report is written.  Only a rejection
+    is measured: nothing reads the size of an accepted proof."""
     kind, axioms, lines = proof_from_obj(_load_json(path))
-    report = check_refutation(axioms, lines, kind)
-    if not report.valid:
-        _emit(report_to_obj(report))
+    verdict = refutation_verdict(axioms, lines, kind)
+    if isinstance(verdict, CheckError):
+        _emit(report_to_obj(verdict_report(verdict, lines)))
         return None
-    return axioms, lines, report
+    return axioms, lines, verdict
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     checked = _checked_pc_doc(args.proof)
     if checked is None:
         return 1
-    _axioms, _lines, report = checked
-    constant = report.final_constant
+    _axioms, _lines, constant = checked
     if constant != int(constant):
         raise UsageError(f"final constant {constant} is not an integer")
     audit = audit_divisibility(int(constant), args.n)
@@ -296,7 +301,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     checked = _checked_pc_doc(args.proof)
     if checked is None:
         return 1
-    axioms, lines, _report = checked
+    axioms, lines, _constant = checked
     trace = trace_mod_check(axioms, lines, args.n, args.k)
     _emit(trace_report_to_obj(trace))
     return 0 if trace.all_zero else 1

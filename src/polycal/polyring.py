@@ -251,13 +251,15 @@ class Monomial:
     """A product of variables with positive exponents; immutable and hashable.
 
     Monomials are interned: while anything holds a monomial, every way of
-    building the same product returns that one object.  Equality is
-    therefore identity (inherited from object), and each monomial memoizes
-    its products, so a repeated ``times`` is one dict lookup.  Only _intern
-    (and mono_to_json's text cache) sets its private slots.
+    building the same product returns that one object.  Equality and hash
+    are therefore identity (both inherited from object, so a dict keyed by
+    monomials hashes in C), and each monomial memoizes its products, so a
+    repeated ``times`` is one dict lookup.  Only _intern sets its private
+    slots.  The hash depends on the address, so no order of output may come
+    from a set of monomials: the graded order (``<``) decides every order.
     """
 
-    __slots__ = ("_pairs", "_degree", "_hash", "_products", "_json", "__weakref__")
+    __slots__ = ("_pairs", "_degree", "_products", "__weakref__")
 
     def __new__(cls, pairs: Iterable[tuple[VarId, int]] = ()) -> Monomial:
         pairs = _canonical(pairs)
@@ -339,9 +341,6 @@ class Monomial:
             (v, e - exp if v == var else e)
             for v, e in self._pairs if v != var or e != exp
         ), self._degree - exp)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: Monomial) -> bool:
         # graded lex: degree first, then earliest differing variable.
@@ -425,9 +424,7 @@ def _intern(pairs: tuple[tuple[VarId, int], ...], degree: int) -> Monomial:
     mono = object.__new__(Monomial)
     mono._pairs = pairs
     mono._degree = degree
-    mono._hash = hash(pairs)
     mono._products = {}
-    mono._json = None
     _INTERNED[pairs] = weakref.ref(
         mono, functools.partial(drop_dead_entry, _INTERNED, pairs)
     )
@@ -780,19 +777,6 @@ def mono_to_obj(mono: Monomial) -> dict[str, int]:
     return {var.name: exp for var, exp in mono.pairs}
 
 
-def mono_to_json(mono: Monomial) -> str:
-    """canonical_json text of mono_to_obj(mono), cached on the monomial.
-
-    JSON keys sort as strings, so x10 comes before x2.
-    """
-    text = mono._json
-    if text is None:
-        named = sorted([(f"{kind}{index}", exp) for (kind, index), exp in mono._pairs])
-        text = "{" + ",".join([f'"{name}":{exp}' for name, exp in named]) + "}"
-        mono._json = text
-    return text
-
-
 def _mono_from_obj(obj: object) -> Monomial:
     """Validate a monomial object field by field."""
     if not isinstance(obj, dict):
@@ -818,17 +802,20 @@ _TERM_FIELDS = frozenset({"coef", "mono"})
 class Decoder:
     """Decodes the polynomials of one document.
 
-    Each distinct coefficient string and monomial object is validated once;
-    a repeat is one dict lookup.  The tables are plain dicts that live as
-    long as the decoder, so make one per document: nothing outlives the
-    decode and no document inherits another's work.
+    Each distinct coefficient string, monomial object and monomial item
+    ``(name, exponent)`` is validated once; a repeat is one dict lookup, and
+    a new monomial whose items were all seen maps them to their pairs and
+    sorts them.  The tables are plain dicts that live as long as the
+    decoder, so make one per document: nothing outlives the decode and no
+    document inherits another's work.
     """
 
-    __slots__ = ("_scalars", "_monos")
+    __slots__ = ("_scalars", "_monos", "_items")
 
     def __init__(self) -> None:
         self._scalars: dict[str, Scalar] = {}
         self._monos: dict[tuple[tuple[str, int], ...], Monomial] = {}
+        self._items: dict[tuple[str, int], tuple[VarId, int]] = {}
 
     def scalar(self, text: object) -> Scalar:
         """scalar_from_str(text), remembered per exact string."""
@@ -850,9 +837,20 @@ class Decoder:
                 key = tuple(obj.items())
                 mono = self._monos.get(key)
                 if mono is None:
-                    mono = self._monos[key] = _mono_from_obj(obj)
+                    mono = self._monos[key] = self._new_mono(key, obj)
                 return mono
         return _mono_from_obj(obj)
+
+    def _new_mono(self, key: tuple[tuple[str, int], ...], obj: dict) -> Monomial:
+        """The monomial of obj, whose items are key and whose exponents are ints."""
+        items = self._items
+        try:
+            pairs = sorted(map(items.__getitem__, key))
+        except KeyError:  # an item not seen yet: validate the whole object
+            mono = _mono_from_obj(obj)
+            items.update([(item, (parse_var(item[0]), item[1])) for item in key])
+            return mono
+        return _intern(tuple(pairs), sum(obj.values()))
 
     def poly(self, obj: object) -> Polynomial:
         terms = require_fields(obj, _POLY_FIELDS, "polynomial")["terms"]
@@ -883,12 +881,51 @@ def poly_to_obj(poly: Polynomial) -> dict[str, object]:
     }
 
 
-def poly_to_json(poly: Polynomial) -> str:
-    """canonical_json text of poly_to_obj(poly), without the newline."""
-    return '{"terms":[' + ",".join(
-        f'{{"coef":"{scalar_to_str(coef)}","mono":{mono_to_json(mono)}}}'
-        for mono, coef in poly.terms()
-    ) + "]}"
+class _Members(dict):
+    """(VarId, exponent) -> its member text in a monomial object, as "x12":1,
+    made on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair: tuple[VarId, int]) -> str:
+        (kind, index), exp = pair
+        text = self[pair] = f'"{kind}{index}":{exp}'
+        return text
+
+
+class Encoder:
+    """Writes the polynomials of one document as canonical JSON text; the
+    counterpart of Decoder.
+
+    Each distinct monomial's text is made once, from members made once per
+    distinct (variable, exponent); a repeat is one dict lookup.  JSON keys
+    sort as strings (x10 before x2), and sorting the members sorts their
+    names: where one name is a prefix of another, the longer goes on with a
+    digit where the shorter has ended at '"', which sorts first.  The tables
+    live as long as the encoder, so make one per document.
+    """
+
+    __slots__ = ("_monos", "_members")
+
+    def __init__(self) -> None:
+        self._monos: dict[Monomial, str] = {}
+        self._members = _Members()
+
+    def mono(self, mono: Monomial) -> str:
+        """canonical_json text of mono_to_obj(mono), without the newline."""
+        text = self._monos.get(mono)
+        if text is None:
+            members = sorted(map(self._members.__getitem__, mono._pairs))
+            text = self._monos[mono] = "{" + ",".join(members) + "}"
+        return text
+
+    def poly(self, poly: Polynomial) -> str:
+        """canonical_json text of poly_to_obj(poly), without the newline."""
+        mono_text = self.mono
+        return '{"terms":[' + ",".join([
+            f'{{"coef":"{scalar_to_str(coef)}","mono":{mono_text(mono)}}}'
+            for mono, coef in poly.terms()
+        ]) + "]}"
 
 
 def poly_from_obj(obj: object) -> Polynomial:

@@ -886,6 +886,34 @@ def test_trace_all_zero_residues(oracle_doc, capsys):
     assert report["modulus"] == "2"
 
 
+def _audit_and_trace(proof):
+    return (["audit", "--proof", proof, "--n", "1"],
+            ["trace", "--proof", proof, "--n", "1", "--k", "1"])
+
+
+def test_accepted_audit_and_trace_never_measure(oracle_doc, monkeypatch, capsys):
+    # Nothing reads the size of an accepted proof.
+    expected = [run(capsys, *argv) for argv in _audit_and_trace(oracle_doc)]
+    assert [code for code, _, _ in expected] == [0, 0]
+
+    def never(*args):
+        raise AssertionError("an accepted proof was measured")
+
+    monkeypatch.setattr(proofcore, "measure", never)
+    monkeypatch.setattr(cli, "measure", never)
+    assert [run(capsys, *argv) for argv in _audit_and_trace(oracle_doc)] == expected
+
+
+def test_rejected_audit_and_trace_print_the_check_report(oracle_doc, tmp_path, capsys):
+    doc = json.loads(Path(oracle_doc).read_text(encoding="utf-8"))
+    doc["lines"][3]["poly"]["terms"][0]["coef"] = "7"
+    bad = write_json(tmp_path / "bad.json", doc)
+    checked = run(capsys, "check", "--proof", bad)
+    assert checked[0] == 1
+    for argv in _audit_and_trace(bad):
+        assert run(capsys, *argv) == checked
+
+
 def test_trace_composite_modulus_is_a_precondition_failure(oracle_doc, capsys):
     code, _, err = run(capsys, "trace", "--proof", oracle_doc, "--n", "1", "--k", "0")
     assert code == 2
@@ -1460,10 +1488,10 @@ SEED_COMMANDS = [
 
 
 def test_cli_bytes_do_not_depend_on_the_hash_seed(oracle_doc, tmp_path):
-    # Monomials hash by their variables' names, so dict and set order changes
-    # with PYTHONHASHSEED; no stdout or written byte may.  The mutated line
-    # differs from its rule's result at several monomials, so the report
-    # names the first of a set.
+    # Strings and variables hash by PYTHONHASHSEED, and monomials by their
+    # address, so set order changes from run to run; no stdout or written
+    # byte may.  The mutated line differs from its rule's result at several
+    # monomials, so the report names the first of a set.
     bad = json.loads(Path(oracle_doc).read_text(encoding="utf-8"))
     terms = bad["lines"][3]["poly"]["terms"]
     terms[0]["coef"] = "7"
@@ -1490,4 +1518,34 @@ def test_cli_bytes_do_not_depend_on_the_hash_seed(oracle_doc, tmp_path):
     runs = json.loads(seen[0][0])
     assert [code for code, _ in runs] == [0, 0, 0, 0, 0, 0, 0, 1]
     assert "first differing monomial" in json.loads(runs[-1][1])["error"]["message"]
+    assert seen[0] == seen[1]
+
+
+# Translates rl.json to q.json after allocating sys.argv[1] objects, which
+# moves the addresses every later object gets.
+TRANSLATE_RUN = """
+import sys
+from polycal.cli import main
+padding = [object() for _ in range(int(sys.argv[1]))]
+sys.exit(main(["translate", "--reslin", "rl.json", "--out", "q.json"]))
+"""
+
+
+def test_translate_bytes_do_not_depend_on_hashes(tmp_path):
+    # Monomials hash by identity, so a set of them iterates in an order set
+    # by addresses; the graded order alone must decide every byte written.
+    text = json.dumps(reslin_to_obj(*bvp_splitting(5)))
+    seen = []
+    for seed, padding in (("0", "0"), ("1", "1001")):
+        work = tmp_path / f"seed{seed}"
+        work.mkdir()
+        (work / "rl.json").write_text(text, encoding="utf-8")
+        env = child_env()
+        env["PYTHONHASHSEED"] = seed
+        result = subprocess.run(
+            [sys.executable, "-c", TRANSLATE_RUN, padding],
+            capture_output=True, text=True, cwd=work, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        seen.append((result.stdout, (work / "q.json").read_bytes()))
     assert seen[0] == seen[1]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycal import polyring
+from polycal.cli import canonical_json
 from polycal.proofcore import proof_from_obj
 from polycal.xlate import simulate_reslin_b
 from polycal.polyring import (
@@ -220,7 +221,11 @@ def test_interned_monomials_match_a_sort_and_merge(a, b):
     ref_a, ref_b = reference_pairs(a), reference_pairs(b)
     assert ma.pairs == ref_a
     assert ma.degree == sum(e for _, e in ref_a)
-    assert hash(ma) == hash(ref_a)
+    built = (Monomial(list(reversed(a))), Monomial(ref_a), Monomial.one().times(ma),
+             copy.copy(ma), pickle.loads(pickle.dumps(ma)),
+             polyring.Decoder().mono(polyring.mono_to_obj(ma)))
+    assert {hash(m) for m in built} == {hash(ma)}
+    assert {ma: 1}[Monomial(a)] == 1
     assert (ma < mb) == (reference_key(ref_a) < reference_key(ref_b))
     assert (ma is mb) == (ref_a == ref_b) == (ma == mb)
     assert Monomial(list(reversed(a))) is ma
@@ -665,3 +670,52 @@ def test_validators_reject_and_name_the_field(validate, value):
 @settings(max_examples=40, deadline=None)
 def test_poly_json_round_trip_property(p):
     assert poly_from_obj(poly_to_obj(p)) == p
+
+
+# Names that share prefixes: JSON sorts x1 < x10 < x100 and y10 < y9 as strings.
+PREFIXED_VARS = tuple(map(parse_var, ("x1", "x10", "x100", "y9", "y10")))
+prefixed_polynomials = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from(PREFIXED_VARS), st.integers(1, EXPONENT_LIMIT)),
+        st.one_of(st.integers(-10**30, 10**30),
+                  st.fractions(max_denominator=10**6)),
+    ),
+    max_size=6,
+).map(lambda terms: Polynomial((Monomial(mono.items()), coef) for mono, coef in terms))
+
+
+@given(st.lists(prefixed_polynomials, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_encoder_writes_canonical_json(polys):
+    # One encoder for all of them, as proof_chunks uses one per document.
+    encoder = polyring.Encoder()
+    for p in polys:
+        assert encoder.poly(p) == canonical_json(poly_to_obj(p))[:-1]
+
+
+BAD_MONOMIALS = [
+    ({"x1": True}, "exponent of x1 must be a positive integer"),
+    ({"x1": 1.0}, "exponent of x1 must be a positive integer"),
+    ({"y1": 2, "x1": True}, "exponent of x1 must be a positive integer"),
+    ({"x1": True, "y1": 2}, "exponent of x1 must be a positive integer"),
+    ({"x1": 1, "y1": 0}, "exponent of y1 must be a positive integer"),
+    ({"x1": 1, "y1": EXPONENT_LIMIT + 1},
+     f"exponent of y1 exceeds the limit {EXPONENT_LIMIT}"),
+    ({"x1": 1, "x01": 1}, "malformed variable name 'x01'"),
+    ({"x1": 1, "z1": 1}, "malformed variable name 'z1'"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_MONOMIALS)
+def test_a_warm_decoder_refuses_as_a_cold_one(bad, message):
+    # The warm decoder holds the objects {"x1": 1} and {"y1": 2, "x1": 1} and
+    # their items; True and 1.0 equal 1, so without the exact-int check the
+    # first three would hit its object table and the fourth its item table.
+    warm = polyring.Decoder()
+    warm.mono({"x1": 1})
+    warm.mono({"y1": 2, "x1": 1})
+    for decoder in (polyring.Decoder(), warm, warm):
+        with pytest.raises(FormatError) as raised:
+            decoder.mono(bad)
+        assert str(raised.value) == message
+    assert warm.mono({"x1": 1, "y1": 2}) is Monomial(((x1, 1), (y1, 2)))

@@ -37,7 +37,6 @@ SRC = pathlib.Path(polycal.__file__).parent
 CONSTRUCTION_STORES = {
     ("polyring", "_intern"),
     ("polyring", "Polynomial._wrap"),
-    ("polyring", "mono_to_json"),
 }
 # The one builder that may call object.__setattr__: LinEq keeps its guard.
 SETATTR_USERS = {("reslin", "_equation")}
