@@ -61,9 +61,10 @@ from .polyring import (
     require_bool,
     require_fields,
     require_int_str,
+    shown_scalar,
     xvar,
 )
-from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind, _shown_scalar
+from .proofcore import AxiomSet, ProofBuilder, ProofLine, SystemKind
 
 # At n = 8 the document is 2,559 lines and 8.4 MB, and `check` takes about
 # 0.33 s at 41 MB of peak RSS.  n = 9 writes 5,631 lines and 43 MB, and
@@ -280,7 +281,7 @@ def _value_at(poly: Polynomial, assignment: dict[VarId, int], what: str) -> int:
         ) from None
     if isinstance(value, Fraction):
         raise NonIntegralExtensionValue(f"{what} evaluates to the non-integer "
-                                        + _shown_scalar(value))
+                                        + shown_scalar(value))
     return value
 
 

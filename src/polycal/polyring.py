@@ -62,6 +62,16 @@ def shown(value: object) -> str:
         return f"a {type(value).__name__} holding an integer too long to print"
 
 
+def shown_scalar(value: Scalar) -> str:
+    """scalar_to_str(value) for a rejection message, but a numerator or
+    denominator past the int-str digit limit is shown by its bit length:
+    writing out its digits takes quadratic time."""
+    value = as_scalar(value)
+    if isinstance(value, int):
+        return shown(value)
+    return f"{shown(value.numerator)}/{shown(value.denominator)}"
+
+
 # Validators shared by every from_obj decoder; each names the field it checks.
 
 
@@ -343,23 +353,16 @@ class Monomial:
         ), self._degree - exp)
 
     def __lt__(self, other: Monomial) -> bool:
-        # graded lex: degree first, then earliest differing variable.
+        # graded lex: degree first, then the earliest differing variable, whose
+        # owner is larger.  At equal degree, equal prefixes are equal monomials.
         if self._degree != other._degree:
             return self._degree < other._degree
-        a, b = self._pairs, other._pairs
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (va, ea), (vb, eb) = a[i], b[j]
-            if va == vb:
-                if ea != eb:
-                    return ea < eb
-                i += 1
-                j += 1
-            elif va < vb:
-                return False  # self owns the earlier variable
-            else:
-                return True
-        return i == len(a) and j < len(b)
+        for (va, ea), (vb, eb) in zip(self._pairs, other._pairs):
+            if va != vb:
+                return va > vb
+            if ea != eb:
+                return ea < eb
+        return False
 
     def __repr__(self) -> str:
         if not self._pairs:
@@ -777,22 +780,23 @@ def mono_to_obj(mono: Monomial) -> dict[str, int]:
     return {var.name: exp for var, exp in mono.pairs}
 
 
+def _mono_item(name: str, exp: object) -> tuple[VarId, int]:
+    """The pair of one validated monomial item: its name, then its exponent."""
+    var = parse_var(name)
+    if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
+        raise FormatError(f"exponent of {name} must be a positive integer")
+    if exp > EXPONENT_LIMIT:
+        raise FormatError(f"exponent of {name} exceeds the limit {EXPONENT_LIMIT}")
+    return var, exp
+
+
 def _mono_from_obj(obj: object) -> Monomial:
-    """Validate a monomial object field by field."""
+    """Validate a monomial object item by item."""
     if not isinstance(obj, dict):
         raise FormatError(f"monomial must be an object, got {shown(obj)}")
-    pairs: list[tuple[VarId, int]] = []
-    degree = 0
-    for name, exp in obj.items():
-        var = parse_var(name)
-        if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
-            raise FormatError(f"exponent of {name} must be a positive integer")
-        if exp > EXPONENT_LIMIT:
-            raise FormatError(f"exponent of {name} exceeds the limit {EXPONENT_LIMIT}")
-        pairs.append((var, exp))
-        degree += exp
+    pairs = [_mono_item(name, exp) for name, exp in obj.items()]
     # Distinct keys are distinct canonical names, hence distinct variables.
-    return _intern(tuple(sorted(pairs)), degree)
+    return _intern(tuple(sorted(pairs)), sum(exp for _, exp in pairs))
 
 
 _POLY_FIELDS = frozenset({"terms"})
@@ -803,11 +807,11 @@ class Decoder:
     """Decodes the polynomials of one document.
 
     Each distinct coefficient string, monomial object and monomial item
-    ``(name, exponent)`` is validated once; a repeat is one dict lookup, and
-    a new monomial whose items were all seen maps them to their pairs and
-    sorts them.  The tables are plain dicts that live as long as the
-    decoder, so make one per document: nothing outlives the decode and no
-    document inherits another's work.
+    ``(name, exponent)`` is validated once, each item by ``_mono_item``; a
+    repeat is one dict lookup, and a new monomial maps its items to their
+    pairs and sorts them.  The tables are plain dicts that live as long as
+    the decoder, so make one per document: nothing outlives the decode and
+    no document inherits another's work.
     """
 
     __slots__ = ("_scalars", "_monos", "_items")
@@ -844,13 +848,10 @@ class Decoder:
     def _new_mono(self, key: tuple[tuple[str, int], ...], obj: dict) -> Monomial:
         """The monomial of obj, whose items are key and whose exponents are ints."""
         items = self._items
-        try:
-            pairs = sorted(map(items.__getitem__, key))
-        except KeyError:  # an item not seen yet: validate the whole object
-            mono = _mono_from_obj(obj)
-            items.update([(item, (parse_var(item[0]), item[1])) for item in key])
-            return mono
-        return _intern(tuple(pairs), sum(obj.values()))
+        for item in key:
+            if item not in items:
+                items[item] = _mono_item(*item)
+        return _intern(tuple(sorted(map(items.__getitem__, key))), sum(obj.values()))
 
     def poly(self, obj: object) -> Polynomial:
         terms = require_fields(obj, _POLY_FIELDS, "polynomial")["terms"]

@@ -50,6 +50,7 @@ from .polyring import (
     scalar_from_str,
     scalar_to_str,
     shown,
+    shown_scalar,
 )
 
 
@@ -232,16 +233,6 @@ def _scalar_ok(value: Scalar, kind: SystemKind) -> bool:
     )
 
 
-def _shown_scalar(value: Scalar) -> str:
-    """scalar_to_str(value) for a rejection message, but a numerator or
-    denominator past the int-str digit limit is shown by its bit length:
-    writing out its digits takes quadratic time."""
-    value = as_scalar(value)
-    if isinstance(value, int):
-        return shown(value)
-    return f"{shown(value.numerator)}/{shown(value.denominator)}"
-
-
 def _first_difference(claimed: Polynomial, expected: Polynomial) -> str:
     """The first monomial, in graded order, where two unequal polynomials
     differ, with both coefficients; only a rejection pays for it."""
@@ -252,8 +243,8 @@ def _first_difference(claimed: Polynomial, expected: Polynomial) -> str:
     )
     return (
         f"first differing monomial {mono!r}: claimed "
-        f"{_shown_scalar(claimed.coefficient(mono))}, "
-        f"expected {_shown_scalar(expected.coefficient(mono))}"
+        f"{shown_scalar(claimed.coefficient(mono))}, "
+        f"expected {shown_scalar(expected.coefficient(mono))}"
     )
 
 
@@ -266,7 +257,10 @@ def _verify_line(
 ) -> Optional[CheckError]:
     """Verify one line against the lines before it.  prefix[:index] is visible.
 
-    pool is axioms.all_polynomials(), built once by the caller.
+    pool is axioms.all_polynomials(), built once by the caller.  m -> m*var
+    is one-to-one and keeps each coefficient, so finding each premise term
+    times var among as many claimed terms judges a MulVar line; the product
+    is built only to word a rejection.
     """
 
     def fail(code: str, message: str) -> CheckError:
@@ -301,7 +295,7 @@ def _verify_line(
             return fail(
                 "NonIntegerScalar",
                 f"{kind.value} requires integer scalars, got "
-                f"{_shown_scalar(alpha)}, {_shown_scalar(beta)}",
+                f"{shown_scalar(alpha)}, {shown_scalar(beta)}",
             )
         expected = prefix[rule.j].poly.scale(alpha).add(
             prefix[rule.k].poly.scale(beta)
@@ -321,22 +315,17 @@ def _verify_line(
         premise = prefix[rule.k].poly.term_map
         claimed = line.poly.term_map
         if len(claimed) == len(premise):
-            # m -> m*var is one-to-one, so finding each premise term times
-            # var among as many claimed terms proves the line equal.
             factor = Monomial.of(rule.var)
             for mono, coef in premise.items():
                 if claimed.get(mono.times(factor)) != coef:
                     break
             else:
                 return None
-        expected = prefix[rule.k].poly.mul_var(rule.var)
-        if line.poly != expected:
-            return fail(
-                "RuleMismatch",
-                f"line {index} is not line {rule.k} times {rule.var.name}; "
-                + _first_difference(line.poly, expected),
-            )
-        return None
+        return fail(
+            "RuleMismatch",
+            f"line {index} is not line {rule.k} times {rule.var.name}; "
+            + _first_difference(line.poly, prefix[rule.k].poly.mul_var(rule.var)),
+        )
     if isinstance(rule, Sqrt):
         if not kind.allows_sqrt:
             return fail(
@@ -403,7 +392,7 @@ def refutation_verdict(
         return CheckError(
             last_index,
             "FinalNotOne",
-            f"{kind.value} must end in 1, got {_shown_scalar(final)}",
+            f"{kind.value} must end in 1, got {shown_scalar(final)}",
         )
     return final
 
@@ -503,6 +492,9 @@ class ProofBuilder:
         return line
 
     def scale_line(self, k: int, factor: Scalar) -> int:
+        """The line factor * line k; a factor of 1 gives k, not a copy of it."""
+        if factor == 1:
+            return k
         return self.lincomb(k, k, factor, 0)
 
     def mul_var(self, k: int, var: VarId) -> int:

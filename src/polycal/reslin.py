@@ -252,6 +252,11 @@ def _same_multiset(claimed: Sequence[LinEq], expected: Sequence[LinEq]) -> bool:
     return sorted(map(id, claimed)) == sorted(map(id, expected))
 
 
+# Each rule that cites one line j, and the word its BadIndex message names it by.
+_ONE_PREMISE = {RlWeakening: "weakening", RlSimplification: "simplification",
+                RlContraction: "contraction"}
+
+
 def _verify_rl_line(
     axioms: Sequence[Disjunction],
     lines: Sequence[RlLine],
@@ -261,11 +266,13 @@ def _verify_rl_line(
     def fail(code: str, message: str) -> CheckError:
         return CheckError(index, code, message)
 
-    def premise(j: int) -> Optional[Disjunction]:
-        return lines[j].disjunction if 0 <= j < index else None
-
     rule = line.rule
     claimed = line.disjunction.disjuncts
+    cites = _ONE_PREMISE.get(type(rule))
+    if cites is not None:
+        if not 0 <= rule.j < index:
+            return fail("BadIndex", f"{cites} cites line {int_to_str(rule.j)}")
+        prem = lines[rule.j].disjunction
     if isinstance(rule, RlAxiom):
         if not 0 <= rule.index < len(axioms):
             return fail(
@@ -282,12 +289,12 @@ def _verify_rl_line(
             )
         return None
     if isinstance(rule, RlResolution):
-        dj_prem, dk_prem = premise(rule.j), premise(rule.k)
-        if dj_prem is None or dk_prem is None:
+        if not (0 <= rule.j < index and 0 <= rule.k < index):
             return fail(
                 "BadIndex",
                 f"resolution cites lines {int_to_str(rule.j)},{int_to_str(rule.k)}",
             )
+        dj_prem, dk_prem = lines[rule.j].disjunction, lines[rule.k].disjunction
         if not 0 <= rule.dj < len(dj_prem) or not 0 <= rule.dk < len(dk_prem):
             return fail("BadPosition", "resolution position out of range")
         alpha, beta = as_scalar(rule.alpha), as_scalar(rule.beta)
@@ -305,18 +312,10 @@ def _verify_rl_line(
             return fail("RuleMismatch", f"line {index} is not the stated resolvent")
         return None
     if isinstance(rule, RlWeakening):
-        prem = premise(rule.j)
-        if prem is None:
-            return fail("BadIndex", f"weakening cites line {int_to_str(rule.j)}")
         if not _same_multiset(claimed, prem.disjuncts + (rule.eq,)):
             return fail("RuleMismatch", f"line {index} is not the stated weakening")
         return None
     if isinstance(rule, RlSimplification):
-        prem = premise(rule.j)
-        if prem is None:
-            return fail(
-                "BadIndex", f"simplification cites line {int_to_str(rule.j)}"
-            )
         if not 0 <= rule.d < len(prem):
             return fail("BadPosition", "simplification position out of range")
         target = prem.disjuncts[rule.d]
@@ -332,9 +331,6 @@ def _verify_rl_line(
             return fail("RuleMismatch", f"line {index} is not the simplified premise")
         return None
     if isinstance(rule, RlContraction):
-        prem = premise(rule.j)
-        if prem is None:
-            return fail("BadIndex", f"contraction cites line {int_to_str(rule.j)}")
         if (
             not 0 <= rule.d1 < len(prem)
             or not 0 <= rule.d2 < len(prem)
@@ -486,7 +482,8 @@ def lineq_from_obj(obj: object) -> LinEq:
         if value == 0:
             raise FormatError(f"zero coefficient for {name} is not canonical")
         coeffs[var] = value
-    return LinEq.of(coeffs, require_int(obj["const"], "'const'"))
+    const = require_int(obj["const"], "'const'")
+    return _equation(tuple(sorted(coeffs.items())), const)
 
 
 def disjunction_to_obj(disjunction: Disjunction) -> list:

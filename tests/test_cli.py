@@ -624,6 +624,7 @@ def test_sqrt_work_limits_guard_check(tmp_path, capsys, quantity, past):
 def test_rationalize_refuses_a_halving_root_before_writing(tmp_path, capsys, monkeypatch):
     # 1/2^40 + (2^40 - 1)/2^40 = 1 is held at g = 2^40, so the lift halves
     # it through the constant root 2^20, whose 20 bits pass a lowered limit.
+    # The root cites Z line 3, which holds 2^40, with no copy between.
     # The Q document has no root, so only the lift can refuse.
     g = 2**40
     base = (poly_parse("x1"), poly_parse("x1 - 1"))
@@ -641,7 +642,7 @@ def test_rationalize_refuses_a_halving_root_before_writing(tmp_path, capsys, mon
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "error": "FormatError",
-        "message": "square root at line 5 of 1 terms and 20 coefficient bits "
+        "message": "square root at line 4 of 1 terms and 20 coefficient bits "
         "exceeds the limit 19 on their product",
     }
     assert not z.exists() and not state.exists()

@@ -241,6 +241,26 @@ def test_products_are_shared_and_invertible(a, b, var, exp):
     assert a.times(Monomial.of(var, 1)) is a.times(Monomial.of(var))
 
 
+ORDER_VARS = (*(xvar(i) for i in range(1, 13)), *(yvar(i) for i in range(1, 13)))
+# Few variables per monomial, so drawn lists often share a degree.
+order_monomials = st.dictionaries(
+    st.sampled_from(ORDER_VARS), st.integers(1, 3), max_size=3
+).map(lambda exps: Monomial(exps.items()))
+
+
+@given(st.lists(order_monomials, min_size=2, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_graded_order_matches_a_dense_reference(monos):
+    # Degree first, then the exponent vectors over the sorted union of
+    # variables: the earliest variable with a larger exponent is larger.
+    variables = sorted({v for m in monos for v in m.variables()})
+    key = {m: (m.degree, [m.exponent(v) for v in variables]) for m in monos}
+    for a in monos:
+        for b in monos:
+            assert (a < b) == (key[a] < key[b]), (a, b)
+            assert (a < b) + (b < a) == (a is not b), (a, b)
+
+
 # Besides KERNEL_VARS: x3 and y2 fall in its gaps, y7 after all of them.
 INSERTED_VARS = (*KERNEL_VARS, xvar(3), yvar(2), yvar(7))
 

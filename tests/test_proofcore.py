@@ -313,6 +313,49 @@ def test_a_mulvar_mutant_keeps_its_rejection_message(claimed, differs):
     assert error.message == "line 1 is not line 0 times x1; first differing monomial " + differs
 
 
+MULVAR_VARS = (xvar(1), xvar(2), yvar(1))
+mulvar_monomials = st.lists(st.sampled_from(MULVAR_VARS), max_size=3).map(Monomial.product)
+mulvar_coefs = st.integers(-3, 3).filter(bool)
+mulvar_premises = st.lists(
+    st.tuples(mulvar_monomials, mulvar_coefs), max_size=4
+).map(Polynomial)
+
+
+@given(
+    mulvar_premises,
+    st.sampled_from(MULVAR_VARS),
+    st.sampled_from(["product", "drop", "add", "change", "other variable"]),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_mulvar_line_is_accepted_exactly_when_it_is_the_product(premise, var, edit, data):
+    product = premise.mul_var(var)
+    terms = product.terms()
+    claimed = product
+    if edit == "drop" and terms:
+        gone = data.draw(st.sampled_from(terms))
+        claimed = Polynomial(term for term in terms if term is not gone)
+    elif edit == "change" and terms:
+        mono = data.draw(st.sampled_from(terms))[0]
+        claimed = product.add(Polynomial([(mono, data.draw(mulvar_coefs))]))
+    elif edit == "add":
+        term = (data.draw(mulvar_monomials), data.draw(mulvar_coefs))
+        claimed = product.add(Polynomial([term]))
+    elif edit == "other variable":
+        claimed = premise.mul_var(data.draw(st.sampled_from(MULVAR_VARS).filter(var.__ne__)))
+    line = ProofLine(claimed, MulVar(0, var))
+    error = check_step([ProofLine(premise, Axiom(0))], line, AxiomSet((premise,)), Q)
+    if claimed == product:
+        assert error is None
+        return
+    assert (error.line, error.code) == (1, "RuleMismatch")
+    differing = [
+        m for m in claimed.term_map.keys() | product.term_map.keys()
+        if claimed.coefficient(m) != product.coefficient(m)
+    ]
+    assert any(f"first differing monomial {m!r}: " in error.message for m in differing)
+
+
 def test_sqrt_mismatch_names_the_first_differing_monomial():
     # (x1 + 1)^2 = x1^2 + 2*x1 + 1 first leaves x1^2 at x1.
     error = _rejection(

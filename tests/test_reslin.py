@@ -7,6 +7,8 @@ import pickle
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycal import reslin
 from polycal.polyring import Monomial, Polynomial, xvar, yvar, FormatError, poly_parse
@@ -503,6 +505,37 @@ def test_full_document_roundtrip():
 def test_lineq_rejections(obj):
     with pytest.raises(FormatError):
         lineq_from_obj(obj)
+
+
+BAD_EQUATIONS = [
+    ({"coeffs": {"x1": True}, "const": 1}, "coefficient of x1 must be an integer"),
+    ({"coeffs": {"x1": 1.0}, "const": 1}, "coefficient of x1 must be an integer"),
+    ({"coeffs": {"x2": 1, "x1": 0}, "const": 1}, "zero coefficient for x1 is not canonical"),
+    ({"coeffs": {"y1": 1}, "const": 1}, "equation coefficients range over x-variables, got y1"),
+    ({"coeffs": {"x1": 1}, "const": 1.0}, "'const' must be an integer"),
+    ({"coeffs": {"x1": 1}, "const": True}, "'const' must be an integer"),
+]
+valid_equations = st.fixed_dictionaries({
+    "coeffs": st.dictionaries(
+        st.sampled_from(["x1", "x2", "x3"]), st.integers(-3, 3).filter(bool), max_size=3
+    ),
+    "const": st.integers(-3, 3),
+})
+
+
+@given(st.lists(valid_equations, max_size=5))
+@settings(max_examples=50, deadline=None)
+def test_a_warm_equation_decoder_refuses_as_a_cold_one(seen):
+    # The warm decoder also holds {"x1": 1} = 1; True and 1.0 equal 1, so
+    # only the exact-int check keeps the first two and the last two apart.
+    warm = EquationDecoder()
+    for obj in [*seen, {"coeffs": {"x1": 1}, "const": 1}]:
+        assert warm.lineq(obj) is lineq_from_obj(obj)
+    for bad, message in BAD_EQUATIONS:
+        for decoder in (EquationDecoder(), warm, warm):
+            with pytest.raises(FormatError) as raised:
+                decoder.lineq(bad)
+            assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(

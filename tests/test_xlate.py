@@ -524,12 +524,14 @@ CORPUS_CONSTANTS = {
 
 def test_lift_adds_one_line_per_square_root():
     # Each input line becomes one integer line, g times its substituted
-    # polynomial with g fixed at emission, so the lift adds one rescaling
-    # per square root, at most one for the last line, and a rescaling and a
-    # square root per halving of the last line's g.  No corpus proof ends
-    # in an integer constant whose g is not squarefree, so none halves; the
-    # splitting chain's g is lcm(1..2^n), whose largest exponent, n of the
-    # prime 2, takes ceil(log2 n) halvings down to the primorial.
+    # polynomial with g fixed at emission, so the lift adds at most one
+    # rescaling per square root, a square root and at most one rescaling
+    # per halving of the last line's g, and at most one copy for the last
+    # line.  A scale by 1 is the line itself, so no other line is a copy.
+    # No corpus proof ends in an integer constant whose g is not
+    # squarefree, so none halves; the splitting chain's g is lcm(1..2^n),
+    # whose largest exponent, n of the prime 2, takes ceil(log2 n) halvings
+    # down to the primorial.
     cases = []
     for name, axioms, proof in rational_corpus():
         cases.append((name, proof, rationalize(axioms, proof), CORPUS_CONSTANTS[name], 0))
@@ -544,8 +546,19 @@ def test_lift_adds_one_line_per_square_root():
         roots = sum(isinstance(line.rule, Sqrt) for line in proof)
         z_roots = sum(isinstance(line.rule, Sqrt) for line in result.proof)
         assert z_roots - roots == halvings, label
-        added = len(result.proof) - len(proof) - roots - 2 * halvings
+        images = {z for z, _ in result.lifted}
+        rescales = [
+            i for i, line in enumerate(result.proof[:-1])
+            if isinstance(line.rule, LinComb) and i not in images
+        ]
+        assert all(result.proof[i + 1].rule == Sqrt(i) for i in rescales), label
+        assert len(rescales) <= roots + halvings, label
+        added = len(result.proof) - len(proof) - len(rescales) - halvings
         assert added in (0, 1), label
+        assert not any(
+            line.rule == LinComb(line.rule.j, line.rule.j, 1, 0)
+            for line in result.proof[:-1] if isinstance(line.rule, LinComb)
+        ), label
         state = result.state
         assert (state.final_factor, state.final_constant) == constants, label
 
@@ -766,7 +779,7 @@ def test_translators_measure_nothing(monkeypatch):
 @pytest.mark.parametrize("past", [False, True])
 def test_rationalize_writes_no_root_the_decoder_refuses(past):
     # The root c of the constant axiom c^2 lifts to itself, at the decoder's
-    # limit on coefficient bits or one bit past it; Z line 1 copies line 0.
+    # limit on coefficient bits or one bit past it; it cites Z line 0 itself.
     c = 2**SQRT_BIT_LIMIT + past  # ceil_log2 of 2^b is b, of 2^b + 1 is b + 1
     axioms = AxiomSet((Polynomial.constant(c * c),))
     proof = [
@@ -776,7 +789,7 @@ def test_rationalize_writes_no_root_the_decoder_refuses(past):
     if not past:
         assert rationalize(axioms, proof).state.final_constant == c
         return
-    with pytest.raises(FormatError, match=f"square root at line 2 of 1 terms and "
+    with pytest.raises(FormatError, match=f"square root at line 1 of 1 terms and "
                        f"{SQRT_BIT_LIMIT + 1} coefficient bits exceeds the limit"):
         rationalize(axioms, proof)
 
@@ -1010,28 +1023,28 @@ Z_DIGESTS = {
         "bdfea1eff49519a58e72660c3216c0d1ca2c46ca178093353241b77070d4c461"
     ),
     ("rational", "negative_root", 1): (
-        "fef9d5d379c615d7fc4865a81a7b2b09ca2429d258891707d699c5cc14e13e8e"
+        "7a21a19f33d66c6bc0bfeabbcdab972dfbf56df6b0665c2b4cfca36f2b4f0a24"
     ),
     ("rational", "negative_scalar", 1): (
-        "2206854f73fe45fbd55f861d775baa63d83b19dbe7e8e6aff7198e7e01f14253"
+        "ebd6206e52d254de5dd6be6a6fc38eaef9669064f0766e0e3b9b44d767d2c961"
     ),
     ("rational", "unused_extension", 1): (
-        "b62e05a56a6ace52d72bb357c52db70a35e8707db5e0402567f663c4671a21a1"
+        "3e0190f50d0d274fac3ee01e6c7411f8aba012cc6ec04ab08e417e29671415cd"
     ),
     ("rational", "nested_extensions", 1): (
-        "96572449f6e2159901d903a7adfc6e896e8d0b7a054ac1dfb3eedf7388a626dc"
+        "6ff149d1629c02e477c510214dc3b71f299bbda34801e2ae7da6ebe3a1d3ce73"
     ),
     ("rational", "third_delta", 1): (
-        "e7feb8a7a943470a40be1abffa1ee1e07afabfb5721edd5c16f6229612f0dcca"
+        "eca606883db81325c5c8ad5f1d1acb5a3cb45b792fe24968da6a160ad7f92fc0"
     ),
     ("rational", "working_extension", 1): (
         "2241cd747079704ee510496f8a96432a39091db1afef1834b2ccf5c38cc77d3b"
     ),
     ("rational", "affine_definition", 1): (
-        "10fde455e8cc0ca41e0450a75d0e5bf5cde94d5def6f5e20fad94d6600cc6608"
+        "dcfb035eed8415623e963ea5e0fc265af4233cbb348cde5e051f87dab66b4a46"
     ),
     ("rational", "two_thirds_definition", 1): (
-        "bb88a212c5cd35566d9a54a469d545200e821c353431d15835e50f5bea1686de"
+        "8630690ff74806c8f5adcffdb9e51f438e038f73fb09c054789b1bf40244b81c"
     ),
 }
 
