@@ -26,7 +26,6 @@ fixes serialization and display, and makes reduction deterministic.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import math
 import re
@@ -261,12 +260,12 @@ class Monomial:
     """A product of variables with positive exponents; immutable and hashable.
 
     Monomials are interned: while anything holds a monomial, every way of
-    building the same product returns that one object.  Equality and hash
-    are therefore identity (both inherited from object, so a dict keyed by
-    monomials hashes in C), and each monomial memoizes its products, so a
-    repeated ``times`` is one dict lookup.  Only _intern sets its private
-    slots.  The hash depends on the address, so no order of output may come
-    from a set of monomials: the graded order (``<``) decides every order.
+    building the same product returns that one object, which _intern alone
+    builds and files under one InternEntry.  Equality and hash are identity
+    (from object, so a dict keyed by monomials hashes in C), and each
+    monomial memoizes its products, so a repeated ``times`` is one dict
+    lookup.  The hash depends on the address, so no order of output may
+    come from a set of monomials: the graded order (``<``) decides every order.
     """
 
     __slots__ = ("_pairs", "_degree", "_products", "__weakref__")
@@ -397,28 +396,29 @@ def _inserted(
     return pairs[:i] + (pair,) + pairs[i:]
 
 
-def drop_dead_entry(
-    table: dict, key: object, ref: weakref.ref, remove=_remove_dead_weakref
-) -> None:
-    """The weak-reference callback of an intern table entry (see _intern).
+class InternEntry(weakref.ref):
+    """An intern table's weak reference; its builder fills table and key."""
 
-    remove is the C function WeakValueDictionary drops its entries with: it
-    pops the key only while the entry still holds a dead reference.  A
-    callback run by the same death may already have built the object again
-    under that key, and that live entry stays.  It is bound at definition,
-    as module globals are gone at interpreter shutdown.
+    __slots__ = ("table", "key")
+
+
+def drop_dead_entry(ref: InternEntry, remove=_remove_dead_weakref) -> None:
+    """The callback of every InternEntry: drop ref.key from ref.table.
+
+    remove, bound here as module globals are gone at interpreter shutdown, is
+    WeakValueDictionary's C remover: it pops the key only while its entry is
+    dead, so a value rebuilt by a callback of the same death keeps its entry.
     """
-    remove(table, key)
+    remove(ref.table, ref.key)
 
 
-# Every live monomial, keyed by its canonical pairs, as a plain dict of weak
-# references, so lookups and inserts run in C.  An entry goes when its
-# monomial dies: the reference's callback pops its key (drop_dead_entry).
-_INTERNED: dict[tuple[tuple[VarId, int], ...], weakref.ref] = {}
+# Every live monomial, keyed by its canonical pairs, in a plain dict of InternEntry
+# references (lookups and inserts run in C); an entry goes when its monomial dies.
+_INTERNED: dict[tuple[tuple[VarId, int], ...], InternEntry] = {}
 
 
 def _intern(pairs: tuple[tuple[VarId, int], ...], degree: int) -> Monomial:
-    """The one monomial with these canonical pairs (see _canonical) and degree."""
+    """The one monomial of these canonical pairs and degree, filed under an InternEntry."""
     ref = _INTERNED.get(pairs)
     if ref is not None:
         mono = ref()
@@ -428,9 +428,9 @@ def _intern(pairs: tuple[tuple[VarId, int], ...], degree: int) -> Monomial:
     mono._pairs = pairs
     mono._degree = degree
     mono._products = {}
-    _INTERNED[pairs] = weakref.ref(
-        mono, functools.partial(drop_dead_entry, _INTERNED, pairs)
-    )
+    entry = InternEntry(mono, drop_dead_entry)
+    entry.table, entry.key = _INTERNED, pairs
+    _INTERNED[pairs] = entry
     return mono
 
 

@@ -86,12 +86,12 @@ class SystemKind(Enum):
         return self in (SystemKind.PC_Q, SystemKind.SPS_PC_Q)
 
 
-# The per-line records, Axiom to ExtensionAxiom, are hashed by value, never written
-# after construction (tests/test_records.py) and not frozen: __init__ stores directly.
+# The per-line records, Axiom to ExtensionAxiom, are slotted, hashed by value, never
+# written after construction (tests/test_records.py) and not frozen: __init__ stores.
 
 
-class _Record:
-    """Base of the slotted records: pickle refuses protocols 0 and 1 for a
+class Record:
+    """Base of the per-line records: pickle refuses protocols 0 and 1 for a
     slotted class that is not frozen, unless it has a __reduce__."""
 
     __slots__ = ()
@@ -101,12 +101,12 @@ class _Record:
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class Axiom(_Record):
+class Axiom(Record):
     index: int
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class LinComb(_Record):
+class LinComb(Record):
     j: int
     k: int
     alpha: Scalar
@@ -114,13 +114,13 @@ class LinComb(_Record):
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class MulVar(_Record):
+class MulVar(Record):
     k: int
     var: VarId
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class Sqrt(_Record):
+class Sqrt(Record):
     k: int
 
 
@@ -128,13 +128,13 @@ StepRule = Union[Axiom, LinComb, MulVar, Sqrt]
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class ProofLine(_Record):
+class ProofLine(Record):
     poly: Polynomial
     rule: StepRule
 
 
-@dataclass(unsafe_hash=True)
-class ExtensionAxiom:
+@dataclass(unsafe_hash=True, slots=True)
+class ExtensionAxiom(Record):
     """A definition var := definition, used as the axiom var - definition."""
 
     var: VarId

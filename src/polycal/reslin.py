@@ -37,8 +37,6 @@ gcd or sign normalization, so (x=0) and (2x=0) get distinct variables.
 
 from __future__ import annotations
 
-import functools
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .polyring import (
     FormatError,
+    InternEntry,
     Monomial,
     Polynomial,
     Scalar,
@@ -60,7 +59,7 @@ from .polyring import (
     shown,
     yvar,
 )
-from .proofcore import CheckError, CheckReport, ExtensionAxiom
+from .proofcore import CheckError, CheckReport, ExtensionAxiom, Record
 
 
 class LinEq:
@@ -129,10 +128,9 @@ class LinEq:
         return f"({body} = {self.constant})"
 
 
-# Every live equation, keyed by (coeffs, constant), as a plain dict of weak
-# references, so lookups and inserts run in C.  An entry goes when its
-# equation dies: the reference's callback pops its key (drop_dead_entry).
-_EQUATIONS: dict[tuple[tuple[tuple[VarId, int], ...], int], weakref.ref] = {}
+# Every live equation, keyed by (coeffs, constant), in a plain dict of InternEntry
+# references, as polyring interns monomials; an entry goes when its equation dies.
+_EQUATIONS: dict[tuple[tuple[tuple[VarId, int], ...], int], InternEntry] = {}
 
 
 def _equation(coeffs: tuple[tuple[VarId, int], ...], constant: int) -> LinEq:
@@ -146,18 +144,19 @@ def _equation(coeffs: tuple[tuple[VarId, int], ...], constant: int) -> LinEq:
     eq = object.__new__(LinEq)
     object.__setattr__(eq, "coeffs", coeffs)
     object.__setattr__(eq, "constant", constant)
-    _EQUATIONS[key] = weakref.ref(
-        eq, functools.partial(drop_dead_entry, _EQUATIONS, key)
-    )
+    entry = InternEntry(eq, drop_dead_entry)
+    object.__setattr__(entry, "table", _EQUATIONS)
+    object.__setattr__(entry, "key", key)
+    _EQUATIONS[key] = entry
     return eq
 
 
-# The per-line records, Disjunction to RlLine, are hashed by value, never written
-# after construction (tests/test_records.py) and not frozen: __init__ stores directly.
+# The per-line records, Disjunction to RlLine, are slotted proofcore Records: hashed
+# by value, never written after construction (tests/test_records.py), not frozen.
 
 
-@dataclass(unsafe_hash=True)
-class Disjunction:
+@dataclass(unsafe_hash=True, slots=True)
+class Disjunction(Record):
     disjuncts: tuple[LinEq, ...]
 
     @staticmethod
@@ -189,18 +188,18 @@ class Disjunction:
         return " v ".join(repr(eq) for eq in self.disjuncts)
 
 
-@dataclass(unsafe_hash=True)
-class RlAxiom:
+@dataclass(unsafe_hash=True, slots=True)
+class RlAxiom(Record):
     index: int
 
 
-@dataclass(unsafe_hash=True)
-class RlBooleanAxiom:
+@dataclass(unsafe_hash=True, slots=True)
+class RlBooleanAxiom(Record):
     var: VarId
 
 
-@dataclass(unsafe_hash=True)
-class RlResolution:
+@dataclass(unsafe_hash=True, slots=True)
+class RlResolution(Record):
     j: int
     k: int
     dj: int
@@ -209,20 +208,20 @@ class RlResolution:
     beta: Scalar
 
 
-@dataclass(unsafe_hash=True)
-class RlWeakening:
+@dataclass(unsafe_hash=True, slots=True)
+class RlWeakening(Record):
     j: int
     eq: LinEq
 
 
-@dataclass(unsafe_hash=True)
-class RlSimplification:
+@dataclass(unsafe_hash=True, slots=True)
+class RlSimplification(Record):
     j: int
     d: int
 
 
-@dataclass(unsafe_hash=True)
-class RlContraction:
+@dataclass(unsafe_hash=True, slots=True)
+class RlContraction(Record):
     j: int
     d1: int
     d2: int
@@ -233,8 +232,8 @@ RlRule = Union[
 ]
 
 
-@dataclass(unsafe_hash=True)
-class RlLine:
+@dataclass(unsafe_hash=True, slots=True)
+class RlLine(Record):
     disjunction: Disjunction
     rule: RlRule
 

@@ -4,12 +4,16 @@ import copy
 import gc
 import pickle
 import re
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import child_env
 
 from polycal import polyring
 from polycal.cli import canonical_json
@@ -320,6 +324,28 @@ def test_a_monomial_built_again_has_one_live_entry():
     assert polyring._INTERNED[((var, 4),)]() is rebuilt[0]
     assert Monomial.of(var, 4) is rebuilt[0]
     assert Monomial.of(var, 2).times(Monomial.of(var, 2)) is rebuilt[0]
+
+
+# Run in a fresh interpreter, so that no other test's monomials size the
+# intern table whose growth the count includes.
+_MONOMIAL_BYTES = """
+import gc, tracemalloc
+from polycal.polyring import Monomial, xvar
+xs = [xvar(700_001 + i) for i in range(10_001)]
+gc.collect()
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+alive = [Monomial(((xs[i], 1), (xs[i + 1], 1))) for i in range(10_000)]
+print((tracemalloc.get_traced_memory()[0] - before) / len(alive))
+"""
+
+
+def test_a_live_monomial_costs_at_most_500_traced_bytes():
+    # Its slots, its pairs, its empty product memo and one InternEntry, whose
+    # callback carries no arguments: about 430 bytes on Python 3.11.
+    result = subprocess.run([sys.executable, "-c", _MONOMIAL_BYTES], env=child_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert float(result.stdout) <= 500, result.stdout
 
 
 def test_copies_and_pickles_keep_the_interned_monomial():

@@ -127,6 +127,7 @@ RECORDS = [
 def test_records_compare_hash_copy_and_pickle_by_value(cls, make, field, other):
     first, second = cls(*make()), cls(*make())
     assert first == second and first is not second
+    assert not hasattr(first, "__dict__")
     assert hash(first) == hash(second)
     changed = dataclasses.replace(first, **{field: other})
     assert changed != first and getattr(first, field) != other
