@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polyring import (
+    Encoder,
     FormatError,
     Monomial,
     Polynomial,
@@ -55,9 +56,9 @@ from .polyring import (
     boolean_axiom,
     ceil_log2,
     int_to_str,
+    json_parse,
     parse_var,
     poly_from_obj,
-    poly_to_obj,
     require_bool,
     require_fields,
     require_int_str,
@@ -338,11 +339,18 @@ def trace_mod_check(
 # -- serialization -------------------------------------------------------------
 
 
+def instance_text(instance: BvpInstance) -> str:
+    """The instance document's canonical text: {"base":[...],"n":n} with keys
+    sorted, no whitespace and a final newline, every polynomial written by
+    one Encoder."""
+    poly_text = Encoder().poly
+    base = ",".join([poly_text(p) for p in (instance.equation,) + instance.booleans])
+    return f'{{"base":[{base}],"n":{int_to_str(instance.n)}}}\n'
+
+
 def instance_to_obj(instance: BvpInstance) -> dict[str, object]:
-    return {
-        "n": instance.n,
-        "base": [poly_to_obj(p) for p in (instance.equation,) + instance.booleans],
-    }
+    """The instance document as JSON objects: the parse of instance_text."""
+    return json_parse(instance_text(instance))  # type: ignore[return-value]
 
 
 def instance_from_obj(obj: object) -> BvpInstance:

@@ -62,13 +62,13 @@ from .bvp import (
     audit_report_to_obj,
     brute_force_refutation,
     gen_bvp,
-    instance_to_obj,
+    instance_text,
     primes_below,
     primorial_bits,
     trace_mod_check,
     trace_report_to_obj,
 )
-from .polyring import FormatError, int_from_str, int_to_str
+from .polyring import FormatError, int_to_str, json_parse
 from .proofcore import (
     CheckError,
     SystemKind,
@@ -123,25 +123,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> object:
-    """The JSON document at path.
-
-    Integers are parsed by json's C parser, which raises a plain ValueError
-    on one past the interpreter's int-str digit limit (4300 digits).  Only
-    then is the text parsed again with `int_from_str` as the integer hook,
-    which reads any length up to `NUMERAL_DIGIT_LIMIT` digits and refuses
-    longer numerals with a FormatError.  A JSONDecodeError from the first
-    parse is raised as it is.
-    """
+    """The JSON document at path, read by `json_parse`."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:
-            pass
-        return json.loads(text, parse_int=int_from_str)
+        return json_parse(text)
     except RecursionError:
         raise FormatError(f"{path}: JSON nested too deeply") from None
 
@@ -219,9 +205,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_bvp(args: argparse.Namespace) -> int:
-    instance = instance_to_obj(gen_bvp(args.n))
+    text = instance_text(gen_bvp(args.n))
     with _output(args.out) as out:
-        _emit(instance, out)
+        _write((text,), out)
     return 0
 
 

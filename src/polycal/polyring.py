@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import json
 import math
 import re
 import weakref
@@ -157,6 +158,25 @@ def int_from_str(text: str) -> int:
         return int(text)
     except ValueError:
         return int(Decimal(text))
+
+
+def json_parse(text: str) -> object:
+    """The JSON value of text, every document's one parse rule.
+
+    Integers are parsed by json's C parser, which raises a plain ValueError
+    on one past the interpreter's int-str digit limit (4300 digits).  Only
+    then is the text parsed again with `int_from_str` as the integer hook,
+    which reads any length up to `NUMERAL_DIGIT_LIMIT` digits and refuses
+    longer numerals with a FormatError.  A JSONDecodeError from the first
+    parse is raised as it is.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        pass
+    return json.loads(text, parse_int=int_from_str)
 
 
 def scalar_to_str(value: Scalar) -> str:
@@ -776,10 +796,6 @@ def multilinear_reduce(
 EXPONENT_LIMIT = 1000
 
 
-def mono_to_obj(mono: Monomial) -> dict[str, int]:
-    return {var.name: exp for var, exp in mono.pairs}
-
-
 def _mono_item(name: str, exp: object) -> tuple[VarId, int]:
     """The pair of one validated monomial item: its name, then its exponent."""
     var = parse_var(name)
@@ -873,15 +889,6 @@ class Decoder:
         return Polynomial._wrap(out)
 
 
-def poly_to_obj(poly: Polynomial) -> dict[str, object]:
-    return {
-        "terms": [
-            {"coef": scalar_to_str(coef), "mono": mono_to_obj(mono)}
-            for mono, coef in poly.terms()
-        ]
-    }
-
-
 class _Members(dict):
     """(VarId, exponent) -> its member text in a monomial object, as "x12":1,
     made on first use."""
@@ -895,8 +902,9 @@ class _Members(dict):
 
 
 class Encoder:
-    """Writes the polynomials of one document as canonical JSON text; the
-    counterpart of Decoder.
+    """Writes the polynomials of one document as canonical JSON text: keys
+    sorted, no whitespace, so canonical_json of its parse gives it back.
+    It defines the polynomial document; Decoder reads it.
 
     Each distinct monomial's text is made once, from members made once per
     distinct (variable, exponent); a repeat is one dict lookup.  JSON keys
@@ -913,7 +921,8 @@ class Encoder:
         self._members = _Members()
 
     def mono(self, mono: Monomial) -> str:
-        """canonical_json text of mono_to_obj(mono), without the newline."""
+        """The monomial's text: a JSON object from each variable name to its
+        exponent, members in JSON key order, no whitespace."""
         text = self._monos.get(mono)
         if text is None:
             members = sorted(map(self._members.__getitem__, mono._pairs))
@@ -921,12 +930,18 @@ class Encoder:
         return text
 
     def poly(self, poly: Polynomial) -> str:
-        """canonical_json text of poly_to_obj(poly), without the newline."""
+        """The polynomial's text: {"terms":[...]} with one {"coef":..,"mono":..}
+        per term in terms() order, the coefficient as scalar_to_str writes it."""
         mono_text = self.mono
         return '{"terms":[' + ",".join([
             f'{{"coef":"{scalar_to_str(coef)}","mono":{mono_text(mono)}}}'
             for mono, coef in poly.terms()
         ]) + "]}"
+
+
+def poly_to_obj(poly: Polynomial) -> dict[str, object]:
+    """The polynomial's JSON object: the parse of its text."""
+    return json_parse(Encoder().poly(poly))  # type: ignore[return-value]
 
 
 def poly_from_obj(obj: object) -> Polynomial:

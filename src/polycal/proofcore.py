@@ -39,9 +39,9 @@ from .polyring import (
     VarId,
     as_scalar,
     int_to_str,
+    json_parse,
     max_degree,
     parse_var,
-    poly_to_obj,
     require_bool,
     require_fields,
     require_index,
@@ -574,26 +574,9 @@ _PROOF_FIELDS = frozenset({"system", "axioms", "lines"})
 _LINE_FIELDS = frozenset({"poly", "rule"})
 
 
-def rule_to_obj(rule: StepRule) -> dict[str, object]:
-    if isinstance(rule, Axiom):
-        return {"type": "axiom", "index": rule.index}
-    if isinstance(rule, LinComb):
-        return {
-            "type": "lincomb",
-            "j": rule.j,
-            "k": rule.k,
-            "alpha": scalar_to_str(rule.alpha),
-            "beta": scalar_to_str(rule.beta),
-        }
-    if isinstance(rule, MulVar):
-        return {"type": "mulvar", "k": rule.k, "var": rule.var.name}
-    if isinstance(rule, Sqrt):
-        return {"type": "sqrt", "k": rule.k}
-    raise TypeError(f"unknown rule {rule!r}")
-
-
 def _rule_to_json(rule: StepRule) -> str:
-    """canonical_json text of rule_to_obj(rule): keys in sorted order."""
+    """The rule's text: a JSON object with keys in sorted order, scalars as
+    scalar_to_str strings, indices as numbers and the variable by name."""
     if isinstance(rule, LinComb):
         return (
             f'{{"alpha":"{scalar_to_str(rule.alpha)}","beta":"{scalar_to_str(rule.beta)}",'
@@ -632,16 +615,6 @@ def rule_from_obj(obj: object, decoder: Decoder) -> StepRule:
     raise FormatError(f"unknown rule type {shown(kind)}")
 
 
-def axioms_to_obj(axioms: AxiomSet) -> dict[str, object]:
-    return {
-        "base": [poly_to_obj(p) for p in axioms.base],
-        "extensions": [
-            {"var": ext.var.name, "def": poly_to_obj(ext.definition)}
-            for ext in axioms.extensions
-        ],
-    }
-
-
 def axioms_from_obj(obj: object, decoder: Decoder) -> AxiomSet:
     require_fields(obj, _AXIOMS_FIELDS, "axioms")
     base = obj["base"]
@@ -661,24 +634,12 @@ def axioms_from_obj(obj: object, decoder: Decoder) -> AxiomSet:
     )
 
 
-def proof_to_obj(
-    kind: SystemKind, axioms: AxiomSet, proof: Sequence[ProofLine]
-) -> dict[str, object]:
-    """The proof document as JSON objects; see proof_chunks for its text."""
-    return {
-        "system": kind.value,
-        "axioms": axioms_to_obj(axioms),
-        "lines": [
-            {"poly": poly_to_obj(line.poly), "rule": rule_to_obj(line.rule)}
-            for line in proof
-        ],
-    }
-
-
 def proof_chunks(
     kind: SystemKind, axioms: AxiomSet, proof: Sequence[ProofLine]
 ) -> Iterator[str]:
-    """The text of canonical_json(proof_to_obj(kind, axioms, proof)) in pieces.
+    """The proof document's canonical text in pieces: keys sorted, no
+    whitespace, ending in a newline, so canonical_json of its parse gives
+    it back.  This text defines the document; proof_from_obj reads it.
 
     One piece per axiom and per line, so a large proof is written without
     building its object tree or its whole text.  The pieces are templates,
@@ -703,6 +664,14 @@ def proof_chunks(
             f'"rule":{_rule_to_json(line.rule)}}}'
         )
     yield f'],"system":"{kind.value}"}}\n'
+
+
+def proof_to_obj(
+    kind: SystemKind, axioms: AxiomSet, proof: Sequence[ProofLine]
+) -> dict[str, object]:
+    """The proof document as JSON objects: the parse of proof_chunks."""
+    text = "".join(proof_chunks(kind, axioms, proof))
+    return json_parse(text)  # type: ignore[return-value]
 
 
 def _bound_root(index: int, root: Polynomial) -> None:

@@ -10,6 +10,7 @@ shared refutation corpora.
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -129,6 +130,23 @@ def test_gen_bvp_writes_identical_file_and_stdout(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["n"] == 2
     assert len(doc["base"]) == 3
+
+
+@pytest.mark.parametrize(
+    "n, sha256",
+    [
+        (1, "70516da4e8c574995e48b4965e9817eff2e1fa76366d421fb0b514b5b8f425d5"),
+        (3, "e976ac90ade1a557174a11b5171c8c908c4432b40fdc078fbe7b8a65888197a8"),
+        (8, "d3e26e4f10f695ef6772bd78cd143ed98e5b80e978876ec81b72c67323720a13"),
+        (64, "c22b6be588df3c10c8498a32805afd128e6b95e8957f7e8243d11700ae0d6eae"),
+        (bvp.WIDTH_LIMIT,
+         "fc5aaaeebcfa667e8e51009ecc8b67543d286403cd0debdc0db9fb74348a82b6"),
+    ],
+)
+def test_gen_bvp_frozen_bytes(capsys, n, sha256):
+    code, out, err = run(capsys, "gen-bvp", "--n", str(n))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 def test_gen_bvp_rejects_nonpositive_width(capsys):

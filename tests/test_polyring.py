@@ -30,6 +30,7 @@ from polycal.polyring import (
     boolean_axiom,
     ceil_log2,
     int_from_str,
+    json_parse,
     multilinear_reduce,
     parse_var,
     poly_from_obj,
@@ -227,7 +228,7 @@ def test_interned_monomials_match_a_sort_and_merge(a, b):
     assert ma.degree == sum(e for _, e in ref_a)
     built = (Monomial(list(reversed(a))), Monomial(ref_a), Monomial.one().times(ma),
              copy.copy(ma), pickle.loads(pickle.dumps(ma)),
-             polyring.Decoder().mono(polyring.mono_to_obj(ma)))
+             polyring.Decoder().mono(json_parse(polyring.Encoder().mono(ma))))
     assert {hash(m) for m in built} == {hash(ma)}
     assert {ma: 1}[Monomial(a)] == 1
     assert (ma < mb) == (reference_key(ref_a) < reference_key(ref_b))
@@ -734,9 +735,18 @@ prefixed_polynomials = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_encoder_writes_canonical_json(polys):
     # One encoder for all of them, as proof_chunks uses one per document.
+    # The text is canonical, decodes to p, and lists p's terms in terms()
+    # order (the decoder takes any order).
     encoder = polyring.Encoder()
     for p in polys:
-        assert encoder.poly(p) == canonical_json(poly_to_obj(p))[:-1]
+        text = encoder.poly(p)
+        obj = json_parse(text)
+        assert canonical_json(obj) == text + "\n"
+        decoder = polyring.Decoder()
+        assert [decoder.mono(term["mono"]) for term in obj["terms"]] == [
+            mono for mono, _ in p.terms()
+        ]
+        assert poly_from_obj(obj) == p
 
 
 BAD_MONOMIALS = [

@@ -18,6 +18,7 @@ from polycal.polyring import (
     Polynomial,
     ceil_log2,
     int_from_str,
+    json_parse,
     poly_parse,
     scalar_from_str,
     xvar,
@@ -44,7 +45,6 @@ from polycal.proofcore import (
     report_from_obj,
     report_to_obj,
     rule_from_obj,
-    rule_to_obj,
     validate_axiom_set,
 )
 from polycal.reslin import (
@@ -704,6 +704,12 @@ def test_mod_p_soundness_sample():
 # -- serialization ----------------------------------------------------------------
 
 
+def rule_obj(rule):
+    """The rule's object in the document of a one-line proof."""
+    doc = proof_to_obj(Z, AxiomSet(()), [ProofLine(P("x1"), rule)])
+    return doc["lines"][0]["rule"]
+
+
 def test_rule_json_round_trip():
     rules = [
         Axiom(0),
@@ -713,8 +719,8 @@ def test_rule_json_round_trip():
         Sqrt(3),
     ]
     for rule in rules:
-        assert rule_from_obj(rule_to_obj(rule), Decoder()) == rule
-    assert rule_to_obj(LinComb(0, 1, 1, -2)) == {
+        assert rule_from_obj(rule_obj(rule), Decoder()) == rule
+    assert rule_obj(LinComb(0, 1, 1, -2)) == {
         "type": "lincomb",
         "j": 0,
         "k": 1,
@@ -867,8 +873,39 @@ EVERY_CASE_LINES = [
 )
 @settings(max_examples=80, deadline=None)
 def test_proof_chunks_match_the_object_form(kind, base, extensions, lines):
+    # The text defines the document, so it is judged by three laws of its
+    # own: it is canonical, it decodes to the proof, and every polynomial
+    # lists its terms in terms() order (the decoder takes any order).
     axioms = AxiomSet(tuple(base), extensions)
     text = "".join(proof_chunks(kind, axioms, lines))
-    assert text == canonical_json(proof_to_obj(kind, axioms, lines))
-    decoded = proof_from_obj(json.loads(text, parse_int=int_from_str))
-    assert decoded == (kind, axioms, lines)
+    doc = json_parse(text)
+    assert canonical_json(doc) == text
+    written = (
+        doc["axioms"]["base"]
+        + [entry["def"] for entry in doc["axioms"]["extensions"]]
+        + [line["poly"] for line in doc["lines"]]
+    )
+    polys = list(base) + [ext.definition for ext in extensions] + [line.poly for line in lines]
+    assert len(written) == len(polys)
+    decoder = Decoder()
+    for obj, poly in zip(written, polys):
+        assert [decoder.mono(term["mono"]) for term in obj["terms"]] == [
+            mono for mono, _ in poly.terms()
+        ]
+    assert proof_from_obj(doc) == (kind, axioms, lines)
+
+
+def test_a_document_past_the_int_digit_limit_round_trips():
+    # A 5,000-digit axiom index: json.loads alone refuses it, and the
+    # document's one parse rule reads it back.
+    text = (
+        '{"axioms":{"base":[{"terms":[{"coef":"1","mono":{}}]}],"extensions":[]},'
+        '"lines":[{"poly":{"terms":[{"coef":"1","mono":{}}]},'
+        '"rule":{"index":' + "9" * 5000 + ',"type":"axiom"}}],"system":"pcsqrt-z"}\n'
+    )
+    with pytest.raises(ValueError):
+        json.loads(text)
+    kind, axioms, lines = proof_from_obj(json.loads(text, parse_int=int_from_str))
+    assert lines[0].rule == Axiom(10**5000 - 1)
+    assert "".join(proof_chunks(kind, axioms, lines)) == text
+    assert proof_to_obj(kind, axioms, lines) == json.loads(text, parse_int=int_from_str)
